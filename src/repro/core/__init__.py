@@ -5,8 +5,8 @@ Contains the paper's primary contribution — the DCMP formulation
 approximation algorithm ``Offline_Appro`` (Section IV), and the
 special-case exact algorithm ``Offline_MaxMatch`` (Section VI) — along
 with all combinatorial substrates they need (knapsack solvers, the
-local-ratio GAP machinery, min-cost flow, bipartite b-matching, LP
-bounds, baselines, and a brute-force exact solver for validation).
+local-ratio GAP machinery, bipartite b-matching, LP bounds,
+baselines, and a brute-force exact solver for validation).
 """
 
 from repro.core.instance import DataCollectionInstance, SensorSlotData
@@ -20,11 +20,8 @@ from repro.core.knapsack import (
     solve_knapsack,
 )
 from repro.core.gap import GapInstance, local_ratio_gap
-from repro.core.mcmf import MinCostFlow
-from repro.core.auction import auction_b_matching
-from repro.core.copies_graph import build_copies_graph, maxmatch_via_copies
 from repro.core.matching import max_weight_b_matching
-from repro.core.lp import dcmp_lp_upper_bound, b_matching_lp
+from repro.core.lp import dcmp_lp_upper_bound
 from repro.core.ilp import IlpSolution, solve_dcmp_ilp
 from repro.core.offline_appro import offline_appro
 from repro.core.offline_maxmatch import offline_maxmatch
@@ -48,13 +45,8 @@ __all__ = [
     "solve_knapsack",
     "GapInstance",
     "local_ratio_gap",
-    "MinCostFlow",
     "max_weight_b_matching",
-    "auction_b_matching",
-    "build_copies_graph",
-    "maxmatch_via_copies",
     "dcmp_lp_upper_bound",
-    "b_matching_lp",
     "IlpSolution",
     "solve_dcmp_ilp",
     "offline_appro",

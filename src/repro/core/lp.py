@@ -1,30 +1,25 @@
-"""Linear-programming bounds and solvers.
+"""The LP relaxation bound of the DCMP.
 
-Two roles:
-
-* :func:`dcmp_lp_upper_bound` — the LP relaxation of the paper's integer
-  program (Section II.D).  Its optimum upper-bounds the true optimum, so
-  reporting ``algorithm / LP`` gives a certified lower bound on the
-  fraction of optimum achieved ("the solutions are fractional of the
-  optimum" is the paper's closing claim; this makes it quantitative).
-* :func:`b_matching_lp` — direct access to the b-matching LP engine used
-  by ``Offline_MaxMatch`` (exact there because the constraint matrix is
-  totally unimodular).
+:func:`dcmp_lp_upper_bound` solves the LP relaxation of the paper's
+integer program (Section II.D).  Its optimum upper-bounds the true
+optimum, so reporting ``algorithm / LP`` gives a certified lower bound on
+the fraction of optimum achieved ("the solutions are fractional of the
+optimum" is the paper's closing claim; this makes it quantitative).  The
+b-matching LP of ``Offline_MaxMatch`` lives in :mod:`repro.core.matching`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from repro.core.instance import DataCollectionInstance
-from repro.core.matching import MatchingResult, max_weight_b_matching
 from repro.obs import get_registry
 
-__all__ = ["dcmp_lp_upper_bound", "b_matching_lp"]
+__all__ = ["dcmp_lp_upper_bound"]
 
 
 def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
@@ -76,17 +71,3 @@ def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"DCMP LP relaxation failed: {res.message}")
     return float(-res.fun)
-
-
-def b_matching_lp(
-    edges: Sequence[Tuple[int, int, float]],
-    left_capacities: Sequence[int],
-    num_right: int,
-) -> MatchingResult:
-    """Solve a max-weight b-matching through the LP engine.
-
-    Thin convenience wrapper over
-    :func:`repro.core.matching.max_weight_b_matching` with
-    ``engine="lp"``.
-    """
-    return max_weight_b_matching(edges, left_capacities, num_right, engine="lp")

@@ -8,36 +8,35 @@ problem is really a **b-matching**: left node ``i`` may be matched to up
 to ``c_i`` right nodes, every right node to at most one left node,
 maximising total edge weight.
 
-Three interchangeable engines (cross-validated in the test suite):
+One exact engine solves every b-matching: the b-matching LP with HiGHS
+dual simplex (``method="highs-ds"``).  The constraint matrix is the
+incidence matrix of a bipartite graph, hence totally unimodular, so the
+vertex optimum is integral; the solver still checks integrality and
+raises on a fractional vertex.  The test suite cross-checks it against
+a min-cost-flow oracle and a brute-force matcher.
 
-* ``"flow"`` — our own min-cost flow (:mod:`repro.core.mcmf`) on the
-  compact graph (no copies), stopping at the first non-improving
-  augmenting path.  Exact; the reference implementation.
-* ``"lsa"`` — expand copies and call
-  :func:`scipy.optimize.linear_sum_assignment` on a dense rectangular
-  matrix (0-weight for non-edges).  Exact; fastest for small/medium
-  instances.
-* ``"lp"`` — the b-matching LP solved with HiGHS dual simplex.  The
-  constraint matrix is totally unimodular, so the vertex optimum is
-  integral.  Exact; scales to the full offline tour-sized instances.
-
-The online per-interval matchings are tiny (tens of nodes) and use the
-flow engine; the offline whole-tour matching defaults to ``"lp"``.
+Tie-break.  Optimal matchings often tie (equal-weight slots in one
+window), and which optimum a solver returns depends on the order it
+sees the columns.  The order is pinned by construction: edges are
+deduplicated (the heaviest parallel edge survives) and sorted by
+``(left, right)`` before the LP is built, so the same edge *set* always
+yields the same LP and, with the deterministic dual simplex, the same
+pairs, whatever order the caller listed the edges in.  Pairs come back
+sorted by ``(left, right)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
-from repro.core.mcmf import MinCostFlow
 from repro.obs import get_registry
 
 __all__ = ["MatchingResult", "max_weight_b_matching"]
-
-Engine = Literal["flow", "lsa", "lp", "auction", "auto"]
 
 #: Edges below this weight are dropped (they cannot improve the matching).
 _WEIGHT_EPS = 1e-12
@@ -53,7 +52,8 @@ class MatchingResult:
     def right_of(self, num_right: int) -> np.ndarray:
         """``(num_right,)`` array mapping right node → left node or -1."""
         out = np.full(num_right, -1, dtype=np.int64)
-        for left, right in self.pairs:
+        if self.pairs:
+            left, right = np.asarray(self.pairs, dtype=np.int64).T
             out[right] = left
         return out
 
@@ -89,7 +89,6 @@ def max_weight_b_matching(
     edges: Sequence[Tuple[int, int, float]],
     left_capacities: Sequence[int],
     num_right: int,
-    engine: Engine = "auto",
 ) -> MatchingResult:
     """Compute a maximum-weight bipartite b-matching.
 
@@ -103,19 +102,18 @@ def max_weight_b_matching(
         ``c_i`` per left node (the paper's ``n_i'`` copy counts).
     num_right:
         Number of right nodes (time slots).
-    engine:
-        ``"flow"``, ``"lsa"``, ``"lp"`` or ``"auto"`` (size-based choice).
 
     Returns
     -------
     MatchingResult
         Optimal matching; every right node appears at most once and left
-        node ``i`` appears at most ``c_i`` times.
+        node ``i`` appears at most ``c_i`` times.  Ties are broken as the
+        module docstring describes.
 
     Notes
     -----
     Records ``matching.calls`` / ``matching.edges`` counters and a
-    ``matching.<engine>`` timer to the :mod:`repro.obs` registry.
+    ``matching.lp`` timer to the :mod:`repro.obs` registry.
     """
     u, v, w, caps = _check_inputs(edges, left_capacities, num_right)
     keep = w > _WEIGHT_EPS
@@ -123,7 +121,8 @@ def max_weight_b_matching(
     if u.size == 0:
         return MatchingResult((), 0.0)
 
-    # Deduplicate parallel edges, keeping the heaviest.
+    # Deduplicate parallel edges, keeping the heaviest; the survivors
+    # come out sorted by (left, right), which pins the LP column order.
     key = u * np.int64(num_right) + v
     order = np.lexsort((-w, key))
     key_sorted = key[order]
@@ -132,95 +131,17 @@ def max_weight_b_matching(
     sel = order[first]
     u, v, w = u[sel], v[sel], w[sel]
 
-    if engine == "auto":
-        engine = "flow" if u.size <= 4000 else "lp"
-    if engine not in ("flow", "lsa", "lp", "auction"):
-        raise ValueError(f"unknown matching engine {engine!r}")
     registry = get_registry()
     registry.inc("matching.calls")
     registry.inc("matching.edges", float(u.size))
-    with registry.timed(f"matching.{engine}"):
-        if engine == "flow":
-            return _solve_flow(u, v, w, caps, num_right)
-        if engine == "lsa":
-            return _solve_lsa(u, v, w, caps, num_right)
-        if engine == "lp":
-            return _solve_lp(u, v, w, caps, num_right)
-        # ε-optimal (see repro.core.auction); kept out of "auto".
-        from repro.core.auction import auction_b_matching
-
-        return auction_b_matching(list(zip(u, v, w)), caps, num_right)
-
-
-# ----------------------------------------------------------------------
-def _solve_flow(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
-) -> MatchingResult:
-    """Compact min-cost flow: source → left (cap c_i) → right (cap 1) → sink."""
-    num_left = caps.size
-    source = num_left + num_right
-    sink = source + 1
-    net = MinCostFlow(sink + 1)
-    for i in range(num_left):
-        if caps[i] > 0:
-            net.add_edge(source, i, float(caps[i]), 0.0)
-    edge_ids = np.empty(u.size, dtype=np.int64)
-    for k in range(u.size):
-        edge_ids[k] = net.add_edge(int(u[k]), num_left + int(v[k]), 1.0, -float(w[k]))
-    for j in range(num_right):
-        net.add_edge(num_left + j, sink, 1.0, 0.0)
-    _, cost = net.solve(source, sink, only_negative_paths=True)
-    pairs = []
-    weight = 0.0
-    for k in range(u.size):
-        if net.flow_on(int(edge_ids[k])) > 0.5:
-            pairs.append((int(u[k]), int(v[k])))
-            weight += float(w[k])
-    return MatchingResult(tuple(sorted(pairs)), weight)
-
-
-def _solve_lsa(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
-) -> MatchingResult:
-    """Expand left copies and run the Jonker–Volgenant assignment."""
-    from scipy.optimize import linear_sum_assignment
-
-    # A left node never needs more copies than it has incident edges.
-    degree = np.bincount(u, minlength=caps.size)
-    eff_caps = np.minimum(caps, degree)
-    total_copies = int(eff_caps.sum())
-    if total_copies == 0:
-        return MatchingResult((), 0.0)
-    if total_copies * num_right > 50_000_000:
-        raise MemoryError(
-            f"lsa engine would allocate a {total_copies}x{num_right} dense matrix; "
-            "use engine='lp' or 'flow'"
-        )
-    copy_owner = np.repeat(np.arange(caps.size), eff_caps)
-    first_copy = np.zeros(caps.size, dtype=np.int64)
-    first_copy[1:] = np.cumsum(eff_caps)[:-1]
-    dense = np.zeros((total_copies, num_right))
-    for k in range(u.size):
-        i = int(u[k])
-        for c in range(int(eff_caps[i])):
-            dense[first_copy[i] + c, int(v[k])] = w[k]
-    rows, cols = linear_sum_assignment(dense, maximize=True)
-    pairs = []
-    weight = 0.0
-    for r, c in zip(rows, cols):
-        if dense[r, c] > _WEIGHT_EPS:
-            pairs.append((int(copy_owner[r]), int(c)))
-            weight += float(dense[r, c])
-    return MatchingResult(tuple(sorted(pairs)), weight)
+    with registry.timed("matching.lp"):
+        return _solve_lp(u, v, w, caps, num_right)
 
 
 def _solve_lp(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
 ) -> MatchingResult:
     """HiGHS dual simplex on the (totally unimodular) b-matching LP."""
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-
     num_left = caps.size
     num_edges = u.size
     # Constraints: per-right <= 1, per-left <= c_i.
@@ -246,6 +167,7 @@ def _solve_lp(
     frac = np.abs(x - np.round(x)).max() if x.size else 0.0
     if frac > 1e-6:  # pragma: no cover - defensive
         raise RuntimeError(f"LP returned a fractional vertex (max frac {frac:.2e})")
-    pairs = [(int(u[k]), int(v[k])) for k in np.flatnonzero(chosen)]
+    # u, v are (left, right)-sorted, so the pairs already are too.
+    pairs = tuple(zip(u[chosen].tolist(), v[chosen].tolist()))
     weight = float(w[chosen].sum())
-    return MatchingResult(tuple(sorted(pairs)), weight)
+    return MatchingResult(pairs, weight)

@@ -12,8 +12,8 @@ maximum-weight bipartite b-matching:
 * edge ``(i, j)`` for ``j ∈ A(v_i)`` with weight ``r_{i,j}·τ``.
 
 With global knowledge this "can deliver an exact solution in polynomial
-time" (paper, end of Section VI) — our implementation is exact for any
-matching engine since all three are exact.
+time" (paper, end of Section VI) — our implementation is exact because
+the b-matching solver (:mod:`repro.core.matching`) is.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.core.matching import Engine, max_weight_b_matching
+from repro.core.matching import max_weight_b_matching
 
 __all__ = ["offline_maxmatch", "fixed_power_of", "build_matching_edges"]
 
@@ -92,7 +92,6 @@ def build_matching_edges(
 
 def offline_maxmatch(
     instance: DataCollectionInstance,
-    engine: Engine = "auto",
     fixed_power: Optional[float] = None,
 ) -> Allocation:
     """Run ``Offline_MaxMatch`` on a single-power DCMP instance.
@@ -105,8 +104,6 @@ def offline_maxmatch(
         instance voids the exactness guarantee and may produce an
         energy-infeasible allocation, so we re-verify feasibility and
         raise if it fails).
-    engine:
-        Matching engine (see :func:`repro.core.matching.max_weight_b_matching`).
     fixed_power:
         Skip auto-detection of ``P'``.
 
@@ -123,10 +120,7 @@ def offline_maxmatch(
                 return Allocation(np.full(instance.num_slots, -1, dtype=np.int64))
             raise
     edges, caps = build_matching_edges(instance, fixed_power)
-    result = max_weight_b_matching(edges, caps, instance.num_slots, engine=engine)
-    owner = np.full(instance.num_slots, -1, dtype=np.int64)
-    for sensor, slot in result.pairs:
-        owner[slot] = sensor
-    allocation = Allocation(owner)
+    result = max_weight_b_matching(edges, caps, instance.num_slots)
+    allocation = Allocation(result.right_of(instance.num_slots))
     allocation.check_feasible(instance)
     return allocation

@@ -14,7 +14,7 @@ Two grids:
 
 Each cell solves one seeded topology under a fresh recording
 :class:`~repro.obs.registry.MetricsRegistry`, so the JSON document
-carries solver counters (``knapsack.calls``, ``mcmf.solves``, …) and
+carries solver counters (``knapsack.calls``, ``matching.calls``, …) and
 timer histograms next to the wall-clock numbers.  ``repeat > 1`` runs
 every cell that many times and reports the min/median wall clock per
 cell (``wall_s`` is the minimum — the least-noisy repeat), cutting
@@ -82,12 +82,16 @@ PLANNER_SINK_SPEED = 10.0
 #: Algorithm solved on the designed tours (the paper's main offline one).
 PLANNER_ALGORITHM = "Offline_Appro"
 
-#: Scale cell: the paper's largest population (Section VII.A's n = 600)
-#: on the full 10 km path, solved by the flagship offline algorithm.
-#: This is the cell the array-core speedup ledger (docs/PERFORMANCE.md)
-#: tracks — big enough that ``instance_build_s + solve_s`` measures the
-#: solver core, not fixed overheads.  Runs in both grids.
-SCALE_GRID: Tuple[Tuple[str, int, float], ...] = (("Offline_Appro", 600, 10_000.0),)
+#: Scale cells: the paper's largest population (Section VII.A's n = 600)
+#: on the full 10 km path, solved by the flagship offline algorithm and
+#: by the exact fixed-power one (a 38k-edge b-matching).  These are the
+#: cells the speedup ledgers (docs/PERFORMANCE.md) track — big enough
+#: that ``instance_build_s + solve_s`` measures the solver core, not
+#: fixed overheads.  They run in both grids.
+SCALE_GRID: Tuple[Tuple[str, int, float], ...] = (
+    ("Offline_Appro", 600, 10_000.0),
+    ("Offline_MaxMatch", 600, 10_000.0),
+)
 
 #: Algorithms of the ``Batch[mixed]`` cell: the paper's offline
 #: algorithm plus the three deterministic baselines, all solving the

@@ -10,7 +10,7 @@ path_length)`` — and grades three families of differences:
   overridable per algorithm) **and** by an absolute noise floor
   (default 10 ms) — sub-floor jitter on a fast baseline never fails a
   build;
-* **work counters** (``knapsack.calls``, ``mcmf.solves``, DP cell
+* **work counters** (``knapsack.calls``, ``matching.calls``, DP cell
   counts, …): machine-independent, so the default tolerance is **exact
   match** (0 % drift).  More work than before is a regression; less
   work is reported as an improvement; a counter that disappears

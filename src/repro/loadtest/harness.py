@@ -75,7 +75,7 @@ _SERVER_COUNTERS = (
     "repro_service_cache_miss_total",
     "repro_service_jobs_submitted_total",
     "repro_knapsack_calls_total",
-    "repro_mcmf_solves_total",
+    "repro_matching_calls_total",
 )
 
 

@@ -79,7 +79,15 @@ class Job:
     sync; :meth:`snapshot` renders it JSON-ready for the poll endpoint.
     """
 
-    __slots__ = ("id", "key", "submitted_at", "finished_at", "timed_out", "future")
+    __slots__ = (
+        "id",
+        "key",
+        "submitted_at",
+        "finished_at",
+        "timed_out",
+        "future",
+        "settled",
+    )
 
     def __init__(self, job_id: str, key: Optional[str] = None):
         self.id = job_id
@@ -88,6 +96,10 @@ class Job:
         self.finished_at: Optional[float] = None
         self.timed_out = False
         self.future: Optional[Future] = None
+        # Set once the executor's finish bookkeeping (result callback,
+        # metrics merge, key release) has run; the future's waiters wake
+        # before its done-callbacks do.
+        self.settled = threading.Event()
 
     # ------------------------------------------------------------------
     @property
@@ -181,7 +193,7 @@ class JobExecutor:
     def _merge_worker_metrics(self, future: Future) -> None:
         """Fold a finished solve's worker-side registry dump into the
         parent registry, so ``/metrics`` reflects solver-phase costs
-        (knapsack/matching/mcmf/gap timers and counters) — worker
+        (knapsack/matching/gap timers and counters) — worker
         processes cannot record into the parent directly."""
         if future.cancelled() or future.exception() is not None:
             return
@@ -194,14 +206,17 @@ class JobExecutor:
 
     def _on_finish(self, job: Job) -> Callable[[Future], None]:
         def callback(future: Future) -> None:
-            job.finished_at = time.monotonic()
-            self._merge_worker_metrics(future)
-            with self._lock:
-                self._active -= 1
-                depth = self._active
-                if job.key is not None and self._by_key.get(job.key) is job:
-                    del self._by_key[job.key]
-            self._metrics().set_gauge("service.queue.depth", depth)
+            try:
+                job.finished_at = time.monotonic()
+                self._merge_worker_metrics(future)
+                with self._lock:
+                    self._active -= 1
+                    depth = self._active
+                    if job.key is not None and self._by_key.get(job.key) is job:
+                        del self._by_key[job.key]
+                self._metrics().set_gauge("service.queue.depth", depth)
+            finally:
+                job.settled.set()
 
         return callback
 
@@ -263,6 +278,7 @@ class JobExecutor:
             future.set_result(result)
             job.future = future
             job.finished_at = time.monotonic()
+            job.settled.set()
             self._jobs[job.id] = job
         return job
 
@@ -274,12 +290,16 @@ class JobExecutor:
         wait; on expiry the job is cancelled if still queued, marked
         timed-out, and :class:`JobTimeoutError` is raised.  A job
         cancelled elsewhere surfaces as :class:`JobTimeoutError` too —
-        from the waiter's perspective the result is equally gone.
+        from the waiter's perspective the result is equally gone.  A
+        returned result is settled: its ``on_result`` callback has run
+        and its key no longer coalesces new submissions.
         """
         deadline = timeout if timeout is not None else self.default_timeout
         assert job.future is not None
         try:
-            return job.future.result(timeout=deadline)
+            result = job.future.result(timeout=deadline)
+            job.settled.wait()
+            return result
         except _FutureTimeout:
             job.future.cancel()  # revoke if still queued; running jobs finish
             job.timed_out = True

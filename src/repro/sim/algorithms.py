@@ -116,14 +116,11 @@ class OnlineApproLookaheadAlgorithm(TourAlgorithm):
 class OfflineMaxMatchAlgorithm(TourAlgorithm):
     """``Offline_MaxMatch`` (exact, fixed-power special case)."""
 
-    engine: str = "auto"
     fixed_power: Optional[float] = None
     name: str = "Offline_MaxMatch"
 
     def run(self, instance: DataCollectionInstance, gamma: int) -> RunOutput:
-        allocation = offline_maxmatch(
-            instance, engine=self.engine, fixed_power=self.fixed_power
-        )
+        allocation = offline_maxmatch(instance, fixed_power=self.fixed_power)
         return allocation, None
 
 
@@ -131,14 +128,11 @@ class OfflineMaxMatchAlgorithm(TourAlgorithm):
 class OnlineMaxMatchAlgorithm(TourAlgorithm):
     """``Online_MaxMatch`` (Algorithm 2 + matching interval scheduler)."""
 
-    engine: str = "flow"
     fixed_power: Optional[float] = None
     name: str = "Online_MaxMatch"
 
     def run(self, instance: DataCollectionInstance, gamma: int) -> RunOutput:
-        result = online_maxmatch(
-            instance, gamma, fixed_power=self.fixed_power, engine=self.engine
-        )
+        result = online_maxmatch(instance, gamma, fixed_power=self.fixed_power)
         return result.allocation, result.messages
 
 

@@ -7,14 +7,25 @@ are *bit-identical* to the scalar semantics they replaced — same
 selections, same IEEE-754 accumulation order, same error behaviour —
 not merely "close".
 
+The matching oracles are independent solvers rather than re-traced
+loops: a successive-shortest-path min-cost flow (:class:`MinCostFlow`,
+:func:`mcmf_b_matching`), a dense assignment over left-node copies
+(:func:`lsa_b_matching`) and the paper's literal Section-VI node-copies
+graph G′ (:func:`build_copies_graph`, :func:`maxmatch_via_copies`).
+The production b-matching LP must reach the same optimal *weight*;
+which of several tied optima it picks is its own business.
+
 Keep these boring: single code path, plain Python floats, nested loops.
 Any cleverness added here defeats their purpose as references.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,11 +33,19 @@ import numpy as np
 from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.gap import GapInstance, KnapsackSolver
 from repro.core.instance import DataCollectionInstance
+from repro.core.matching import MatchingResult
+from repro.core.offline_maxmatch import fixed_power_of
 
 __all__ = [
     "knapsack_few_weights_oracle",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
+    "MinCostFlow",
+    "mcmf_b_matching",
+    "lsa_b_matching",
+    "CopiesGraph",
+    "build_copies_graph",
+    "maxmatch_via_copies",
 ]
 
 
@@ -257,3 +276,316 @@ def allocation_stats_oracle(
                 f"{energy[sensor] - budgets[sensor]:.3e} J"
             )
     return collected, energy, bits, problems
+
+
+# ----------------------------------------------------------------------
+# Matching: successive-shortest-path min-cost flow
+# ----------------------------------------------------------------------
+_INF = float("inf")
+#: Paths costlier than -_COST_EPS are considered non-improving.
+_COST_EPS = 1e-9
+
+
+class MinCostFlow:
+    """A directed flow network solved by successive shortest paths.
+
+    Nodes are integers ``0 .. num_nodes-1``; :meth:`add_edge` also
+    creates the residual reverse edge.  Initial potentials come from one
+    Bellman–Ford (SPFA) pass, so negative costs (negated profits) are
+    exact; every augmentation then runs Dijkstra on reduced costs.
+    """
+
+    def __init__(self, num_nodes: int):
+        if num_nodes < 1:
+            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+        self.num_nodes = num_nodes
+        self._head: List[List[int]] = [[] for _ in range(num_nodes)]
+        self._to: List[int] = []
+        self._cap: List[float] = []
+        self._cost: List[float] = []
+
+    def add_edge(self, u: int, v: int, capacity: float, cost: float) -> int:
+        """Add ``u → v``; returns its id (``id ^ 1`` is the reverse edge)."""
+        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+            raise ValueError(f"edge ({u}, {v}) outside node range")
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        eid = len(self._to)
+        self._head[u].append(eid)
+        self._to.append(v)
+        self._cap.append(float(capacity))
+        self._cost.append(float(cost))
+        self._head[v].append(eid + 1)
+        self._to.append(u)
+        self._cap.append(0.0)
+        self._cost.append(-float(cost))
+        return eid
+
+    def flow_on(self, edge_id: int) -> float:
+        """Current flow on a forward edge (= residual cap of its twin)."""
+        if edge_id % 2 != 0:
+            raise ValueError("flow_on expects a forward edge id")
+        return self._cap[edge_id ^ 1]
+
+    def _initial_potentials(self, source: int) -> List[float]:
+        """SPFA distances from ``source`` over positive-capacity edges."""
+        dist = [_INF] * self.num_nodes
+        dist[source] = 0.0
+        in_queue = [False] * self.num_nodes
+        queue: deque = deque([source])
+        in_queue[source] = True
+        relaxations = 0
+        limit = self.num_nodes * len(self._to) + 1
+        while queue:
+            u = queue.popleft()
+            in_queue[u] = False
+            for eid in self._head[u]:
+                if self._cap[eid] <= 0:
+                    continue
+                v = self._to[eid]
+                nd = dist[u] + self._cost[eid]
+                if nd < dist[v] - 1e-15:
+                    dist[v] = nd
+                    relaxations += 1
+                    if relaxations > limit:
+                        raise RuntimeError("negative cycle detected in flow network")
+                    if not in_queue[v]:
+                        queue.append(v)
+                        in_queue[v] = True
+        return dist
+
+    def _dijkstra(
+        self, source: int, potentials: List[float]
+    ) -> Tuple[List[float], List[int]]:
+        """Shortest reduced-cost distances + predecessor edge ids."""
+        dist = [_INF] * self.num_nodes
+        pred_edge = [-1] * self.num_nodes
+        dist[source] = 0.0
+        heap: List[Tuple[float, int]] = [(0.0, source)]
+        visited = [False] * self.num_nodes
+        while heap:
+            d, u = heapq.heappop(heap)
+            if visited[u]:
+                continue
+            visited[u] = True
+            for eid in self._head[u]:
+                if self._cap[eid] <= 0:
+                    continue
+                v = self._to[eid]
+                if visited[v]:
+                    continue
+                # Reduced costs are >= 0 up to rounding; clamp tiny noise.
+                reduced = max(self._cost[eid] + potentials[u] - potentials[v], 0.0)
+                if d + reduced < dist[v] - 1e-15:
+                    dist[v] = d + reduced
+                    pred_edge[v] = eid
+                    heapq.heappush(heap, (dist[v], v))
+        return dist, pred_edge
+
+    def solve(
+        self,
+        source: int,
+        sink: int,
+        max_flow: Optional[float] = None,
+        only_negative_paths: bool = False,
+    ) -> Tuple[float, float]:
+        """Push flow from ``source`` to ``sink``; returns ``(flow, cost)``.
+
+        ``max_flow`` caps the volume (default: saturate).
+        ``only_negative_paths`` stops at the first augmenting path of
+        non-negative true cost — the stopping rule that turns min-cost
+        flow into *maximum-weight* (not maximum-cardinality) matching.
+        """
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        potentials = self._initial_potentials(source)
+        if potentials[sink] == _INF:
+            return 0.0, 0.0
+        # Unreachable nodes keep potential 0; they can never be on a path.
+        potentials = [p if p != _INF else 0.0 for p in potentials]
+        total_flow = 0.0
+        total_cost = 0.0
+        remaining = _INF if max_flow is None else float(max_flow)
+        while remaining > 0:
+            dist, pred_edge = self._dijkstra(source, potentials)
+            if dist[sink] == _INF:
+                break
+            # True path cost = reduced distance + potential difference.
+            path_cost = dist[sink] + potentials[sink] - potentials[source]
+            if only_negative_paths and path_cost >= -_COST_EPS:
+                break
+            path = []
+            v = sink
+            while v != source:
+                path.append(pred_edge[v])
+                v = self._to[pred_edge[v] ^ 1]
+            bottleneck = min([remaining] + [self._cap[eid] for eid in path])
+            for eid in path:
+                self._cap[eid] -= bottleneck
+                self._cap[eid ^ 1] += bottleneck
+            total_flow += bottleneck
+            total_cost += bottleneck * path_cost
+            remaining -= bottleneck
+            # Johnson update keeps reduced costs non-negative.
+            potentials = [
+                p + d if d != _INF else p for p, d in zip(potentials, dist)
+            ]
+        return total_flow, total_cost
+
+
+def mcmf_b_matching(
+    edges: Sequence[Tuple[int, int, float]],
+    left_capacities: Sequence[int],
+    num_right: int,
+) -> MatchingResult:
+    """Reference for :func:`repro.core.matching.max_weight_b_matching`.
+
+    Min-cost flow on source → left ``i`` (capacity ``c_i``) → right
+    ``j`` (one unit per edge, cost ``-w``) → sink (capacity 1), pushing
+    only while a path still gains weight.  Parallel and non-positive
+    edges need no preprocessing: the right→sink unit admits only the
+    heaviest parallel edge, and a path of non-negative cost never runs.
+    """
+    num_left = len(left_capacities)
+    source = num_left + num_right
+    sink = source + 1
+    net = MinCostFlow(sink + 1)
+    for i, cap in enumerate(left_capacities):
+        if cap > 0:
+            net.add_edge(source, i, float(cap), 0.0)
+    edge_ids = [
+        net.add_edge(int(u), num_left + int(v), 1.0, -float(w)) for u, v, w in edges
+    ]
+    for j in range(num_right):
+        net.add_edge(num_left + j, sink, 1.0, 0.0)
+    net.solve(source, sink, only_negative_paths=True)
+    pairs = []
+    weight = 0.0
+    for (u, v, w), eid in zip(edges, edge_ids):
+        if net.flow_on(eid) > 0.5:
+            pairs.append((int(u), int(v)))
+            weight += float(w)
+    return MatchingResult(tuple(sorted(pairs)), weight)
+
+
+def lsa_b_matching(
+    edges: Sequence[Tuple[int, int, float]],
+    left_capacities: Sequence[int],
+    num_right: int,
+) -> MatchingResult:
+    """Second reference for :func:`repro.core.matching.max_weight_b_matching`.
+
+    Left node ``i`` becomes ``c_i`` unit copies (never more than its
+    number of distinct neighbours), each carrying the heaviest edge to
+    every neighbour; scipy's ``linear_sum_assignment`` then maximises
+    over the dense copies × right matrix.  Zero entries (absent or
+    non-positive edges) are dropped from the answer.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    heaviest: Dict[Tuple[int, int], float] = {}
+    for u, v, w in edges:
+        key = (int(u), int(v))
+        heaviest[key] = max(heaviest.get(key, 0.0), float(w))
+    degree = [0] * len(left_capacities)
+    for u, _ in heaviest:
+        degree[u] += 1
+    copy_owner: List[int] = []
+    for i, cap in enumerate(left_capacities):
+        copy_owner.extend([i] * min(int(cap), degree[i]))
+    if not copy_owner:
+        return MatchingResult((), 0.0)
+    dense = np.zeros((len(copy_owner), num_right))
+    for row, owner in enumerate(copy_owner):
+        for (u, v), w in heaviest.items():
+            if u == owner:
+                dense[row, v] = w
+    rows, cols = linear_sum_assignment(dense, maximize=True)
+    pairs = []
+    weight = 0.0
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if dense[r, c] > 0.0:
+            pairs.append((copy_owner[r], c))
+            weight += float(dense[r, c])
+    return MatchingResult(tuple(sorted(pairs)), weight)
+
+
+# ----------------------------------------------------------------------
+# Matching: the paper's literal node-copies graph G′ (Section VI)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CopiesGraph:
+    """The explicit bipartite graph G′.
+
+    ``copy_owner[c]`` is the sensor owning copy node ``c``;
+    ``copy_counts[i]`` is ``n_i'``; ``edges`` holds ``(copy, slot,
+    weight)`` — the paper's ``E'``, one edge copy per node copy.
+    """
+
+    copy_owner: Tuple[int, ...]
+    copy_counts: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int, float], ...]
+    num_slots: int
+
+    @property
+    def num_copies(self) -> int:
+        """Total number of copy nodes ``Σ n_i'``."""
+        return len(self.copy_owner)
+
+
+def build_copies_graph(
+    instance: DataCollectionInstance,
+    fixed_power: Optional[float] = None,
+    gamma: Optional[int] = None,
+) -> CopiesGraph:
+    """Construct G′ exactly as Section VI describes.
+
+    Sensor ``i`` gets ``n_i' = min(⌊R/(r_s·τ)⌋, |[i_s', i_e']|,
+    ⌊P(v_i)/(P'·τ)⌋)`` copies, each with an edge of weight ``r_{i,j}·τ``
+    to every positive-rate slot of its window.  ``gamma`` is the
+    ``⌊R/(r_s·τ)⌋`` term: the offline whole-tour reduction has no
+    interval cap, so ``None`` omits it (Γ = ∞).
+    """
+    if fixed_power is None:
+        fixed_power = fixed_power_of(instance)
+    tau = instance.slot_duration
+    copy_owner: List[int] = []
+    copy_counts: List[int] = []
+    edges: List[Tuple[int, int, float]] = []
+    for i, data in enumerate(instance.sensors):
+        count = 0
+        if data.window is not None:
+            affordable = math.floor(data.budget / (fixed_power * tau) + 1e-12)
+            count = max(min(data.num_slots, affordable), 0)
+            if gamma is not None:
+                count = min(count, gamma)
+        copy_counts.append(count)
+        slots = data.slot_indices().tolist()
+        rates = data.rates.tolist()
+        for _ in range(count):
+            copy = len(copy_owner)
+            copy_owner.append(i)
+            for slot, rate in zip(slots, rates):
+                if rate > 0:
+                    edges.append((copy, slot, rate * tau))
+    return CopiesGraph(
+        copy_owner=tuple(copy_owner),
+        copy_counts=tuple(copy_counts),
+        edges=tuple(edges),
+        num_slots=instance.num_slots,
+    )
+
+
+def maxmatch_via_copies(
+    instance: DataCollectionInstance, fixed_power: Optional[float] = None
+) -> Allocation:
+    """``Offline_MaxMatch`` through the literal G′: copies are
+    unit-capacity left nodes, matched by the min-cost-flow oracle."""
+    graph = build_copies_graph(instance, fixed_power)
+    result = mcmf_b_matching(graph.edges, [1] * graph.num_copies, graph.num_slots)
+    owner = np.full(instance.num_slots, UNASSIGNED, dtype=np.int64)
+    for copy, slot in result.pairs:
+        owner[slot] = graph.copy_owner[copy]
+    allocation = Allocation(owner)
+    allocation.check_feasible(instance)
+    return allocation

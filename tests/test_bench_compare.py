@@ -44,7 +44,7 @@ def make_entry(
         "counters": dict(
             counters
             if counters is not None
-            else {"knapsack.calls": 30.0, "mcmf.solves": 1.0, "tour.runs": 1.0}
+            else {"knapsack.calls": 30.0, "matching.calls": 1.0, "tour.runs": 1.0}
         ),
         "timers": {},
     }
@@ -77,7 +77,7 @@ class TestCompare:
     def test_doubled_counter_is_a_regression_naming_the_cell(self):
         old = make_doc([make_entry()])
         new = make_doc(
-            [make_entry(counters={"knapsack.calls": 60.0, "mcmf.solves": 1.0,
+            [make_entry(counters={"knapsack.calls": 60.0, "matching.calls": 1.0,
                                   "tour.runs": 1.0})]
         )
         cmp = compare_bench(old, new)
@@ -96,7 +96,7 @@ class TestCompare:
     def test_counter_decrease_is_an_improvement_not_a_failure(self):
         old = make_doc([make_entry()])
         new = make_doc(
-            [make_entry(counters={"knapsack.calls": 15.0, "mcmf.solves": 1.0,
+            [make_entry(counters={"knapsack.calls": 15.0, "matching.calls": 1.0,
                                   "tour.runs": 1.0})]
         )
         cmp = compare_bench(old, new)
@@ -112,7 +112,7 @@ class TestCompare:
         cmp = compare_bench(old, new)
         assert cmp["ok"] is True
         assert any(
-            f["metric"] == "mcmf.solves" and "vanished" in f["detail"]
+            f["metric"] == "matching.calls" and "vanished" in f["detail"]
             for f in cmp["warnings"]
         )
 
@@ -123,7 +123,7 @@ class TestCompare:
                 make_entry(
                     counters={
                         "knapsack.calls": 30.0,
-                        "mcmf.solves": 1.0,
+                        "matching.calls": 1.0,
                         "tour.runs": 1.0,
                         "batch.groups": 1.0,
                     }
@@ -140,7 +140,7 @@ class TestCompare:
     def test_counter_tolerance_bounds_drift(self):
         old = make_doc([make_entry()])
         new = make_doc(
-            [make_entry(counters={"knapsack.calls": 33.0, "mcmf.solves": 1.0,
+            [make_entry(counters={"knapsack.calls": 33.0, "matching.calls": 1.0,
                                   "tour.runs": 1.0})]
         )
         assert compare_bench(old, new)["ok"] is False  # exact by default

@@ -1,12 +1,10 @@
-"""LP relaxation bound and LP matching wrapper."""
+"""LP relaxation bound."""
 
-import numpy as np
 import pytest
 
 from repro.core.baselines import greedy_by_profit
 from repro.core.exact import brute_force_optimum
-from repro.core.lp import b_matching_lp, dcmp_lp_upper_bound
-from repro.core.matching import max_weight_b_matching
+from repro.core.lp import dcmp_lp_upper_bound
 from repro.core.offline_appro import offline_appro
 from tests.conftest import make_instance, random_instance
 
@@ -65,19 +63,3 @@ def test_lp_bounds_all_algorithms(rng):
         lp = dcmp_lp_upper_bound(inst)
         for alloc in (offline_appro(inst), greedy_by_profit(inst)):
             assert alloc.collected_bits(inst) <= lp + 1e-6
-
-
-def test_b_matching_lp_wrapper_matches_flow():
-    rng = np.random.default_rng(1)
-    for _ in range(8):
-        num_left, num_right = 3, 4
-        caps = rng.integers(0, 3, num_left).tolist()
-        edges = [
-            (int(u), int(v), float(rng.uniform(0.5, 5.0)))
-            for u in range(num_left)
-            for v in range(num_right)
-            if rng.random() < 0.7
-        ]
-        lp = b_matching_lp(edges, caps, num_right)
-        flow = max_weight_b_matching(edges, caps, num_right, engine="flow")
-        assert lp.weight == pytest.approx(flow.weight)

@@ -1,4 +1,4 @@
-"""Max-weight bipartite b-matching: three engines, cross-validated."""
+"""Max-weight bipartite b-matching: the LP engine and its oracles, cross-validated."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching import MatchingResult, max_weight_b_matching
+from tests.oracles import lsa_b_matching, mcmf_b_matching
 
-ENGINES = ["flow", "lsa", "lp"]
+# The production LP engine and the two reference solvers the oracle
+# tests lean on: each must pass the hand-checked cases below.
+SOLVERS = {
+    "flow": mcmf_b_matching,
+    "lsa": lsa_b_matching,
+    "lp": max_weight_b_matching,
+}
 
 
 def check_matching(result, edges, caps, num_right):
@@ -54,42 +61,42 @@ def brute_force_matching(edges, caps, num_right):
     return dfs(0)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("solver", list(SOLVERS))
 class TestEngines:
-    def test_empty(self, engine):
-        result = max_weight_b_matching([], [1, 1], 3, engine=engine)
+    def test_empty(self, solver):
+        result = SOLVERS[solver]([], [1, 1], 3)
         assert result.pairs == () and result.weight == 0.0
 
-    def test_single_edge(self, engine):
-        result = max_weight_b_matching([(0, 0, 2.5)], [1], 1, engine=engine)
+    def test_single_edge(self, solver):
+        result = SOLVERS[solver]([(0, 0, 2.5)], [1], 1)
         assert result.pairs == ((0, 0),)
         assert result.weight == pytest.approx(2.5)
 
-    def test_capacity_zero_blocks(self, engine):
-        result = max_weight_b_matching([(0, 0, 2.5)], [0], 1, engine=engine)
+    def test_capacity_zero_blocks(self, solver):
+        result = SOLVERS[solver]([(0, 0, 2.5)], [0], 1)
         assert result.pairs == ()
 
-    def test_prefers_heavy_edge(self, engine):
+    def test_prefers_heavy_edge(self, solver):
         edges = [(0, 0, 1.0), (1, 0, 3.0)]
-        result = max_weight_b_matching(edges, [1, 1], 1, engine=engine)
+        result = SOLVERS[solver](edges, [1, 1], 1)
         assert result.pairs == ((1, 0),)
 
-    def test_b_matching_capacity(self, engine):
+    def test_b_matching_capacity(self, solver):
         edges = [(0, 0, 5.0), (0, 1, 4.0), (0, 2, 3.0)]
-        result = max_weight_b_matching(edges, [2], 3, engine=engine)
+        result = SOLVERS[solver](edges, [2], 3)
         assert result.weight == pytest.approx(9.0)
         assert len(result.pairs) == 2
 
-    def test_non_positive_weights_ignored(self, engine):
+    def test_non_positive_weights_ignored(self, solver):
         edges = [(0, 0, -1.0), (0, 1, 0.0), (0, 2, 1.0)]
-        result = max_weight_b_matching(edges, [3], 3, engine=engine)
+        result = SOLVERS[solver](edges, [3], 3)
         assert result.pairs == ((0, 2),)
 
-    def test_weight_beats_cardinality(self, engine):
+    def test_weight_beats_cardinality(self, solver):
         """Max weight is NOT max cardinality here: the single heavy edge
         conflicts with two light ones."""
         edges = [(0, 0, 10.0), (0, 1, 1.0), (1, 0, 1.0)]
-        result = max_weight_b_matching(edges, [1, 1], 2, engine=engine)
+        result = SOLVERS[solver](edges, [1, 1], 2)
         # The heavy edge (0,0)=10 blocks both light edges (left-0's
         # capacity kills (0,1); right-0 kills (1,0)); 10 > 1+1, so the
         # optimum is the *smaller-cardinality* matching of weight 10.
@@ -99,12 +106,12 @@ class TestEngines:
             brute_force_matching(edges, [1, 1], 2)
         )
 
-    def test_parallel_edges_keep_heaviest(self, engine):
+    def test_parallel_edges_keep_heaviest(self, solver):
         edges = [(0, 0, 1.0), (0, 0, 7.0), (0, 0, 3.0)]
-        result = max_weight_b_matching(edges, [1], 1, engine=engine)
+        result = SOLVERS[solver](edges, [1], 1)
         assert result.weight == pytest.approx(7.0)
 
-    def test_matches_brute_force_random(self, engine):
+    def test_matches_brute_force_random(self, solver):
         rng = np.random.default_rng(0)
         for _ in range(15):
             num_left = int(rng.integers(1, 5))
@@ -116,11 +123,26 @@ class TestEngines:
                 for v in range(num_right)
                 if rng.random() < 0.6
             ]
-            result = max_weight_b_matching(edges, caps, num_right, engine=engine)
+            result = SOLVERS[solver](edges, caps, num_right)
             check_matching(result, edges, caps, num_right)
             assert result.weight == pytest.approx(
                 brute_force_matching(edges, caps, num_right)
             )
+
+
+class TestTieBreak:
+    def test_pairs_sorted_and_independent_of_edge_order(self):
+        """The tie-break is pinned by construction: tied optima (every
+        slot is worth 1.0 to both sensors) come back identical however
+        the caller orders the edges."""
+        edges = [(u, v, 1.0) for u in range(2) for v in range(4)]
+        caps = [2, 1]
+        result = max_weight_b_matching(edges, caps, 4)
+        assert list(result.pairs) == sorted(result.pairs)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            shuffled = [edges[k] for k in rng.permutation(len(edges))]
+            assert max_weight_b_matching(shuffled, caps, 4) == result
 
 
 class TestValidation:
@@ -140,10 +162,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             max_weight_b_matching([(0, 0, float("nan"))], [1], 1)
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            max_weight_b_matching([(0, 0, 1.0)], [1], 1, engine="magic")
-
 
 class TestResult:
     def test_right_of(self):
@@ -154,7 +172,9 @@ class TestResult:
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_engines_agree_hypothesis(data):
-    """All three engines return the same optimal weight."""
+    """The LP engine reaches the min-cost-flow oracle's, the assignment
+    oracle's and the brute force's optimal weight, each with a
+    structurally valid matching."""
     num_left = data.draw(st.integers(1, 4))
     num_right = data.draw(st.integers(1, 5))
     caps = [data.draw(st.integers(0, 3)) for _ in range(num_left)]
@@ -163,12 +183,12 @@ def test_engines_agree_hypothesis(data):
         for v in range(num_right):
             if data.draw(st.booleans()):
                 edges.append((u, v, data.draw(st.floats(0.1, 10.0))))
-    results = {
-        engine: max_weight_b_matching(edges, caps, num_right, engine=engine)
-        for engine in ENGINES
-    }
-    weights = {e: r.weight for e, r in results.items()}
-    assert weights["flow"] == pytest.approx(weights["lsa"])
-    assert weights["flow"] == pytest.approx(weights["lp"])
-    for engine, result in results.items():
-        check_matching(result, edges, caps, num_right)
+    result = max_weight_b_matching(edges, caps, num_right)
+    check_matching(result, edges, caps, num_right)
+    for oracle in (mcmf_b_matching, lsa_b_matching):
+        reference = oracle(edges, caps, num_right)
+        check_matching(reference, edges, caps, num_right)
+        assert result.weight == pytest.approx(reference.weight, rel=1e-9, abs=0.0)
+    assert result.weight == pytest.approx(
+        brute_force_matching(edges, caps, num_right), rel=1e-9, abs=0.0
+    )

@@ -1,9 +1,9 @@
-"""Min-cost max-flow substrate."""
+"""The min-cost max-flow reference oracle behind the matching tests."""
 
 import numpy as np
 import pytest
 
-from repro.core.mcmf import MinCostFlow
+from tests.oracles import MinCostFlow
 
 
 class TestBasics:

@@ -5,12 +5,20 @@ import pytest
 
 from repro.core.exact import brute_force_optimum
 from repro.core.lp import dcmp_lp_upper_bound
+from repro.core.matching import max_weight_b_matching
 from repro.core.offline_maxmatch import (
     build_matching_edges,
     fixed_power_of,
     offline_maxmatch,
 )
 from tests.conftest import make_instance, random_instance
+from tests.oracles import lsa_b_matching, mcmf_b_matching
+
+SOLVERS = {
+    "flow": mcmf_b_matching,
+    "lsa": lsa_b_matching,
+    "lp": max_weight_b_matching,
+}
 
 
 def fixed_instance(rng, **kwargs):
@@ -103,12 +111,18 @@ class TestEdges:
 
 
 class TestOptimality:
-    @pytest.mark.parametrize("engine", ["flow", "lsa", "lp"])
-    def test_matches_brute_force(self, rng, engine):
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_matches_brute_force(self, rng, solver):
+        """The whole-tour reduction is exact: its b-matching, solved by
+        the engine or by either oracle, reaches the brute-force optimum,
+        and so does ``offline_maxmatch``."""
         for _ in range(12):
             inst = fixed_instance(rng, num_slots=8, num_sensors=3, max_window=5)
             opt = brute_force_optimum(inst).collected_bits(inst)
-            got = offline_maxmatch(inst, engine=engine).collected_bits(inst)
+            edges, caps = build_matching_edges(inst)
+            matched = SOLVERS[solver](edges, caps, inst.num_slots).weight
+            assert matched == pytest.approx(opt)
+            got = offline_maxmatch(inst).collected_bits(inst)
             assert got == pytest.approx(opt)
 
     def test_feasible(self, rng):

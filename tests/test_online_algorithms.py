@@ -1,15 +1,19 @@
 """Online_Appro and Online_MaxMatch behaviour."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.exact import brute_force_optimum
 from repro.core.offline_appro import offline_appro
-from repro.core.offline_maxmatch import offline_maxmatch
+from repro.core.offline_maxmatch import build_matching_edges, offline_maxmatch
+from repro.online.framework import run_online
 from repro.online.online_appro import online_appro
 from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxmatch
 from repro.sim.scenario import ScenarioConfig
 from tests.conftest import make_instance, random_instance
+from tests.oracles import lsa_b_matching, mcmf_b_matching
 
 
 def fixed_instance(rng, **kwargs):
@@ -95,13 +99,40 @@ class TestOnlineMaxMatch:
         manual = online_maxmatch(inst, 4, fixed_power=0.3).collected_bits
         assert auto == pytest.approx(manual)
 
-    def test_engine_equivalence(self, rng):
+    def test_engine_equivalence(self, rng, monkeypatch):
+        """Solving every interval with either oracle instead of the LP
+        engine collects the same bits on this instance."""
+        # The package re-exports the function under the module's name.
+        module = importlib.import_module("repro.online.online_maxmatch")
         inst = fixed_instance(rng, num_slots=16, num_sensors=5)
-        flow = online_maxmatch(inst, 4, engine="flow").collected_bits
-        lp = online_maxmatch(inst, 4, engine="lp").collected_bits
-        lsa = online_maxmatch(inst, 4, engine="lsa").collected_bits
-        assert flow == pytest.approx(lp)
-        assert flow == pytest.approx(lsa)
+        lp = online_maxmatch(inst, 4).collected_bits
+        for oracle in (mcmf_b_matching, lsa_b_matching):
+            monkeypatch.setattr(module, "max_weight_b_matching", oracle)
+            assert online_maxmatch(inst, 4).collected_bits == pytest.approx(lp)
+
+    @pytest.mark.parametrize("num_sensors", [30, 60])
+    def test_every_interval_matches_oracle(self, num_sensors):
+        """Each interval schedule reaches the min-cost-flow oracle's
+        optimum on that interval's sub-instance."""
+        scenario = ScenarioConfig(
+            num_sensors=num_sensors, path_length=1500.0, fixed_power=0.3
+        ).build(seed=7)
+        inst = scenario.instance()
+        weights = []
+
+        class OracleCheckedScheduler(MatchingIntervalScheduler):
+            def schedule(self, sub_instance):
+                allocation = super().schedule(sub_instance)
+                edges, caps = build_matching_edges(sub_instance, self.fixed_power)
+                oracle = mcmf_b_matching(edges, caps, sub_instance.num_slots)
+                weights.append((allocation.collected_bits(sub_instance), oracle.weight))
+                return allocation
+
+        checked = run_online(inst, scenario.gamma, OracleCheckedScheduler(0.3))
+        assert checked.collected_bits == online_maxmatch(inst, scenario.gamma).collected_bits
+        assert sum(got > 0 for got, _ in weights) > 1
+        for got, want in weights:
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_scheduler_respects_copy_cap(self):
         """n_i' = floor(P/(P' tau)) limits slots per interval."""
