@@ -38,15 +38,17 @@ def test_ilp_vs_appro(benchmark, n):
     )
 
     quality = appro_bits / sol.objective_bits if sol.objective_bits else 1.0
+    # The committed table holds outputs only; wall time is printed so
+    # that a rerun leaves the table byte-identical.
     save_report(
         f"ilp_vs_appro_n{n}",
         (
             f"n={n}: ILP {'optimal' if sol.optimal else 'timeout-incumbent'} "
             f"{sol.objective_bits / 1e6:.2f} Mb; Offline_Appro "
-            f"{appro_bits / 1e6:.2f} Mb in {appro_time * 1e3:.0f} ms "
-            f"({quality:.1%} of exact)\n"
+            f"{appro_bits / 1e6:.2f} Mb ({quality:.1%} of exact)\n"
         ),
     )
+    print(f"n={n}: Offline_Appro solved in {appro_time * 1e3:.0f} ms")
     # The approximation guarantee (and in practice much better).
     assert appro_bits >= sol.objective_bits / 2.0 - 1e-6
     # The combinatorial algorithm holds near-exact quality here.

@@ -44,28 +44,29 @@ Subcommands:
       python -m repro serve --trace-threshold 1.0 --trace-dir traces
 
 * ``bench`` — run the fixed core benchmark grid and (optionally) write
-  the machine-readable document; ``--compare`` diffs two documents and
-  exits 1 on a regression (counters gate exactly, wall clocks by
-  relative threshold over a noise floor)::
+  the machine-readable document; ``--compare`` is the ledger gate over
+  two documents and exits 1 on a regression (counters gate exactly,
+  wall clocks by relative threshold over a noise floor, and only
+  between documents from the same platform and Python)::
 
       python -m repro bench --quick --repeat 3 --json BENCH_core.json
       python -m repro bench --compare BENCH_core.json BENCH_new.json
-      python -m repro bench --compare old.json new.json --wall-warn-only
 
-  ``--record`` also appends the run to the perf trajectory ledger
+  ``--record`` also appends the run to the perf ledger
   (``benchmarks/history/`` by default)::
 
       python -m repro bench --quick --record
       python -m repro bench --quick --record bench-history
 
-* ``trend`` — align the recorded ledger by ``(algorithm, n, L)`` cell
-  and render ASCII sparkline/table trajectories of wall phases, work
-  counters, and collected megabits per commit label; ``--json`` emits
-  the machine-readable trend document and ``--gate`` exits 1 when a
-  phase worsens monotonically across the last K entries::
+* ``trend`` — align the recorded ledger by ``(algorithm, n, L)`` cell,
+  render ASCII sparkline trajectories of wall phases, work counters,
+  and collected megabits per commit label, and grade the last three
+  points under the same policy as ``bench --compare``; ``--json``
+  emits the trend document with its verdict and ``--gate`` exits 1 on
+  a regression::
 
       python -m repro trend
-      python -m repro trend --dir bench-history --json - --gate --last 4
+      python -m repro trend --dir bench-history --json - --gate
 
 * ``loadtest`` — drive a live ``repro serve`` instance with a
   configurable concurrency/duration/scenario mix, report client-side
@@ -103,6 +104,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.obs.trend import DEFAULT_HISTORY_DIR
 
 __all__ = ["main", "build_parser"]
 
@@ -440,103 +442,53 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the full JSON document (bench run or, with "
-        "--compare, the machine-readable comparison) here",
+        "--compare, the trend document with its gate verdict) here",
     )
     bench.add_argument(
         "--compare",
         nargs=2,
         metavar=("OLD", "NEW"),
         default=None,
-        help="diff two bench JSON documents instead of running the grid; "
-        "exits 1 on a regression",
-    )
-    bench.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative wall-clock increase allowed before a regression "
-        "(default: 0.30; per-algorithm built-ins may widen it)",
-    )
-    bench.add_argument(
-        "--counter-tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative work-counter drift allowed (default: 0 = exact match)",
-    )
-    bench.add_argument(
-        "--noise-floor-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="absolute wall-clock increase a regression must also exceed "
-        "(default: 10 ms)",
-    )
-    bench.add_argument(
-        "--wall-warn-only",
-        action="store_true",
-        help="demote wall-clock regressions to warnings (counters still "
-        "gate) — for shared/noisy CI runners",
-    )
-    bench.add_argument(
-        "--markdown",
-        action="store_true",
-        help="render the --compare report as GitHub markdown",
-    )
-    bench.add_argument(
-        "--report",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="also write the rendered --compare report to this file",
+        help="gate NEW against OLD instead of running the grid (the trend "
+        "gate over two points); exits 1 on a regression",
     )
     bench.add_argument(
         "--record",
         nargs="?",
-        const="benchmarks/history",
+        const=DEFAULT_HISTORY_DIR,
         default=None,
         metavar="DIR",
-        help="append the bench document to the perf trajectory ledger "
-        "under DIR (default: benchmarks/history); read it back with "
-        "'repro trend'",
+        help="append the bench document to the perf ledger under DIR "
+        f"(default: {DEFAULT_HISTORY_DIR}); read it back with 'repro trend'",
     )
 
     trend = sub.add_parser(
         "trend",
         help="render perf trajectories from the 'bench --record' ledger "
-        "(sparklines per (algorithm, n, L) cell), optionally gating on "
-        "monotone regressions",
+        "(sparklines per (algorithm, n, L) cell) and grade the last three "
+        "points",
     )
     trend.add_argument(
         "--dir",
         type=str,
-        default="benchmarks/history",
+        default=DEFAULT_HISTORY_DIR,
         metavar="DIR",
         help="ledger directory written by 'bench --record' "
-        "(default: benchmarks/history)",
+        f"(default: {DEFAULT_HISTORY_DIR})",
     )
     trend.add_argument(
         "--json",
         type=str,
         default=None,
         metavar="PATH",
-        help="write the machine-readable trend document here "
-        "('-' for stdout, suppressing the rendered tables)",
+        help="write the trend document with its gate verdict here "
+        "('-' for stdout, suppressing the rendered report)",
     )
     trend.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 when any wall phase / work counter worsens "
-        "monotonically (and megabits fall) across the last K entries",
-    )
-    trend.add_argument(
-        "--last",
-        type=int,
-        default=3,
-        metavar="K",
-        help="window size for --gate: the last K ledger entries "
-        "(default: 3, minimum: 2)",
+        help="exit 1 when the verdict over the last three points is "
+        "REGRESSION",
     )
 
     loadtest = sub.add_parser(
@@ -1002,52 +954,23 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _run_bench_compare(args: argparse.Namespace) -> int:
+def _report_ledger(trend: dict, json_path: Optional[str]) -> bool:
+    """Print a gated trend document's report (or, for ``json_path`` "-",
+    the document itself), write it to ``json_path``; returns the verdict."""
     import json
 
-    from repro.experiments.bench_compare import (
-        CompareConfig,
-        compare_bench,
-        render_comparison,
-    )
+    from repro.obs import render_trend
 
-    old_path, new_path = args.compare
-    with open(old_path, encoding="utf-8") as fh:
-        old_doc = json.load(fh)
-    with open(new_path, encoding="utf-8") as fh:
-        new_doc = json.load(fh)
-    defaults = CompareConfig()
-    config = CompareConfig(
-        wall_tolerance=(
-            args.wall_tolerance
-            if args.wall_tolerance is not None
-            else defaults.wall_tolerance
-        ),
-        wall_noise_floor_s=(
-            args.noise_floor_ms / 1e3
-            if args.noise_floor_ms is not None
-            else defaults.wall_noise_floor_s
-        ),
-        counter_tolerance=(
-            args.counter_tolerance
-            if args.counter_tolerance is not None
-            else defaults.counter_tolerance
-        ),
-        wall_warn_only=args.wall_warn_only,
-    )
-    comparison = compare_bench(old_doc, new_doc, config)
-    report = render_comparison(comparison, markdown=args.markdown)
-    print(report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
-        print(f"[compare report written to {args.report}]")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(comparison, fh, indent=2)
-            fh.write("\n")
-        print(f"[compare document written to {args.json}]")
-    return 0 if comparison["ok"] else 1
+    text = json.dumps(trend, indent=2) + "\n"
+    if json_path == "-":
+        sys.stdout.write(text)
+    else:
+        print(render_trend(trend))
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"[trend document written to {json_path}]")
+    return trend["gate"]["ok"]
 
 
 def _run_bench(args: argparse.Namespace) -> int:
@@ -1056,7 +979,14 @@ def _run_bench(args: argparse.Namespace) -> int:
     from repro.experiments.bench import render_bench, run_bench
 
     if args.compare is not None:
-        return _run_bench_compare(args)
+        from repro.obs import compare_bench
+
+        documents = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                documents.append(json.load(fh))
+        trend = compare_bench(*documents, files=args.compare)
+        return 0 if _report_ledger(trend, args.json) else 1
     document = run_bench(
         quick=args.quick, seed=args.seed, repeat=args.repeat, label=args.label
     )
@@ -1075,12 +1005,8 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _run_trend(args: argparse.Namespace) -> int:
-    import json
+    from repro.obs import build_trend, gate_trend, load_history
 
-    from repro.obs import build_trend, gate_trend, load_history, render_trend
-
-    if args.last < 2:
-        raise SystemExit("--last must be >= 2")
     history = load_history(args.dir)
     if not history:
         print(
@@ -1092,31 +1018,9 @@ def _run_trend(args: argparse.Namespace) -> int:
     trend = build_trend(
         [doc for _, doc in history], files=[name for name, _ in history]
     )
-    text = json.dumps(trend, indent=2) + "\n"
-    if args.json == "-":
-        sys.stdout.write(text)
-    else:
-        print(render_trend(trend))
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"[trend document written to {args.json}]")
-    if args.gate:
-        gate = gate_trend(trend, last=args.last)
-        if not gate["ok"]:
-            for finding in gate["findings"]:
-                print(
-                    f"GATE [{finding['kind']}] {finding['cell']} "
-                    f"{finding['metric']}: {finding['detail']}",
-                    file=sys.stderr,
-                )
-            return 1
-        print(
-            f"gate: ok (no monotone regressions over the last "
-            f"{gate['window']} entries)",
-            file=sys.stderr,
-        )
-    return 0
+    trend["gate"] = gate_trend(trend)
+    ok = _report_ledger(trend, args.json)
+    return 1 if args.gate and not ok else 0
 
 
 def _run_loadtest(args: argparse.Namespace) -> int:

@@ -20,12 +20,11 @@ from repro.experiments.report import (
     format_series_table,
 )
 from repro.experiments import ablation_energy, ablation_gamma, fig2, fig3, fig4
-from repro.experiments import bench, bench_compare
+from repro.experiments import bench
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 
 __all__ = [
     "bench",
-    "bench_compare",
     "SweepPoint",
     "SweepRecord",
     "SweepResult",

@@ -24,9 +24,10 @@ Every document is stamped with provenance — the git commit it was
 produced from, whether the working tree was dirty, and an optional
 free-form label — so the committed ``BENCH_*`` trajectory stays
 attributable.  Wall times vary machine to machine; the committed file
-is compared against fresh runs by ``repro bench --compare``
-(:mod:`repro.experiments.bench_compare`), with machine-independent
-work counters as the hard gate.
+is compared against fresh runs by ``repro bench --compare``, the
+ledger gate of :mod:`repro.obs.trend`, with machine-independent work
+counters as the hard gate and wall times gated only between documents
+recorded on the same platform and Python.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ Two offline analysis pieces ride on top:
   gauges, flamegraph-folded stacks) behind the global
   :func:`profile_phase` / :func:`use_profiler` pair, wired into
   ``repro profile --deep`` and the service's slow-request capture;
-* **perf trajectory** (:mod:`repro.obs.trend`) — the append-only
-  ``repro bench --record`` ledger plus the ``repro trend``
-  sparkline/table/gate over it.
+* **perf ledger** (:mod:`repro.obs.trend`) — the append-only
+  ``repro bench --record`` ledger, the ``repro trend`` sparklines over
+  it, and the one regression gate (wall, counter and output policy)
+  behind both ``repro trend --gate`` and ``repro bench --compare``.
 
 :func:`profile_report` fuses a tour result and a registry snapshot into
 the JSON document ``python -m repro profile`` emits.
@@ -93,6 +94,7 @@ from repro.obs.registry import (
 from repro.obs.report import profile_report, render_profile_report
 from repro.obs.trend import (
     build_trend,
+    compare_bench,
     gate_trend,
     load_history,
     record_bench,
@@ -142,12 +144,13 @@ __all__ = [
     "set_profiler",
     "use_profiler",
     "profile_phase",
-    # perf trajectory ledger
+    # perf ledger
     "record_bench",
     "load_history",
     "build_trend",
     "render_trend",
     "gate_trend",
+    "compare_bench",
     "sparkline",
     # logging
     "get_logger",

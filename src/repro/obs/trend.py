@@ -1,27 +1,34 @@
-"""Perf trajectory ledger: record bench documents, render their trend.
+"""The perf ledger: record bench documents, render and gate their trend.
 
 ``repro bench --record`` appends each benchmark document (the v2,
 git-provenance-stamped shape from :mod:`repro.experiments.bench`) to an
 append-only ledger directory — ``benchmarks/history/*.json``, one file
 per run, named by UTC timestamp + commit + label so a directory listing
-*is* the chronology.  ``repro trend`` then aligns the ledger's cells by
-``(algorithm, num_sensors, path_length)`` — the same cell key the
-``bench --compare`` gate uses — and renders per-cell trajectories of
-wall-clock phases, machine-independent work counters, and collected
-megabits as ASCII sparklines with first→last deltas.
+*is* the chronology.  :func:`build_trend` aligns documents by the cell
+key ``(algorithm, num_sensors, path_length)`` into per-cell series of
+wall-clock phases, machine-independent work counters and collected
+megabits; :func:`render_trend` draws them as ASCII sparklines with
+first→last deltas.
 
-Three consumers of one :func:`build_trend` document:
+:func:`gate_trend` grades the last K points under one policy, and
+``repro bench --compare OLD NEW`` is the same gate over two documents
+(:func:`compare_bench`, K = 2):
 
-* :func:`render_trend` — the human view (sparklines + deltas per cell);
-* ``repro trend --json`` — the machine view (the document round-trips
-  through JSON unchanged);
-* :func:`gate_trend` — the gate: a wall phase that worsened
-  *monotonically* across the last K entries (beyond a noise floor), a
-  work counter that only ever grew, or output megabits that only ever
-  shrank flags a finding and flips the verdict — single noisy runs
-  never do, which is what makes a trend gate stricter than a pairwise
-  compare in the dimension that matters (drift) and laxer in the one
-  that doesn't (jitter).
+* a **wall** metric (``wall_s`` and every :data:`WALL_PHASES` entry)
+  regresses when it rises by more than :data:`WALL_TOLERANCE` (60 % for
+  ``Baseline[*]``) *and* by more than :data:`WALL_NOISE_FLOOR_S`; the
+  same fall is an improvement.  Walls gate only between points whose
+  recorded ``platform`` and ``python`` match — across machines a wall
+  regression is a warning;
+* a **work counter** regresses on any rise and improves on any fall; a
+  counter that appears or vanishes is a warning (instrumentation, not
+  work), and so is a cell missing from part of the window;
+* **output** (``collected_megabits``) regresses on any relative drift
+  beyond :data:`OUTPUT_TOLERANCE`, either way.
+
+A K-point window flags a metric only when every step moves the same way
+and the first→last change crosses the threshold, so one noisy point
+never fires; with K = 2 that is a plain pairwise diff.
 
 The module is stdlib-only and does not import the bench machinery —
 ledger documents are treated as plain JSON, so trends can be rendered
@@ -45,6 +52,7 @@ __all__ = [
     "build_trend",
     "render_trend",
     "gate_trend",
+    "compare_bench",
     "sparkline",
 ]
 
@@ -58,9 +66,10 @@ DEFAULT_HISTORY_DIR = "benchmarks/history"
 #: module stays import-light; mirrors ``repro.experiments.bench.BENCH_FORMAT``).
 _BENCH_FORMAT = "repro.bench"
 
-#: Wall-clock phases promoted to named trend rows (same set the
-#: ``bench --compare`` gate grades; unmatched phases are skipped per cell).
-_WALL_PHASES: Tuple[str, ...] = (
+#: Profile phases graded as wall-clock metrics next to ``wall_s``.
+#: ``plan_s`` only appears in planner cells; a phase a cell lacks is
+#: skipped.
+WALL_PHASES: Tuple[str, ...] = (
     "plan_s",
     "instance_build_s",
     "solve_s",
@@ -68,7 +77,21 @@ _WALL_PHASES: Tuple[str, ...] = (
     "total_s",
 )
 
+#: Relative rise a wall metric must exceed to regress ...
+WALL_TOLERANCE = 0.30
+#: ... except for the sub-millisecond baselines, which swing hard
+#: between runs even above the noise floor ...
+BASELINE_WALL_TOLERANCE = 0.60
+#: ... and the absolute rise it must exceed as well.
+WALL_NOISE_FLOOR_S = 0.010
+#: Relative drift of ``collected_megabits`` that counts as a change:
+#: the solvers are deterministic given the seed.
+OUTPUT_TOLERANCE = 1e-9
+
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
+#: Gate findings, in report order, and their report marks.
+_SEVERITIES = ("regression", "warning", "improvement")
+_MARKS = {"regression": "✗", "warning": "!", "improvement": "✓"}
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +214,8 @@ def build_trend(
                 "git_dirty": provenance.get("git_dirty"),
                 "seed": doc.get("seed"),
                 "repeat": doc.get("repeat"),
+                "platform": doc.get("platform"),
+                "python": doc.get("python"),
                 "file": files[index] if files is not None else None,
             }
         )
@@ -207,7 +232,7 @@ def build_trend(
         entries = [by_key.get(key) for by_key in indexed]
         phase_names = [
             phase
-            for phase in _WALL_PHASES
+            for phase in WALL_PHASES
             if any(e is not None and phase in e.get("profile", {}) for e in entries)
         ]
         counter_names = sorted(
@@ -330,7 +355,10 @@ def render_trend(trend: Mapping) -> str:
     ``wall_s``, every present wall phase, collected megabits, and the
     work counters whose values actually changed across the window
     (constant counters are summarised in one line — they are the
-    healthy case).
+    healthy case).  When the document carries a :func:`gate_trend`
+    verdict under ``"gate"``, its findings follow (regressions, then
+    warnings, then improvements) and the report ends in
+    ``verdict: OK|REGRESSION``.
     """
     points = trend["points"]
     lines = [f"perf trajectory: {len(points)} points, {len(trend['cells'])} cells"]
@@ -359,78 +387,170 @@ def render_trend(trend: Mapping) -> str:
                 constant += 1
         if constant:
             lines.append(f"  ({constant} work counters unchanged)")
+    gate = trend.get("gate")
+    if gate is not None:
+        findings = sorted(
+            gate["findings"], key=lambda f: _SEVERITIES.index(f["severity"])
+        )
+        lines.append("")
+        for f in findings:
+            lines.append(
+                f"{_MARKS[f['severity']]} [{f['severity']}] {f['cell']} "
+                f"{f['metric']}: {f['detail']}"
+            )
+        counts = ", ".join(
+            f"{sum(f['severity'] == s for f in findings)} {s}s" for s in _SEVERITIES
+        )
+        scope = (
+            "" if gate["walls_gated"]
+            else "; walls warn only (platform or python differs)"
+        )
+        if len(points) < gate["window"]:
+            scope = f"; nothing graded, {len(points)} points recorded"
+        lines.append(f"gate over the last {gate['window']} points: {counts}{scope}")
+        lines.append("verdict: " + ("OK" if gate["ok"] else "REGRESSION"))
     return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
 # gating
 # ----------------------------------------------------------------------
-def _strictly_monotone(window: Sequence[float], sign: int) -> bool:
-    return all(
-        (b - a) * sign > 0 for a, b in zip(window, window[1:])
-    )
+def _direction(window: Sequence[float]) -> int:
+    """+1 when every step of ``window`` rises, -1 when every step falls,
+    else 0."""
+    steps = [b - a for a, b in zip(window, window[1:])]
+    if all(step > 0 for step in steps):
+        return 1
+    if all(step < 0 for step in steps):
+        return -1
+    return 0
 
 
-def gate_trend(
-    trend: Mapping,
-    last: int = 3,
-    wall_noise_floor_s: float = 0.010,
-    wall_min_relative: float = 0.05,
-) -> Dict[str, object]:
-    """Grade the trend's last ``last`` points; returns the verdict doc.
+def gate_trend(trend: Mapping, last: int = 3) -> Dict[str, object]:
+    """Grade the trend's last ``last`` points under the module's policy.
 
-    A finding is raised per cell metric that worsened **strictly
-    monotonically** across the window — wall phases (and ``wall_s``)
-    must additionally worsen by more than ``wall_noise_floor_s``
-    absolute *and* ``wall_min_relative`` relative end to end (wall
-    clocks are noisy; counters and output are not, so they gate bare).
-    Cells or metrics with fewer than ``last`` recorded values are
-    skipped: a trend gate needs a trend.  ``{"ok": bool, "window": K,
-    "findings": [...]}`` comes back JSON-ready.
+    Every cell present at all ``last`` points is graded metric by
+    metric (wall, counter, output; see the module docstring); a cell
+    present at only some of them is a warning.  With fewer than
+    ``last`` points nothing is graded: a trend gate needs a trend.
+    Returns ``{"ok", "window", "walls_gated", "findings"}``, JSON-ready;
+    ``ok`` is false iff some finding has severity ``regression``, and
+    ``walls_gated`` is false when the window spans more than one
+    ``(platform, python)``.
     """
     if last < 2:
         raise ValueError(f"last must be >= 2, got {last}")
+    points = trend["points"][-last:]
+    start = len(trend["points"]) - len(points)
+    cells = trend["cells"] if len(points) == last else []
+    walls_gated = len({(p.get("platform"), p.get("python")) for p in points}) <= 1
     findings: List[Dict[str, object]] = []
 
-    def check(cell: Mapping, metric: str, series: Sequence[Optional[float]],
-              sign: int, kind: str, floor: bool) -> None:
-        window = [v for v in series[-last:] if v is not None]
-        if len(window) < last:
-            return
-        if not _strictly_monotone(window, sign):
-            return
-        drift = (window[-1] - window[0]) * sign
-        if floor:
-            if drift <= wall_noise_floor_s:
-                return
-            if window[0] > 0 and drift / window[0] <= wall_min_relative:
-                return
+    def flag(kind: str, severity: str, cell: str, metric: str,
+             window: Sequence, detail: str) -> None:
         findings.append(
             {
                 "kind": kind,
-                "cell": cell["cell"],
+                "severity": severity,
+                "cell": cell,
                 "metric": metric,
                 "window": list(window),
-                "detail": (
-                    f"{metric} {'rose' if sign > 0 else 'fell'} monotonically "
-                    f"across the last {last} entries: "
-                    + " -> ".join(f"{v:g}" for v in window)
-                ),
+                "detail": detail,
             }
         )
 
-    for cell in trend["cells"]:
-        check(cell, "wall_s", cell["wall_s"], +1, "wall", floor=True)
-        for phase, series in cell["phases"].items():
-            check(cell, phase, series, +1, "wall", floor=True)
-        for name, series in cell["counters"].items():
-            check(cell, name, series, +1, "counter", floor=False)
-        check(
-            cell,
-            "collected_megabits",
-            cell["collected_megabits"],
-            -1,
-            "output",
-            floor=False,
+    seeds = [p.get("seed") for p in points]
+    if cells and len(set(seeds)) > 1:
+        flag("document", "warning", "(document)", "seed", seeds,
+             "seeds differ: counter and output comparisons are not "
+             "meaningful across different topologies")
+
+    for cell in cells:
+        name = cell["cell"]
+        window = cell["wall_s"][-last:]
+        if None in window:
+            missing = [start + i for i, v in enumerate(window) if v is None]
+            if len(missing) < last:
+                flag("cell", "warning", name, "cell", window,
+                     f"cell absent from point(s) {missing}")
+            continue
+
+        tolerance = (
+            BASELINE_WALL_TOLERANCE
+            if cell["algorithm"].startswith("Baseline[")
+            else WALL_TOLERANCE
         )
-    return {"ok": not findings, "window": last, "findings": findings}
+        for metric, series in [("wall_s", cell["wall_s"]), *cell["phases"].items()]:
+            window = series[-last:]
+            if None in window:
+                continue
+            old, new = window[0], window[-1]
+            low, high = sorted((old, new))
+            direction = _direction(window)
+            if (
+                not direction
+                or high <= low * (1.0 + tolerance)
+                or high - low <= WALL_NOISE_FLOOR_S
+            ):
+                continue
+            chain = " -> ".join(f"{v * 1e3:.1f} ms" for v in window)
+            if direction < 0:
+                flag("wall", "improvement", name, metric, window,
+                     f"{chain} ({(new - old) / old:+.0%})")
+                continue
+            detail = (
+                f"{chain} (+{(new - old) / old:.0%} > +{tolerance:.0%}, "
+                f"floor {WALL_NOISE_FLOOR_S * 1e3:.0f} ms)"
+            )
+            if walls_gated:
+                flag("wall", "regression", name, metric, window, detail)
+            else:
+                flag("wall", "warning", name, metric, window,
+                     detail + "; platform or python differs, not gated")
+
+        for metric, series in cell["counters"].items():
+            window = series[-last:]
+            old, new = window[0], window[-1]
+            if (old or 0.0) == (new or 0.0):
+                continue
+            if old and not new:
+                flag("counter", "warning", name, metric, window,
+                     f"counter vanished ({old:g} -> 0); lost instrumentation?")
+            elif old is None:
+                flag("counter", "warning", name, metric, window,
+                     f"counter appeared (absent -> {new:g}); new instrumentation?")
+            elif None not in window and _direction(window):
+                chain = " -> ".join(f"{v:g}" for v in window)
+                drift = (new - old) / old if old else float("inf")
+                if new > old:
+                    flag("counter", "regression", name, metric, window,
+                         f"{chain} ({drift:+.1%} work, exact-match gate)")
+                else:
+                    flag("counter", "improvement", name, metric, window,
+                         f"{chain} ({drift:+.1%} work)")
+
+        window = cell["collected_megabits"][-last:]
+        if None not in window and _direction(window):
+            old, new = window[0], window[-1]
+            if abs(new - old) / max(abs(old), abs(new), 1e-30) > OUTPUT_TOLERANCE:
+                flag("output", "regression", name, "collected_megabits", window,
+                     "deterministic output drifted: "
+                     + " -> ".join(repr(v) for v in window))
+
+    return {
+        "ok": not any(f["severity"] == "regression" for f in findings),
+        "window": last,
+        "walls_gated": walls_gated,
+        "findings": findings,
+    }
+
+
+def compare_bench(
+    old_doc: Mapping, new_doc: Mapping, files: Optional[Sequence[str]] = None
+) -> Dict[str, object]:
+    """``repro bench --compare``: the two-point trend ``old_doc`` →
+    ``new_doc`` with its :func:`gate_trend` verdict (``last=2``) under
+    ``"gate"``."""
+    trend = build_trend([old_doc, new_doc], files=files)
+    trend["gate"] = gate_trend(trend, last=2)
+    return trend

@@ -1,4 +1,8 @@
-"""The bench diff engine: alignment, thresholds, report, CLI gating."""
+"""``bench --compare``: the ledger gate over two documents.
+
+Alignment, the wall/counter/output policy, the platform rule, the
+report and the CLI exit codes.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +13,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.bench import run_bench
-from repro.experiments.bench_compare import (
-    COMPARE_FORMAT,
-    CompareConfig,
-    compare_bench,
-    render_comparison,
-)
+from repro.obs import compare_bench, render_trend
+from repro.obs.trend import TREND_FORMAT
 
 
 def make_entry(
@@ -64,15 +64,19 @@ def make_doc(entries, seed=3):
     }
 
 
+def findings(cmp, severity):
+    return [f for f in cmp["gate"]["findings"] if f["severity"] == severity]
+
+
 class TestCompare:
     def test_identical_documents_are_clean(self):
         doc = make_doc([make_entry(), make_entry(algorithm="Online_Appro")])
         cmp = compare_bench(doc, copy.deepcopy(doc))
-        assert cmp["format"] == COMPARE_FORMAT
-        assert cmp["ok"] is True
-        assert cmp["findings"] == []
+        assert cmp["format"] == TREND_FORMAT
+        assert cmp["gate"]["ok"] is True
+        assert cmp["gate"]["window"] == 2
+        assert cmp["gate"]["findings"] == []
         assert len(cmp["cells"]) == 2
-        assert cmp["unmatched_old"] == cmp["unmatched_new"] == []
 
     def test_doubled_counter_is_a_regression_naming_the_cell(self):
         old = make_doc([make_entry()])
@@ -81,14 +85,14 @@ class TestCompare:
                                   "tour.runs": 1.0})]
         )
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is False
-        [finding] = cmp["regressions"]
+        assert cmp["gate"]["ok"] is False
+        [finding] = findings(cmp, "regression")
         assert finding["kind"] == "counter"
         assert finding["metric"] == "knapsack.calls"
         assert finding["cell"] == "Offline_Appro @ n=30, L=1500"
-        assert finding["old"] == 30.0 and finding["new"] == 60.0
+        assert finding["window"] == [30.0, 60.0]
         # The rendered report names the offending cell and fails the verdict.
-        report = render_comparison(cmp)
+        report = render_trend(cmp)
         assert "Offline_Appro @ n=30, L=1500" in report
         assert "knapsack.calls" in report
         assert "verdict: REGRESSION" in report
@@ -100,8 +104,8 @@ class TestCompare:
                                   "tour.runs": 1.0})]
         )
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is True
-        [finding] = cmp["improvements"]
+        assert cmp["gate"]["ok"] is True
+        [finding] = findings(cmp, "improvement")
         assert finding["metric"] == "knapsack.calls"
 
     def test_vanished_counter_is_a_warning(self):
@@ -110,10 +114,10 @@ class TestCompare:
             [make_entry(counters={"knapsack.calls": 30.0, "tour.runs": 1.0})]
         )
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is True
+        assert cmp["gate"]["ok"] is True
         assert any(
             f["metric"] == "matching.calls" and "vanished" in f["detail"]
-            for f in cmp["warnings"]
+            for f in findings(cmp, "warning")
         )
 
     def test_appeared_counter_is_a_warning(self):
@@ -131,10 +135,10 @@ class TestCompare:
             ]
         )
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is True
+        assert cmp["gate"]["ok"] is True
         assert any(
             f["metric"] == "batch.groups" and "appeared" in f["detail"]
-            for f in cmp["warnings"]
+            for f in findings(cmp, "warning")
         )
 
     def test_counter_tolerance_bounds_drift(self):
@@ -143,92 +147,100 @@ class TestCompare:
             [make_entry(counters={"knapsack.calls": 33.0, "matching.calls": 1.0,
                                   "tour.runs": 1.0})]
         )
-        assert compare_bench(old, new)["ok"] is False  # exact by default
-        relaxed = compare_bench(old, new, CompareConfig(counter_tolerance=0.15))
-        assert relaxed["ok"] is True
+        # +10% work: counters gate exactly, there is no tolerance.
+        cmp = compare_bench(old, new)
+        assert cmp["gate"]["ok"] is False
+        [finding] = findings(cmp, "regression")
+        assert finding["metric"] == "knapsack.calls"
 
     def test_wall_regression_needs_threshold_and_noise_floor(self):
         old = make_doc([make_entry(wall_s=0.100, solve_s=0.080)])
         slow = make_doc([make_entry(wall_s=0.200, solve_s=0.170)])
         cmp = compare_bench(old, slow)
-        assert cmp["ok"] is False
-        metrics = {f["metric"] for f in cmp["regressions"]}
+        assert cmp["gate"]["ok"] is False
+        metrics = {f["metric"] for f in findings(cmp, "regression")}
         assert "wall_s" in metrics and "solve_s" in metrics
 
     def test_sub_floor_jitter_never_regresses(self):
         # +200% relative, but only 2 ms absolute: under the 10 ms floor.
         old = make_doc([make_entry(wall_s=0.001, solve_s=0.001)])
         new = make_doc([make_entry(wall_s=0.003, solve_s=0.003)])
-        assert compare_bench(old, new)["ok"] is True
+        assert compare_bench(old, new)["gate"]["ok"] is True
 
     def test_wall_warn_only_demotes_to_warning(self):
+        # Walls gate only between documents from the same platform and
+        # Python; across machines a wall regression is a warning.
         old = make_doc([make_entry(wall_s=0.100)])
         slow = make_doc([make_entry(wall_s=0.500)])
-        cmp = compare_bench(old, slow, CompareConfig(wall_warn_only=True))
-        assert cmp["ok"] is True
-        assert any(f["metric"] == "wall_s" for f in cmp["warnings"])
-        assert cmp["regressions"] == []
+        assert compare_bench(old, slow)["gate"]["ok"] is False
+        for field, value in (("platform", "other-machine"), ("python", "3.12.0")):
+            cmp = compare_bench(old, {**slow, field: value})
+            assert cmp["gate"]["ok"] is True
+            assert cmp["gate"]["walls_gated"] is False
+            assert any(f["metric"] == "wall_s" for f in findings(cmp, "warning"))
+            assert findings(cmp, "regression") == []
+            assert "walls warn only" in render_trend(cmp)
 
     def test_per_algorithm_threshold_overrides_default(self):
         old = make_doc([make_entry(wall_s=0.100, solve_s=0.001)])
         new = make_doc([make_entry(wall_s=0.150, solve_s=0.001)])
         # +50% fails the default 30%...
-        assert compare_bench(old, new)["ok"] is False
-        # ...but passes a 100% per-algorithm override.
-        config = CompareConfig(
-            per_algorithm_wall_tolerance={"Offline_Appro": 1.0}
-        )
-        assert compare_bench(old, new, config)["ok"] is True
+        assert compare_bench(old, new)["gate"]["ok"] is False
+        # ...but not the 60% a baseline cell gets.
+        baseline = {"algorithm": "Baseline[round_robin]"}
+        old["entries"][0].update(baseline)
+        new["entries"][0].update(baseline)
+        assert compare_bench(old, new)["gate"]["ok"] is True
 
     def test_baselines_get_wider_builtin_tolerance(self):
         # +50% / +50 ms on a baseline cell: inside the 60% built-in.
         old = make_doc([make_entry(algorithm="Baseline[random]", wall_s=0.100)])
         new = make_doc([make_entry(algorithm="Baseline[random]", wall_s=0.150)])
-        assert compare_bench(old, new)["ok"] is True
+        assert compare_bench(old, new)["gate"]["ok"] is True
 
     def test_wall_improvement_is_reported(self):
         old = make_doc([make_entry(wall_s=0.500, solve_s=0.450)])
         new = make_doc([make_entry(wall_s=0.100, solve_s=0.080)])
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is True
-        assert any(f["metric"] == "wall_s" for f in cmp["improvements"])
+        assert cmp["gate"]["ok"] is True
+        assert any(f["metric"] == "wall_s" for f in findings(cmp, "improvement"))
 
     def test_output_drift_is_a_regression(self):
         old = make_doc([make_entry(megabits=9.07)])
         new = make_doc([make_entry(megabits=9.0701)])
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is False
-        [finding] = cmp["regressions"]
+        assert cmp["gate"]["ok"] is False
+        [finding] = findings(cmp, "regression")
         assert finding["kind"] == "output"
 
     def test_unmatched_cells_are_listed_not_failed(self):
         old = make_doc([make_entry(), make_entry(num_sensors=60)])
         new = make_doc([make_entry(), make_entry(algorithm="Online_Appro")])
         cmp = compare_bench(old, new)
-        assert cmp["ok"] is True
-        assert cmp["unmatched_old"] == ["Offline_Appro @ n=60, L=1500"]
-        assert cmp["unmatched_new"] == ["Online_Appro @ n=30, L=1500"]
-        report = render_comparison(cmp)
-        assert "only in old document" in report
-        assert "only in new document" in report
+        assert cmp["gate"]["ok"] is True
+        unmatched = {
+            f["cell"]: f["detail"] for f in findings(cmp, "warning")
+            if f["kind"] == "cell"
+        }
+        assert unmatched == {
+            "Offline_Appro @ n=60, L=1500": "cell absent from point(s) [1]",
+            "Online_Appro @ n=30, L=1500": "cell absent from point(s) [0]",
+        }
+        report = render_trend(cmp)
+        assert "cell absent from point(s) [1]" in report
+        assert "cell absent from point(s) [0]" in report
 
     def test_seed_mismatch_warns(self):
         old = make_doc([make_entry()], seed=3)
         new = make_doc([make_entry()], seed=4)
         cmp = compare_bench(old, new)
-        assert any(f["metric"] == "seed" for f in cmp["warnings"])
+        assert any(f["metric"] == "seed" for f in findings(cmp, "warning"))
 
     def test_comparison_is_json_serialisable(self):
         old = make_doc([make_entry()])
         new = make_doc([make_entry(wall_s=0.5)])
         cmp = compare_bench(old, new)
         assert json.loads(json.dumps(cmp)) == cmp
-
-    def test_markdown_render(self):
-        doc = make_doc([make_entry()])
-        text = render_comparison(compare_bench(doc, doc), markdown=True)
-        assert text.startswith("## bench compare")
-        assert "| cell | metric |" in text
 
 
 class TestAgainstRealBench:
@@ -239,11 +251,13 @@ class TestAgainstRealBench:
         kwargs = dict(quick=True, seed=3, grid=self.TINY_GRID,
                       algorithms=self.TINY_ALGOS)
         first = run_bench(**kwargs)
-        second = run_bench(**kwargs)
-        cmp = compare_bench(first, second, CompareConfig(wall_warn_only=True))
-        assert cmp["ok"] is True, cmp["regressions"]
+        # Walls of two runs on one machine would gate; this test checks
+        # counters and output only.
+        second = {**run_bench(**kwargs), "platform": "another-machine"}
+        cmp = compare_bench(first, second)
+        assert cmp["gate"]["ok"] is True, findings(cmp, "regression")
         # Counters are machine-independent: no counter findings at all.
-        assert [f for f in cmp["findings"] if f["kind"] == "counter"] == []
+        assert [f for f in cmp["gate"]["findings"] if f["kind"] == "counter"] == []
 
 
 class TestCli:
@@ -252,19 +266,19 @@ class TestCli:
             [
                 "bench",
                 "--compare", "old.json", "new.json",
-                "--wall-tolerance", "0.5",
-                "--counter-tolerance", "0.01",
-                "--noise-floor-ms", "25",
-                "--wall-warn-only",
-                "--markdown",
-                "--report", str(tmp_path / "r.md"),
+                "--json", str(tmp_path / "cmp.json"),
             ]
         )
         assert args.compare == ["old.json", "new.json"]
-        assert args.wall_tolerance == 0.5
-        assert args.counter_tolerance == 0.01
-        assert args.noise_floor_ms == 25
-        assert args.wall_warn_only is True
+        assert args.json == str(tmp_path / "cmp.json")
+        # One policy: the thresholds are not flags.
+        for flag in ("--wall-tolerance", "--counter-tolerance",
+                     "--noise-floor-ms", "--wall-warn-only", "--markdown",
+                     "--report"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["bench", "--compare", "old.json", "new.json", flag]
+                )
 
     def test_cli_exits_nonzero_on_doctored_counters(self, tmp_path, capsys):
         old = make_doc([make_entry()])
@@ -283,19 +297,15 @@ class TestCli:
         assert "knapsack.calls" in out
         assert "Offline_Appro @ n=30, L=1500" in out
         machine = json.loads(json_path.read_text())
-        assert machine["ok"] is False
-        assert machine["regressions"][0]["metric"] == "knapsack.calls"
+        assert machine["gate"]["ok"] is False
+        assert findings(machine, "regression")[0]["metric"] == "knapsack.calls"
+        assert "verdict: REGRESSION" in out
 
     def test_cli_exits_zero_on_clean_compare(self, tmp_path, capsys):
         doc = make_doc([make_entry()])
         old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
         old_path.write_text(json.dumps(doc))
         new_path.write_text(json.dumps(doc))
-        report_path = tmp_path / "report.txt"
-        code = main(
-            ["bench", "--compare", str(old_path), str(new_path),
-             "--report", str(report_path)]
-        )
+        code = main(["bench", "--compare", str(old_path), str(new_path)])
         assert code == 0
-        assert "verdict: OK" in report_path.read_text()
-        capsys.readouterr()
+        assert "verdict: OK" in capsys.readouterr().out

@@ -189,8 +189,11 @@ class TestCli:
         assert "records" in out
 
     def test_main_seed_override(self, capsys):
+        # The last line reports wall time ("(N records in X s)"); the
+        # report before it must be identical.
         main(["fig2", "--repeats", "1", "--sizes", "30", "--jobs", "1", "--seed", "9"])
-        out1 = capsys.readouterr().out
+        out1 = capsys.readouterr().out.rsplit(" records in ", 1)[0]
         main(["fig2", "--repeats", "1", "--sizes", "30", "--jobs", "1", "--seed", "9"])
-        out2 = capsys.readouterr().out
+        out2 = capsys.readouterr().out.rsplit(" records in ", 1)[0]
+        assert "Figure 2" in out1
         assert out1 == out2

@@ -415,12 +415,20 @@ class TestExecutor:
         executor = JobExecutor(workers=1, max_queue=4)
         try:
             blocker, _ = executor.submit(_sleep_echo, {"sleep": 0.5})
+            # With one worker the process pool hands up to three jobs to
+            # its worker side (one running, two in its call queue) and
+            # marks them running, so only a fourth job is sure to still
+            # be queued.
+            fillers = [
+                executor.submit(_sleep_echo, {"sleep": 0.0})[0] for _ in range(2)
+            ]
             queued, _ = executor.submit(_sleep_echo, {"sleep": 0.0})
             assert executor.cancel(queued.id) is True
             assert queued.state is JobState.CANCELLED
             with pytest.raises(JobTimeoutError):
                 executor.wait(queued, timeout=5)
-            executor.wait(blocker, timeout=30)
+            for job in (blocker, *fillers):
+                executor.wait(job, timeout=30)
             assert executor.cancel("job-999999") is False
         finally:
             executor.shutdown()

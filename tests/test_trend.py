@@ -1,6 +1,8 @@
-"""Perf trajectory ledger: record, load, align, render, gate."""
+"""Perf ledger: record, load, align, render, gate."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,10 @@ from repro.obs import (
     render_trend,
     sparkline,
 )
-from repro.obs.trend import TREND_FORMAT, TREND_VERSION
+from repro.obs.trend import DEFAULT_HISTORY_DIR, TREND_FORMAT, TREND_VERSION
+
+#: The ledger committed with the repository.
+COMMITTED_HISTORY = Path(__file__).resolve().parents[1] / DEFAULT_HISTORY_DIR
 
 
 def _bench_doc(
@@ -268,6 +273,15 @@ class TestGate:
         assert verdict["ok"] is False
         assert any(f["kind"] == "output" for f in verdict["findings"])
 
+    def test_monotone_megabit_rise_flags(self):
+        # Output is deterministic given the seed: drift either way is a
+        # regression, not an improvement.
+        verdict = gate_trend(
+            self._trend([0.010, 0.010, 0.010], megabits=[9.0, 9.1, 9.2])
+        )
+        assert verdict["ok"] is False
+        assert [f["kind"] for f in verdict["findings"]] == ["output"]
+
     def test_non_monotone_counter_passes(self):
         verdict = gate_trend(
             self._trend([0.010, 0.010, 0.010], counters=[100.0, 102.0, 101.0])
@@ -304,7 +318,9 @@ class TestTrendCli:
         assert args.dir == "benchmarks/history"
         assert args.json is None
         assert args.gate is False
-        assert args.last == 3
+        # The gate window is fixed, not a flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trend", "--last", "4"])
 
     def test_empty_history_exits_2(self, tmp_path, capsys):
         from repro.cli import main
@@ -356,9 +372,10 @@ class TestTrendCli:
                 _bench_doc(label=f"w{wall}", wall_s=wall), str(tmp_path)
             )
         code = main(["trend", "--dir", str(tmp_path), "--gate"])
-        captured = capsys.readouterr()
+        out = capsys.readouterr().out
         assert code == 1
-        assert "GATE [wall]" in captured.err
+        assert "✗ [regression] Offline_Appro @ n=30, L=1500 wall_s" in out
+        assert out.rstrip().endswith("verdict: REGRESSION")
 
     def test_gate_passes_on_clean_history(self, tmp_path, capsys):
         from repro.cli import main
@@ -369,10 +386,49 @@ class TestTrendCli:
             )
         code = main(["trend", "--dir", str(tmp_path), "--gate"])
         assert code == 0
-        assert "gate: ok" in capsys.readouterr().err
+        assert capsys.readouterr().out.rstrip().endswith("verdict: OK")
 
-    def test_last_below_two_rejected(self, tmp_path):
+
+# ----------------------------------------------------------------------
+# the committed ledger
+# ----------------------------------------------------------------------
+class TestCommittedLedger:
+    def test_committed_history_passes_the_gate(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["trend", "--dir", str(tmp_path), "--last", "1"])
+        assert len(load_history(str(COMMITTED_HISTORY))) >= 3
+        code = main(["trend", "--dir", str(COMMITTED_HISTORY), "--gate"])
+        assert code == 0, capsys.readouterr().out
+
+    def test_doctored_solve_gates_only_on_the_same_platform(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _, newest = load_history(str(COMMITTED_HISTORY))[-1]
+        doctored = copy.deepcopy(newest)
+        entry = next(
+            e for e in doctored["entries"] if e["algorithm"] == "Offline_Appro"
+        )
+        entry["profile"]["solve_s"] = entry["profile"]["solve_s"] * 1.5 + 0.050
+        finding = (
+            f"Offline_Appro @ n={entry['num_sensors']}, "
+            f"L={entry['path_length']:g} solve_s"
+        )
+        newest_path = tmp_path / "newest.json"
+        newest_path.write_text(json.dumps(newest), encoding="utf-8")
+
+        def compare(document):
+            path = tmp_path / "doctored.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            code = main(["bench", "--compare", str(newest_path), str(path)])
+            return code, capsys.readouterr().out
+
+        code, out = compare(doctored)
+        assert code == 1
+        assert f"✗ [regression] {finding}" in out
+        assert "gate over the last 2 points: 1 regressions, 0 warnings" in out
+
+        code, out = compare({**doctored, "platform": "another-machine"})
+        assert code == 0
+        assert f"! [warning] {finding}" in out
+        assert "gate over the last 2 points: 0 regressions, 1 warnings" in out
+        assert out.rstrip().endswith("verdict: OK")
