@@ -639,7 +639,6 @@ def _run_compare(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.lp import dcmp_lp_upper_bound
-    from repro.obs import MetricsRegistry, use_registry
     from repro.sim.algorithms import ALGORITHMS, get_algorithm, requires_fixed_power
     from repro.sim.simulator import run_tour
 
@@ -659,17 +658,15 @@ def _run_compare(args: argparse.Namespace) -> int:
                 }
             )
             continue
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            result = run_tour(scenario, get_algorithm(name), mutate=False)
+        result = run_tour(scenario, get_algorithm(name), mutate=False)
         rows.append(
             {
                 "algorithm": name,
                 "megabits": result.collected_megabits,
                 "lp_fraction": result.collected_bits / bound if bound else 0.0,
-                "build_ms": registry.timer_stats("tour.instance_build").total * 1e3,
-                "solve_ms": registry.timer_stats("tour.solve").total * 1e3,
-                "verify_ms": registry.timer_stats("tour.verify").total * 1e3,
+                "build_ms": result.profile["instance_build_s"] * 1e3,
+                "solve_ms": result.profile["solve_s"] * 1e3,
+                "verify_ms": result.profile["verify_s"] * 1e3,
                 "messages": (
                     result.messages.total_messages if result.messages else 0
                 ),

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.knapsack import KnapsackResult, solve_knapsack
-from repro.obs import get_registry
+from repro.obs import get_registry, phase
 from repro.utils.arrays import group_offsets, ragged_arange
 
 __all__ = ["GapBin", "GapInstance", "GapSolution", "local_ratio_gap"]
@@ -264,7 +264,7 @@ def local_ratio_gap(
         raise ValueError("bin_order must be a permutation of all bins")
 
     registry = get_registry()
-    with registry.timed("gap.local_ratio"):
+    with phase("gap.local_ratio"):
         # Residual profit over all (bin, position) entries, flat; bin l
         # occupies [bin_offsets[l], bin_offsets[l+1]).
         offsets = instance._bin_offsets

@@ -27,7 +27,7 @@ from scipy.sparse import coo_matrix
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.obs import get_registry
+from repro.obs import get_registry, phase
 
 __all__ = ["IlpSolution", "solve_dcmp_ilp"]
 
@@ -110,7 +110,7 @@ def solve_dcmp_ilp(
     registry = get_registry()
     registry.inc("ilp.calls")
     registry.set_gauge("ilp.num_vars", num_vars)
-    with registry.timed("ilp.solve"):
+    with phase("ilp.solve"):
         result = milp(
             c=-profits_arr,
             constraints=[constraint],

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import get_registry
+from repro.obs import get_registry, phase
 
 __all__ = [
     "KnapsackResult",
@@ -525,7 +525,7 @@ def solve_knapsack(
     registry = get_registry()
     registry.inc("knapsack.calls")
     registry.inc("knapsack.items", float(np.asarray(profits).size))
-    with registry.timed("knapsack.solve"):
+    with phase("knapsack.solve"):
         result, used = _dispatch(profits, weights, capacity, method, epsilon, registry)
     registry.inc(f"knapsack.method[{used}]")
     return result

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from repro.core.instance import DataCollectionInstance
-from repro.obs import get_registry
+from repro.obs import get_registry, phase
 
 __all__ = ["dcmp_lp_upper_bound"]
 
@@ -63,7 +63,7 @@ def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     registry = get_registry()
     registry.inc("lp.calls")
     registry.set_gauge("lp.num_vars", num_vars)
-    with registry.timed("lp.dcmp_bound"):
+    with phase("lp.dcmp_bound"):
         res = linprog(
             c=-profits_arr, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
         )

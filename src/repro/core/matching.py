@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from repro.obs import get_registry
+from repro.obs import get_registry, phase
 
 __all__ = ["MatchingResult", "max_weight_b_matching"]
 
@@ -134,7 +134,7 @@ def max_weight_b_matching(
     registry = get_registry()
     registry.inc("matching.calls")
     registry.inc("matching.edges", float(u.size))
-    with registry.timed("matching.lp"):
+    with phase("matching.lp"):
         return _solve_lp(u, v, w, caps, num_right)
 
 

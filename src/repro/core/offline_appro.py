@@ -23,7 +23,7 @@ from repro.core.allocation import Allocation
 from repro.core.gap import GapBin, GapInstance, local_ratio_gap
 from repro.core.instance import DataCollectionInstance
 from repro.core.knapsack import solve_knapsack
-from repro.obs import get_registry, span
+from repro.obs import phase
 
 __all__ = ["offline_appro", "dcmp_to_gap"]
 
@@ -96,21 +96,21 @@ def offline_appro(
 
     Notes
     -----
-    Emits ``offline_appro.*`` spans and timers to :mod:`repro.obs`
-    (reduction, local-ratio rounds, optional augment pass).
+    Emits the ``offline_appro`` phase and its ``offline_appro.*``
+    children to :mod:`repro.obs` (reduction, local-ratio rounds,
+    optional augment pass).
     """
-    registry = get_registry()
-    with span("offline_appro", n=instance.num_sensors, method=knapsack_method):
-        with registry.timed("offline_appro.reduce"), span("offline_appro.reduce"):
+    with phase("offline_appro", n=instance.num_sensors, method=knapsack_method):
+        with phase("offline_appro.reduce"):
             gap = dcmp_to_gap(instance)
         solver = partial(solve_knapsack, method=knapsack_method, epsilon=epsilon)
-        with registry.timed("offline_appro.local_ratio"), span("offline_appro.local_ratio"):
+        with phase("offline_appro.local_ratio"):
             solution = local_ratio_gap(
                 gap, knapsack_solver=solver, bin_order=instance.sensor_order()
             )
         allocation = Allocation.from_sensor_slots(instance.num_slots, solution.assignment)
         if augment:
-            with registry.timed("offline_appro.augment"), span("offline_appro.augment"):
+            with phase("offline_appro.augment"):
                 allocation = _augment(instance, allocation)
     return allocation
 

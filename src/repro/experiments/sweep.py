@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import get_logger, get_registry, timed
+from repro.obs import get_logger, get_registry, phase
 from repro.sim.algorithms import get_algorithm
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.simulator import run_tour
@@ -181,7 +181,7 @@ def _run_unit(
     """Worker: one topology, all of the point's algorithms."""
     config, algorithms, label, repeat, seed = args
     get_registry().inc("sweep.units")
-    with timed("sweep.unit"):
+    with phase("sweep.unit"):
         scenario = config.build(seed=seed)
         out: List[SweepRecord] = []
         for name in algorithms:
@@ -242,7 +242,7 @@ def run_sweep(
         for rep in range(repeats)
     ]
     result = SweepResult()
-    with timed("sweep.run"):
+    with phase("sweep.run"):
         if jobs in (0, 1):
             _log.info("sweep: %d units in-process", len(units))
             for unit in units:

@@ -7,12 +7,19 @@ Three cooperating pieces, all off (and near-free) by default:
   that the scheduler stack records into; swap in a recording registry
   with :func:`use_registry` / :func:`enable_metrics`, read it back with
   :meth:`MetricsRegistry.snapshot`;
-* **tracing** (:mod:`repro.obs.tracing`) — span-style phase traces
-  (``with span("knapsack.solve", sensor=i): ...``) exportable as JSONL
-  or Chrome ``trace_event`` JSON for ``chrome://tracing``;
+* **tracing** (:mod:`repro.obs.tracing`) — nested phase spans
+  exportable as JSONL or Chrome ``trace_event`` JSON for
+  ``chrome://tracing``;
 * **logging** (:mod:`repro.obs.log`) — the stdlib ``repro.*`` logger
   hierarchy behind :func:`get_logger`, wired to the CLI's
   ``-v/--verbose`` flag through :func:`configure_logging`.
+
+Every timed block goes through one primitive, :class:`phase`
+(:mod:`repro.obs.phases`): ``with phase("tour.solve", profile,
+deep=True): ...`` reads the clock once on entry and once on exit and
+feeds that interval to the registry timer ``tour.solve``, the tracer
+span ``tour.solve``, ``profile["solve_s"]`` and the deep profiler's
+``solve`` window — whichever are active — so the views cannot disagree.
 
 Three request-scoped pieces serve the HTTP planning service:
 
@@ -29,9 +36,9 @@ Two offline analysis pieces ride on top:
 
 * **deep profiling** (:mod:`repro.obs.profiling`) — per-phase
   cProfile + tracemalloc attribution (hot-function tables, peak-memory
-  gauges, flamegraph-folded stacks) behind the global
-  :func:`profile_phase` / :func:`use_profiler` pair, wired into
-  ``repro profile --deep`` and the service's slow-request capture;
+  gauges, flamegraph-folded stacks) over every ``phase(..., deep=True)``
+  window under :func:`use_profiler`, wired into ``repro profile
+  --deep`` and the service's slow-request capture;
 * **perf ledger** (:mod:`repro.obs.trend`) — the append-only
   ``repro bench --record`` ledger, the ``repro trend`` sparklines over
   it, and the one regression gate (wall, counter and output policy)
@@ -68,11 +75,11 @@ from repro.obs.context import (
     request_context,
 )
 from repro.obs.log import configure_logging, get_logger, verbosity_to_level
+from repro.obs.phases import phase
 from repro.obs.profiling import (
     DeepProfiler,
     NullProfiler,
     get_profiler,
-    profile_phase,
     set_profiler,
     use_profiler,
 )
@@ -85,10 +92,8 @@ from repro.obs.registry import (
     enable_metrics,
     get_registry,
     inc,
-    observe,
     set_gauge,
     set_registry,
-    timed,
     use_registry,
 )
 from repro.obs.report import profile_report, render_profile_report
@@ -109,11 +114,12 @@ from repro.obs.tracing import (
     events_from_jsonl,
     get_tracer,
     set_tracer,
-    span,
     use_tracer,
 )
 
 __all__ = [
+    # phases
+    "phase",
     # registry
     "MetricsRegistry",
     "NullRegistry",
@@ -123,9 +129,7 @@ __all__ = [
     "use_registry",
     "enable_metrics",
     "disable_metrics",
-    "timed",
     "inc",
-    "observe",
     "set_gauge",
     # tracing
     "SpanEvent",
@@ -134,7 +138,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    "span",
     "events_from_jsonl",
     "chrome_trace_document",
     # deep profiling
@@ -143,7 +146,6 @@ __all__ = [
     "get_profiler",
     "set_profiler",
     "use_profiler",
-    "profile_phase",
     # perf ledger
     "record_bench",
     "load_history",

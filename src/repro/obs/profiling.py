@@ -24,9 +24,10 @@ flameprof approach), pruning sub-microsecond paths and breaking cycles
 by never revisiting a frame already on the current path.
 
 Like the registry and tracer, a process-global profiler (default
-:class:`NullProfiler`, near-free) backs the module-level
-:func:`profile_phase` helper used by ``run_tour`` and the planner;
-:func:`use_profiler` scopes a recording profiler over a block::
+:class:`NullProfiler`, near-free) is what ``phase(..., deep=True)``
+(:class:`repro.obs.phase`, used by ``run_tour`` and the planner) opens
+its windows on; :func:`use_profiler` scopes a recording profiler over a
+block::
 
     from repro.obs import DeepProfiler, use_profiler
 
@@ -57,7 +58,6 @@ __all__ = [
     "get_profiler",
     "set_profiler",
     "use_profiler",
-    "profile_phase",
 ]
 
 #: Folded stacks are pruned below this weight (seconds): one microsecond,
@@ -332,9 +332,3 @@ def use_profiler(profiler: DeepProfiler) -> Iterator[DeepProfiler]:
     finally:
         set_profiler(previous)
         profiler.close()
-
-
-def profile_phase(name: str):
-    """Open a phase window on the current global profiler (no-op by
-    default)."""
-    return _profiler.phase(name)

@@ -7,22 +7,21 @@ dispatch, not by the algorithms' asymptotics.  Two registry flavours
 realise the "near-free when disabled" contract:
 
 * :class:`MetricsRegistry` — the real thing: thread-safe counters,
-  gauges, and timer histograms (count/total/min/max/mean/p50/p95/p99), a
-  :meth:`~MetricsRegistry.snapshot` exportable as JSON, and a
-  :meth:`~MetricsRegistry.timed` context manager;
-* :class:`NullRegistry` — every recording method is a ``pass`` and
-  ``timed`` returns a shared do-nothing context manager, so call sites
-  stay branch-free and the disabled path costs one attribute load and a
-  no-op call.
+  gauges, and timer histograms (count/total/min/max/mean/p50/p95/p99)
+  and a :meth:`~MetricsRegistry.snapshot` exportable as JSON;
+* :class:`NullRegistry` — every recording method is a ``pass``, so call
+  sites stay branch-free and the disabled path costs one attribute load
+  and a no-op call.
+
+Timers are fed by :class:`repro.obs.phase`, which skips the clock
+entirely when no registry, tracer or profile dict listens.
 
 A **process-global default registry** (initially a :class:`NullRegistry`)
 is what the instrumented library code records into; swap it with
 :func:`set_registry`, scope it with :func:`use_registry`, or use the
 :func:`enable_metrics` / :func:`disable_metrics` conveniences.  The
-module-level :class:`timed` / :func:`inc` / :func:`observe` /
-:func:`set_gauge` helpers always dispatch to the *current* global
-registry, so decorated functions honour registries installed after
-decoration time.
+module-level :func:`inc` / :func:`set_gauge` helpers always dispatch to
+the *current* global registry.
 
 Registries are per-process: sweep workers spawned by
 :func:`repro.experiments.sweep.run_sweep` each see their own (null)
@@ -32,13 +31,11 @@ registry, so metrics of multiprocess sweeps are only captured with
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "TimerStats",
@@ -49,9 +46,7 @@ __all__ = [
     "use_registry",
     "enable_metrics",
     "disable_metrics",
-    "timed",
     "inc",
-    "observe",
     "set_gauge",
 ]
 
@@ -96,7 +91,7 @@ class MetricsRegistry:
 
     Counters accumulate (:meth:`inc`), gauges hold the last value set
     (:meth:`set_gauge`), timers collect raw duration observations
-    (:meth:`observe`, or the :meth:`timed` context manager) summarised
+    (:meth:`observe`, fed by :class:`repro.obs.phase`) summarised
     on demand by :meth:`timer_stats` / :meth:`snapshot`.  All mutation
     goes through one lock, so concurrent recording from threads is safe.
     """
@@ -129,12 +124,6 @@ class MetricsRegistry:
         """Record one duration observation for timer ``name``."""
         with self._lock:
             self._timers.setdefault(name, []).append(float(seconds))
-
-    def timed(self, name: str) -> "timed":
-        """A context manager timing a block into this registry's
-        timer ``name`` (see the module-level :class:`timed` for the
-        globally-dispatched variant)."""
-        return timed(name, registry=self)
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> float:
@@ -287,67 +276,9 @@ def disable_metrics() -> None:
     set_registry(NullRegistry())
 
 
-class timed:
-    """Time a block (context manager) or a function (decorator).
-
-    As a context manager it reads the global registry **at entry**, so
-    ``with timed("solve"): ...`` under a :class:`NullRegistry` costs two
-    attribute loads and one branch — no clock reads.  As a decorator it
-    re-dispatches on every call, so a registry enabled after decoration
-    still captures timings::
-
-        with timed("knapsack.solve"):
-            ...
-
-        @timed("lp.dcmp_bound")
-        def dcmp_lp_upper_bound(...): ...
-
-    An explicit ``registry`` pins recording to that registry instead of
-    the global one (what :meth:`MetricsRegistry.timed` uses).
-    """
-
-    __slots__ = ("name", "_pinned", "_active", "_t0")
-
-    def __init__(self, name: str, registry: Optional[MetricsRegistry] = None):
-        self.name = name
-        self._pinned = registry
-        self._active: Optional[MetricsRegistry] = None
-        self._t0 = 0.0
-
-    def __enter__(self) -> "timed":
-        """Start the clock if the target registry is recording."""
-        registry = self._pinned if self._pinned is not None else _registry
-        self._active = registry if registry._enabled else None
-        if self._active is not None:
-            self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        """Record the elapsed time (also on exceptions); never swallows."""
-        if self._active is not None:
-            self._active.observe(self.name, time.perf_counter() - self._t0)
-            self._active = None
-        return False
-
-    def __call__(self, fn: Callable) -> Callable:
-        """Decorator form; each call opens a fresh timing scope."""
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with timed(self.name, registry=self._pinned):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-
 def inc(name: str, value: float = 1.0) -> None:
     """Increment counter ``name`` on the current global registry."""
     _registry.inc(name, value)
-
-
-def observe(name: str, seconds: float) -> None:
-    """Record a duration on the current global registry."""
-    _registry.observe(name, seconds)
 
 
 def set_gauge(name: str, value: float) -> None:

@@ -1,11 +1,14 @@
 """Span-style tracing of solver phases.
 
 A :class:`Tracer` records :class:`SpanEvent`\\ s — named, possibly
-nested, wall-clock intervals with free-form attributes::
+nested, wall-clock intervals with free-form attributes.  Spans come
+from :class:`repro.obs.phase`, which hands each finished interval to
+:meth:`Tracer.record`::
 
-    with tracer.span("tour.solve", algorithm="Offline_Appro"):
-        with tracer.span("knapsack.solve", sensor=17):
-            ...
+    with use_tracer(Tracer()) as tracer:
+        with phase("tour.solve", algorithm="Offline_Appro"):
+            with phase("knapsack.solve"):
+                ...
 
 and exports the event stream two ways:
 
@@ -18,8 +21,8 @@ and exports the event stream two ways:
 Timestamps are :func:`time.perf_counter` seconds relative to the
 tracer's construction, so traces are self-contained and subtraction-free.
 Like the metrics registry, a process-global tracer (default
-:class:`NullTracer`) backs the module-level :func:`span` helper;
-:func:`use_tracer` scopes a recording tracer over a block.
+:class:`NullTracer`) is what phases record into; :func:`use_tracer`
+scopes a recording tracer over a block.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    "span",
     "events_from_jsonl",
     "chrome_trace_document",
 ]
@@ -59,7 +61,7 @@ class SpanEvent:
     depth:
         Nesting depth at entry (0 = top level).
     attrs:
-        Free-form JSON-serialisable key/values given at :meth:`~Tracer.span`.
+        Free-form JSON-serialisable key/values given to the phase.
     """
 
     name: str
@@ -79,54 +81,6 @@ class SpanEvent:
         }
 
 
-class _Span:
-    """Context manager recording one span into a tracer."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_start", "_depth")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]):
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._start = 0.0
-        self._depth = 0
-
-    def __enter__(self) -> "_Span":
-        self._depth = self._tracer._depth
-        self._tracer._depth += 1
-        self._start = time.perf_counter() - self._tracer._epoch
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter() - self._tracer._epoch
-        self._tracer._depth -= 1
-        self._tracer.events.append(
-            SpanEvent(
-                name=self._name,
-                start_s=self._start,
-                duration_s=end - self._start,
-                depth=self._depth,
-                attrs=self._attrs,
-            )
-        )
-        return False
-
-
-class _NullSpan:
-    """Shared do-nothing span (the disabled path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Collects spans; completed spans land in :attr:`events` in
     completion (exit) order."""
@@ -136,7 +90,7 @@ class Tracer:
     def __init__(self) -> None:
         self.events: List[SpanEvent] = []
         self._epoch = time.perf_counter()
-        self._depth = 0
+        self._depth = 0  # open phases, maintained by repro.obs.phase
 
     # ------------------------------------------------------------------
     @property
@@ -144,8 +98,16 @@ class Tracer:
         """Whether this tracer records anything."""
         return self._enabled
 
-    def span(self, name: str, **attrs: object) -> _Span:
-        """Open a span; use as ``with tracer.span("phase", key=val):``.
+    def record(
+        self,
+        name: str,
+        start: float,
+        duration_s: float,
+        depth: int,
+        attrs: Dict[str, object],
+    ) -> None:
+        """Append one finished span (called by :class:`repro.obs.phase`);
+        ``start`` is a raw :func:`time.perf_counter` reading.
 
         Inside a service request (see :mod:`repro.obs.context`) the
         current request id is stamped into the span's attributes, so
@@ -155,7 +117,7 @@ class Tracer:
             request_id = current_request_id()
             if request_id is not None:
                 attrs["request_id"] = request_id
-        return _Span(self, name, attrs)
+        self.events.append(SpanEvent(name, start - self._epoch, duration_s, depth, attrs))
 
     def reset(self) -> None:
         """Drop recorded events and restart the epoch."""
@@ -179,9 +141,8 @@ class NullTracer(Tracer):
 
     _enabled = False
 
-    def span(self, name: str, **attrs: object) -> _NullSpan:  # type: ignore[override]
-        """Return the shared do-nothing span."""
-        return _NULL_SPAN
+    def record(self, name, start, duration_s, depth, attrs) -> None:  # type: ignore[override]
+        """No-op."""
 
 
 def chrome_trace_document(
@@ -256,8 +217,3 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
         yield tracer
     finally:
         set_tracer(previous)
-
-
-def span(name: str, **attrs: object):
-    """Open a span on the current global tracer (no-op by default)."""
-    return _tracer.span(name, **attrs)

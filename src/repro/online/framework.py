@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.obs import get_logger, get_registry, span
+from repro.obs import get_logger, get_registry, phase
 from repro.online.messages import MessageLog, MessageType
 from repro.utils.intervals import SlotInterval
 
@@ -176,15 +176,13 @@ def run_online(
             j, interval.start, interval.end, len(registered),
         )
         # --- Schedule the interval.
-        with registry.timed("online.instance_restrict"):
+        with phase("online.instance_restrict"):
             sub_instance, parents = instance.restrict(
                 interval, budgets=residual, sensor_ids=registered
             )
         # Schedulers that use tour-level per-sensor knowledge carried in
         # the Ack (e.g. the lookahead extension) receive the parent ids.
-        with registry.timed("online.interval_schedule"), span(
-            "online.interval_schedule", interval=j, registered=len(registered)
-        ):
+        with phase("online.interval_schedule", interval=j, registered=len(registered)):
             parent_aware = getattr(scheduler, "schedule_with_parents", None)
             if parent_aware is not None:
                 sub_allocation = parent_aware(sub_instance, parents)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.obs import profile_phase, timed
+from repro.obs import phase
 
 from .base import PLANNERS, PlanningError, SinkPlan, get_planner
 from .config import DEPLOYMENT_KINDS, PLANNER_KINDS, PlannerConfig
@@ -72,7 +72,7 @@ def plan_scenario(
     the ``planner.*`` work counters it owns.
     """
     planner = get_planner(config.kind)
-    with timed("planner.plan"), profile_phase("plan"):
+    with phase("planner.plan", deep=True):
         return planner(
             config, positions, field_width, field_half_height, transmission_range
         )

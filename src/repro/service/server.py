@@ -50,10 +50,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.obs import get_logger
+from repro.obs import get_logger, phase
 from repro.obs.accesslog import log_access
 from repro.obs.context import annotate, current_request_id, request_context
 from repro.obs.promexpo import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -231,7 +231,7 @@ class PlanningService:
         ``trace_threshold`` persists its solver span trace.
         """
         started = time.perf_counter()
-        with self.registry.timed("service.request"):
+        with phase("service.request", registry=self.registry):
             request = parse_solve_request(doc, max_sensors=self.max_sensors)
             key = request.cache_key()
             cached = self.cache.get(key)
@@ -241,7 +241,7 @@ class PlanningService:
             annotate("cached", False)
             job, _created = self._submit(request)
             annotate("job_id", job.id)
-            with self.registry.timed("service.solve"):
+            with phase("service.solve", registry=self.registry):
                 result = self.executor.wait(job, timeout=self.request_timeout)
             self._persist_trace(result, time.perf_counter() - started)
             clean = _client_result(result)
@@ -262,7 +262,7 @@ class PlanningService:
         [...], "items": N, "cache_hits": H}`` with per-item ``cached``
         flags, results in item order.
         """
-        with self.registry.timed("service.request"):
+        with phase("service.request", registry=self.registry):
             requests = parse_batch_request(
                 doc, max_sensors=self.max_sensors, max_items=self.max_batch_items
             )
@@ -282,7 +282,7 @@ class PlanningService:
                 }
                 job, _created = self.executor.submit(solve_batch_payload, payload)
                 annotate("job_id", job.id)
-                with self.registry.timed("service.solve"):
+                with phase("service.solve", registry=self.registry):
                     outcome = self.executor.wait(job, timeout=self.request_timeout)
                 for position, item in zip(misses, outcome["results"]):
                     clean = _client_result(item)
@@ -301,7 +301,7 @@ class PlanningService:
         registered as an already-finished job so the polling contract
         is uniform.
         """
-        with self.registry.timed("service.request"):
+        with phase("service.request", registry=self.registry):
             request = parse_solve_request(doc, max_sensors=self.max_sensors)
             key = request.cache_key()
             cached = self.cache.get(key)
@@ -430,31 +430,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, route: str, handler: Callable[[], None]) -> None:
         registry = self.service.registry
-        started = time.perf_counter()
+        timing: Dict[str, float] = {}
         with request_context(self.headers.get("X-Request-Id")) as ctx:
             self._request_id = ctx.request_id
             self._status = None
             try:
-                try:
-                    handler()
-                except RequestError as exc:
-                    self._send_json(exc.status, exc.to_dict())
-                except QueueFullError as exc:
-                    self._send_json(429, {"error": str(exc), "status": 429})
-                except JobTimeoutError as exc:
-                    self._send_json(504, {"error": str(exc), "status": 504})
-                except BrokenPipeError:  # client went away mid-response
-                    pass
-                except Exception as exc:  # pragma: no cover - defensive 500
-                    _log.exception(
-                        "internal error serving %s %s", self.command, self.path
-                    )
-                    self._send_json(
-                        500, {"error": f"internal error: {exc}", "status": 500}
-                    )
+                with phase(f"service.http.{route}", timing, registry=registry):
+                    try:
+                        handler()
+                    except RequestError as exc:
+                        self._send_json(exc.status, exc.to_dict())
+                    except QueueFullError as exc:
+                        self._send_json(429, {"error": str(exc), "status": 429})
+                    except JobTimeoutError as exc:
+                        self._send_json(504, {"error": str(exc), "status": 504})
+                    except BrokenPipeError:  # client went away mid-response
+                        pass
+                    except Exception as exc:  # pragma: no cover - defensive 500
+                        _log.exception(
+                            "internal error serving %s %s", self.command, self.path
+                        )
+                        self._send_json(
+                            500, {"error": f"internal error: {exc}", "status": 500}
+                        )
             finally:
-                elapsed = time.perf_counter() - started
-                registry.observe(f"service.http.{route}", elapsed)
+                (elapsed,) = timing.values()  # the one phase's interval
                 registry.inc("service.http.requests")
                 if self._status is not None:
                     registry.inc(f"service.http.status[{self._status}]")

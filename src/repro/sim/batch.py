@@ -16,12 +16,11 @@ endpoint and the ``Batch[mixed]`` bench cell.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.energy.budget import BudgetPolicy
-from repro.obs import get_registry, span
+from repro.obs import get_registry, phase
 from repro.sim.algorithms import get_algorithm
 from repro.sim.results import TourResult
 from repro.sim.scenario import ScenarioConfig
@@ -74,8 +73,8 @@ def run_tours(
 
     Notes
     -----
-    Emits ``batch.groups`` / ``batch.tours`` counters and the
-    ``batch.prepare`` timer to the active registry.
+    Emits ``batch.groups`` / ``batch.tours`` counters and the ``batch``
+    / ``batch.prepare`` phases to the active registry and tracer.
     """
     registry = get_registry()
     # Resolve up front so a typo'd algorithm fails before any solving.
@@ -87,13 +86,11 @@ def run_tours(
     registry.inc("batch.groups", len(groups))
     registry.inc("batch.tours", len(specs))
     results: List[Optional[TourResult]] = [None] * len(specs)
-    with span("batch", tours=len(specs), groups=len(groups)):
+    with phase("batch", tours=len(specs), groups=len(groups)):
         for (config, seed), positions in groups.items():
-            t0 = time.perf_counter()
-            with span("batch.prepare", n=config.num_sensors, seed=seed):
+            with phase("batch.prepare", n=config.num_sensors, seed=seed):
                 scenario = config.build(seed=seed)
                 instance = scenario.instance(budget_policy)
-            registry.observe("batch.prepare", time.perf_counter() - t0)
             for position in positions:
                 spec = specs[position]
                 results[position] = run_tour(

@@ -44,7 +44,10 @@ class TourResult:
         Per-phase wall-clock breakdown of the tour in seconds
         (``instance_build_s`` / ``solve_s`` / ``verify_s`` /
         ``energy_update_s`` / ``total_s``, plus ``certify_s`` when
-        certification ran); empty for hand-built results.
+        certification ran); empty for hand-built results.  Each
+        ``<stem>_s`` entry is the interval of the ``tour.<stem>``
+        :class:`repro.obs.phase`, so it equals that timer observation
+        and span duration exactly.
     certificate:
         Structured correctness evidence from
         :func:`repro.verify.certificate.certify` when the tour ran with

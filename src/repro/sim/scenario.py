@@ -34,6 +34,7 @@ from repro.network.geometry import LinearPath
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import CC2420_LIKE_TABLE, RateTable
+from repro.obs import phase
 from repro.planning import PlannerConfig, plan_scenario
 from repro.utils.rng import RngStream
 from repro.utils.validation import (
@@ -199,8 +200,10 @@ class ScenarioConfig:
         return cls(**kwargs)
 
     def build(self, seed: Optional[int] = None) -> "Scenario":
-        """Instantiate one random topology under this config."""
-        return Scenario(self, seed)
+        """Instantiate one random topology under this config (timed as
+        the ``scenario.build`` phase)."""
+        with phase("scenario.build", n=self.num_sensors, seed=seed):
+            return Scenario(self, seed)
 
 
 #: The configuration used throughout the paper's evaluation.

@@ -15,14 +15,13 @@ studied, as the energy-harvesting premise of the paper invites.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.instance import DataCollectionInstance
 from repro.energy.budget import BudgetPolicy, StoredEnergyBudgetPolicy
-from repro.obs import get_logger, get_registry, profile_phase, span
+from repro.obs import get_logger, get_registry, phase
 from repro.sim.algorithms import TourAlgorithm
 from repro.sim.results import SimulationResult, TourResult
 from repro.sim.scenario import Scenario
@@ -85,11 +84,14 @@ def run_tour(
     -------
     TourResult
         Includes a ``profile`` dict with the per-phase wall-clock
-        breakdown (instance build / solve / verify / energy update);
-        the same phases are recorded as ``tour.*`` timers and spans on
-        the :mod:`repro.obs` registry and tracer, and — under an active
+        breakdown (``instance_build_s`` / ``solve_s`` / ``verify_s`` /
+        ``certify_s`` / ``energy_update_s`` and the enclosing
+        ``total_s``).  Each entry is one :class:`repro.obs.phase`
+        interval, so it equals the matching ``tour.*`` timer
+        observation and span duration exactly; under an active
         :class:`~repro.obs.profiling.DeepProfiler` (``repro profile
-        --deep``) — as function-level attribution windows.
+        --deep``) the build, solve, verify and certify phases are also
+        function-level attribution windows.
     """
     if rest_time < 0:
         raise ValueError(f"rest_time must be >= 0, got {rest_time}")
@@ -98,38 +100,31 @@ def run_tour(
     if start_time is None:
         start_time = scenario.config.start_time + tour_index * (tour_duration + rest_time)
 
-    registry = get_registry()
-    registry.inc("tour.runs")
-    t_start = time.perf_counter()
-    with span("tour", tour=tour_index, algorithm=algorithm.name):
-        with span("tour.instance_build"), profile_phase("instance_build"):
+    get_registry().inc("tour.runs")
+    profile: Dict[str, float] = {}
+    certificate = None
+    with phase("tour.total", profile, tour=tour_index, algorithm=algorithm.name):
+        with phase("tour.instance_build", profile, deep=True):
             if instance is None:
                 instance = scenario.instance(policy, tour_index)
             budgets = np.array(instance.budgets_array())
-        t_built = time.perf_counter()
 
-        with span("tour.solve", algorithm=algorithm.name), profile_phase("solve"):
+        with phase("tour.solve", profile, deep=True, algorithm=algorithm.name):
             allocation, messages = algorithm.run(instance, scenario.gamma)
-        t_solved = time.perf_counter()
 
-        with span("tour.verify"), profile_phase("verify"):
+        with phase("tour.verify", profile, deep=True):
             allocation.check_feasible(instance)
             spent = allocation.energy_spent(instance)
-        t_verified = time.perf_counter()
 
-        certificate = None
         if certify:
             from repro.verify.certificate import certify as _certify
 
-            with span("tour.certify", algorithm=algorithm.name), profile_phase(
-                "certify"
-            ):
+            with phase("tour.certify", profile, deep=True, algorithm=algorithm.name):
                 certificate = _certify(instance, allocation, algorithm=algorithm.name)
-        t_certified = time.perf_counter()
 
-        harvested = np.zeros(instance.num_sensors)
-        spilled = np.zeros(instance.num_sensors)
-        with span("tour.energy_update"):
+        with phase("tour.energy_update", profile):
+            harvested = np.zeros(instance.num_sensors)
+            spilled = np.zeros(instance.num_sensors)
             if mutate:
                 window_end = start_time + tour_duration + rest_time
                 for i, sensor in enumerate(scenario.network.sensors):
@@ -138,23 +133,6 @@ def run_tour(
                     harvested[i] = gain
                     stored = sensor.battery.deposit(gain)
                     spilled[i] = gain - stored
-        t_end = time.perf_counter()
-
-    profile = {
-        "instance_build_s": t_built - t_start,
-        "solve_s": t_solved - t_built,
-        "verify_s": t_verified - t_solved,
-        "energy_update_s": t_end - t_certified,
-        "total_s": t_end - t_start,
-    }
-    if certify:
-        profile["certify_s"] = t_certified - t_verified
-        registry.observe("tour.certify", profile["certify_s"])
-    registry.observe("tour.instance_build", profile["instance_build_s"])
-    registry.observe("tour.solve", profile["solve_s"])
-    registry.observe("tour.verify", profile["verify_s"])
-    registry.observe("tour.energy_update", profile["energy_update_s"])
-    registry.observe("tour.total", profile["total_s"])
 
     result = TourResult(
         tour_index=tour_index,

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.instance import DataCollectionInstance, SensorSlotData
-from repro.obs import get_logger, get_registry
+from repro.obs import get_logger, get_registry, phase
 from repro.verify.certificate import certify
 from repro.verify.gen import random_instance
 
@@ -469,7 +469,7 @@ def run_fuzz(
         gamma = int(rng.integers(1, 7))
         algos = algorithms if algorithms is not None else default_algorithms(instance)
         registry.inc("fuzz.runs")
-        with registry.timed("fuzz.check"):
+        with phase("fuzz.check"):
             findings = check_instance(instance, gamma, algorithms=algos)
         report.checked_runs += 1
         report.algorithm_runs += len(algos)
@@ -511,7 +511,7 @@ def run_fuzz(
                         return True
                 return False
 
-            with registry.timed("fuzz.shrink"):
+            with phase("fuzz.shrink"):
                 failure.instance = shrink_instance(instance, reproduces)
             failure.shrunk = True
         report.failures.append(failure)

@@ -18,11 +18,10 @@ from repro.obs import (
     get_logger,
     get_registry,
     get_tracer,
+    phase,
     profile_report,
     set_registry,
     set_tracer,
-    span,
-    timed,
     use_registry,
     use_tracer,
     verbosity_to_level,
@@ -130,19 +129,26 @@ def test_snapshot_shape_and_reset():
 
 def test_pinned_timed_context_manager():
     reg = MetricsRegistry()
-    with reg.timed("block"):
+    with phase("block", registry=reg):
         pass
     stats = reg.timer_stats("block")
     assert stats.count == 1
     assert stats.total >= 0.0
+    assert get_registry().timer_stats("block").count == 0
 
 
 def test_timed_records_on_exception():
     reg = MetricsRegistry()
-    with pytest.raises(RuntimeError):
-        with reg.timed("boom"):
+    tracer = Tracer()
+    profile = {}
+    with use_tracer(tracer), pytest.raises(RuntimeError):
+        with phase("x.boom", profile, registry=reg):
             raise RuntimeError("x")
-    assert reg.timer_stats("boom").count == 1
+    assert reg.timer_stats("x.boom").count == 1
+    assert [e.name for e in tracer.events] == ["x.boom"]
+    assert tracer._depth == 0
+    assert profile["boom_s"] == tracer.events[0].duration_s
+    assert profile["boom_s"] == reg.timer_stats("x.boom").total
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +164,7 @@ def test_null_registry_records_nothing():
     reg.inc("c")
     reg.set_gauge("g", 1.0)
     reg.observe("t", 0.5)
-    with reg.timed("t2"):
+    with phase("t2", registry=reg):
         pass
     assert reg.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
 
@@ -169,7 +175,7 @@ def test_use_registry_scopes_and_restores():
     with use_registry(reg) as scoped:
         assert scoped is reg
         assert get_registry() is reg
-        with timed("inner"):
+        with phase("inner"):
             pass
     assert get_registry() is outer
     assert reg.timer_stats("inner").count == 1
@@ -187,7 +193,7 @@ def test_use_registry_nesting():
     a, b = MetricsRegistry(), MetricsRegistry()
     with use_registry(a):
         with use_registry(b):
-            with timed("t"):
+            with phase("t"):
                 pass
         assert get_registry() is a
     assert b.timer_stats("t").count == 1
@@ -200,7 +206,7 @@ def test_enable_disable_metrics():
         reg = enable_metrics()
         assert get_registry() is reg
         assert reg.enabled
-        with timed("x"):
+        with phase("x"):
             pass
         assert reg.timer_stats("x").count == 1
         disable_metrics()
@@ -209,29 +215,42 @@ def test_enable_disable_metrics():
         set_registry(previous)
 
 
-def test_timed_disabled_path_skips_clock():
-    """Under the NullRegistry the timed CM must not even read the clock."""
-    t = timed("x")
-    with t:
+def test_timed_disabled_path_skips_clock(monkeypatch):
+    """With no sink active and no dict, a phase must not read the clock."""
+    import time
+
+    def no_clock():
+        raise AssertionError("clock read with no sink active")
+
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    with phase("x", k=1):
         pass
-    assert t._active is None
-    assert t._t0 == 0.0
+    with phase("x", registry=NullRegistry()):
+        pass
+    with pytest.raises(AssertionError, match="clock read"):
+        with phase("x", {}):
+            pass
 
 
-def test_timed_decorator_late_binding():
-    @timed("fn.call")
-    def fn(a, b):
-        """Doc."""
-        return a + b
-
-    assert fn(1, 2) == 3  # under NullRegistry: nothing recorded, no error
+def test_phase_binds_registry_at_entry():
+    block = phase("fn.call")  # built under the NullRegistry
     reg = MetricsRegistry()
     with use_registry(reg):
-        assert fn(2, 3) == 5
-        assert fn(4, 5) == 9
+        with block:
+            pass
+        with phase("fn.call"):
+            pass
     assert reg.timer_stats("fn.call").count == 2
-    assert fn.__name__ == "fn"
-    assert fn.__doc__ == "Doc."
+
+
+def test_phase_feeds_profile_dict_by_stem():
+    profile = {}
+    with phase("tour.instance_build", profile):
+        pass
+    with phase("flat", profile):
+        pass
+    assert set(profile) == {"instance_build_s", "flat_s"}
+    assert all(v >= 0.0 for v in profile.values())
 
 
 # ----------------------------------------------------------------------
@@ -239,11 +258,12 @@ def test_timed_decorator_late_binding():
 # ----------------------------------------------------------------------
 def test_span_nesting_depths_and_exit_order():
     tracer = Tracer()
-    with tracer.span("outer", run=1):
-        with tracer.span("inner.a", sensor=3):
-            pass
-        with tracer.span("inner.b"):
-            pass
+    with use_tracer(tracer):
+        with phase("outer", run=1):
+            with phase("inner.a", sensor=3):
+                pass
+            with phase("inner.b"):
+                pass
     names = [e.name for e in tracer.events]
     assert names == ["inner.a", "inner.b", "outer"]  # exit order
     by_name = {e.name: e for e in tracer.events}
@@ -258,7 +278,7 @@ def test_span_nesting_depths_and_exit_order():
 
 def test_tracer_reset():
     tracer = Tracer()
-    with tracer.span("x"):
+    with use_tracer(tracer), phase("x"):
         pass
     tracer.reset()
     assert tracer.events == []
@@ -267,9 +287,10 @@ def test_tracer_reset():
 
 def test_jsonl_roundtrip():
     tracer = Tracer()
-    with tracer.span("a", k="v"):
-        with tracer.span("b"):
-            pass
+    with use_tracer(tracer):
+        with phase("a", k="v"):
+            with phase("b"):
+                pass
     text = tracer.to_jsonl()
     events = events_from_jsonl(text)
     assert events == tracer.events
@@ -278,7 +299,7 @@ def test_jsonl_roundtrip():
 
 def test_chrome_trace_valid():
     tracer = Tracer()
-    with tracer.span("phase", n=10):
+    with use_tracer(tracer), phase("phase", n=10):
         pass
     doc = json.loads(tracer.to_chrome_trace())
     assert doc["displayTimeUnit"] == "ms"
@@ -292,9 +313,10 @@ def test_chrome_trace_valid():
 
 def test_global_span_defaults_to_noop():
     assert isinstance(get_tracer(), NullTracer)
-    with span("anything", k=1):
+    with phase("anything", k=1):
         pass  # must not record or raise
     assert get_tracer().events == []
+    assert get_registry().snapshot()["timers"] == {}
 
 
 def test_use_tracer_scopes_and_restores():
@@ -302,7 +324,7 @@ def test_use_tracer_scopes_and_restores():
     tracer = Tracer()
     with use_tracer(tracer):
         assert get_tracer() is tracer
-        with span("scoped"):
+        with phase("scoped"):
             pass
     assert get_tracer() is outer
     assert [e.name for e in tracer.events] == ["scoped"]
@@ -418,3 +440,69 @@ def test_solves_are_clean_under_default_null_registry():
     result = run_tour(scenario, get_algorithm("Offline_Appro"), mutate=False)
     assert result.collected_bits > 0
     assert "solve_s" in result.profile  # profile is always populated
+
+
+#: Every tour phase, as ``run_tour`` with ``certify=True`` emits them.
+TOUR_PHASES = {"total", "instance_build", "solve", "verify", "certify", "energy_update"}
+
+
+@pytest.mark.parametrize("algorithm", ["Offline_Appro", "Online_Appro", "Offline_MaxMatch"])
+@pytest.mark.parametrize("seed", range(5))
+def test_tour_phase_views_agree_exactly(algorithm, seed):
+    """Span duration, timer observation and profile entry of every tour
+    phase are one measurement: equal under ``==``, not approximately."""
+    from repro.sim.algorithms import get_algorithm, requires_fixed_power
+    from repro.sim.scenario import ScenarioConfig
+    from repro.sim.simulator import run_tour
+
+    config = ScenarioConfig(
+        num_sensors=100, fixed_power=0.3 if requires_fixed_power(algorithm) else None
+    )
+    scenario = config.build(seed=seed)
+    reg = MetricsRegistry()
+    tracer = Tracer()
+    with use_registry(reg), use_tracer(tracer):
+        result = run_tour(scenario, get_algorithm(algorithm), mutate=False, certify=True)
+    spans = {e.name: e for e in tracer.events if e.name.startswith("tour.")}
+    timers = reg.dump()["timers"]
+    assert set(spans) == {f"tour.{stem}" for stem in TOUR_PHASES}
+    assert set(result.profile) == {f"{stem}_s" for stem in TOUR_PHASES}
+    for name, event in spans.items():
+        seconds = result.profile[name.rpartition(".")[2] + "_s"]
+        assert event.duration_s == seconds, name
+        assert timers[name] == [seconds], name
+
+
+def test_tour_phases_sum_to_total_on_quick_bench_grid(monkeypatch):
+    """Per quick-bench cell, the median over 5 tours of ``total_s`` minus
+    the other tour phases (the time no phase covers) is in [0, 100 µs]."""
+    import statistics
+    from collections import defaultdict
+
+    from repro.experiments import bench
+    from repro.sim import batch
+
+    gaps = defaultdict(list)
+
+    def recording(run_tour, source):
+        def wrapper(scenario, algorithm, **kwargs):
+            result = run_tour(scenario, algorithm, **kwargs)
+            phases = dict(result.profile)
+            total = phases.pop("total_s")
+            gaps[source, scenario.config, algorithm.name].append(
+                total - sum(phases.values())
+            )
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(bench, "run_tour", recording(bench.run_tour, "cell"))
+    monkeypatch.setattr(batch, "run_tour", recording(batch.run_tour, "batch"))
+    document = bench.run_bench(quick=True, repeat=5)
+    # The Batch[mixed] entry runs one tour per batch algorithm.
+    cells = len(document["entries"]) - 1 + len(bench.BATCH_ALGORITHMS)
+    assert len(gaps) == cells
+    for (source, config, name), values in gaps.items():
+        assert len(values) == 5
+        gap = statistics.median(values)
+        assert 0.0 <= gap <= 100e-6, (source, name, config.num_sensors, gap)

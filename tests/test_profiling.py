@@ -10,7 +10,7 @@ from repro.obs import (
     MetricsRegistry,
     NullProfiler,
     get_profiler,
-    profile_phase,
+    phase,
     profile_report,
     set_profiler,
     use_profiler,
@@ -156,7 +156,7 @@ class TestGlobalProfiler:
         with use_profiler(profiler) as active:
             assert active is profiler
             assert get_profiler() is profiler
-            with profile_phase("solve"):
+            with phase("tour.solve", deep=True):
                 _burn(1000)
         assert isinstance(get_profiler(), NullProfiler)
         assert "solve" in profiler.attribution()["phases"]
@@ -171,7 +171,7 @@ class TestGlobalProfiler:
         assert get_profiler() is previous
 
     def test_profile_phase_without_profiler_is_free(self):
-        with profile_phase("anything"):
+        with phase("anything", deep=True):
             pass  # must not raise, must not record
 
 
@@ -199,7 +199,7 @@ class TestRunTourIntegration:
     def test_all_phases_attributed(self, deep_tour):
         profiler, _, _ = deep_tour
         phases = profiler.attribution()["phases"]
-        assert {"plan", "instance_build", "solve", "verify"} <= set(phases)
+        assert set(phases) == {"plan", "instance_build", "solve", "verify"}
 
     def test_at_least_ten_frames_per_phase(self, deep_tour):
         # The ISSUE acceptance bar: >= 10 attributed frames per phase on

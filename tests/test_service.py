@@ -694,7 +694,7 @@ class TestTraceCapture:
         doc = json.loads(trace_path.read_text(encoding="utf-8"))
         events = doc["traceEvents"]
         assert events and all(e["ph"] == "X" for e in events)
-        assert {"tour", "tour.solve"} <= {e["name"] for e in events}
+        assert {"tour.total", "tour.solve"} <= {e["name"] for e in events}
         # The folded stacks land next to the Chrome trace.
         folded_path = trace_dir / "traced-81.folded"
         assert folded_path.exists()

@@ -29,6 +29,7 @@ from repro.obs import (
     get_access_logger,
     log_access,
     new_request_id,
+    phase,
     render_prometheus,
     request_context,
     use_tracer,
@@ -113,9 +114,9 @@ def test_configured_logging_appends_request_id():
 def test_tracer_spans_pick_up_request_id():
     tracer = Tracer()
     with use_tracer(tracer), request_context("rid-span"):
-        with tracer.span("phase", foo=1):
+        with phase("phase", foo=1):
             pass
-        with tracer.span("explicit", request_id="mine"):
+        with phase("explicit", request_id="mine"):
             pass
     assert tracer.events[0].attrs == {"foo": 1, "request_id": "rid-span"}
     assert tracer.events[1].attrs == {"request_id": "mine"}
@@ -420,7 +421,7 @@ def test_repeated_merges_sum_counters():
 # ----------------------------------------------------------------------
 def test_chrome_trace_document_accepts_dicts_and_events():
     tracer = Tracer()
-    with tracer.span("tour.solve", algorithm="Offline_Appro"):
+    with use_tracer(tracer), phase("tour.solve", algorithm="Offline_Appro"):
         pass
     as_dicts = [e.as_dict() for e in tracer.events]
     doc_from_events = json.loads(chrome_trace_document(tracer.events, pid=1))
@@ -435,8 +436,9 @@ def test_chrome_trace_document_accepts_dicts_and_events():
 
 def test_tracer_to_chrome_trace_still_roundtrips():
     tracer = Tracer()
-    with tracer.span("outer"):
-        with tracer.span("inner"):
-            pass
+    with use_tracer(tracer):
+        with phase("outer"):
+            with phase("inner"):
+                pass
     doc = json.loads(tracer.to_chrome_trace())
     assert {e["name"] for e in doc["traceEvents"]} == {"outer", "inner"}
