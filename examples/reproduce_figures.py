@@ -3,9 +3,8 @@
 
 Runs Figures 2–4 at a laptop-friendly scale (3 topologies per point,
 n ∈ {100, 300, 600}) and prints the same series tables + ASCII charts
-the full harness produces.  For the paper's full methodology use
-``python -m repro figN --repeats 50`` or
-``REPRO_BENCH_SCALE=full pytest benchmarks/ --benchmark-only``.
+the full harness produces.  For the paper's full methodology, with
+each figure's claim rows, use ``python -m repro figN --repeats 50``.
 
 Run:  python examples/reproduce_figures.py
 """

@@ -2,7 +2,12 @@
 
 Subcommands:
 
-* ``fig2`` / ``fig3`` / ``fig4`` — regenerate a paper figure::
+* ``fig2`` / ``fig3`` / ``fig4`` / ``ablation-gamma`` /
+  ``ablation-energy`` — regenerate a paper figure or ablation, then
+  check its claims (one PASS/FAIL row each); exits 1 when a claim
+  fails.  The figures default to the paper's scale (50 topologies,
+  n = 100..600); ``--repeats 3 --sizes 100 300 600`` is the quick
+  scale the tests run::
 
       python -m repro fig3 --repeats 50
       python -m repro fig2 --repeats 3 --sizes 100 300 600 --jobs 4
@@ -104,6 +109,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.report import format_claims
 from repro.obs.trend import DEFAULT_HISTORY_DIR
 
 __all__ = ["main", "build_parser"]
@@ -615,13 +621,15 @@ def _run_figure(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     result = module.run(**kwargs)
     elapsed = time.perf_counter() - t0
+    claims = module.check(result)
     print(module.report(result))
+    print(format_claims(claims))
     print(f"({len(result.records)} records in {elapsed:.1f} s)")
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(result.to_json(indent=2))
         print(f"[raw records written to {args.output}]")
-    return 0
+    return 0 if all(c.held for c in claims) else 1
 
 
 def _resolve_algorithm_name(name: str) -> str:

@@ -1,10 +1,12 @@
 """Experiment harness: parameter sweeps reproducing the paper's figures.
 
-One module per figure of the evaluation section (Figures 2–4), plus a
-generic sweep engine with multiprocessing fan-out and plain-text series
-reports.  The benchmarks under ``benchmarks/`` are thin wrappers over
-these modules, so a figure can be regenerated either via pytest or the
-CLI (``python -m repro fig3 --repeats 50``).
+One module per figure of the evaluation section (Figures 2–4) and per
+sweep ablation, plus a generic sweep engine with multiprocessing
+fan-out and plain-text series reports.  Each module owns its claims:
+``check(result)`` returns one ``sweep.Claim`` row per paper claim, the
+CLI prints them after the report (``python -m repro fig3 --repeats 50``
+exits 1 when one fails), and ``tests/test_paper_claims.py`` runs every
+module at quick scale in tier-1.
 """
 
 from repro.experiments.sweep import (

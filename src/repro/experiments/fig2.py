@@ -7,7 +7,8 @@ table; 50 random topologies per point.
 
 Expected shape: offline ≥ online everywhere with the online algorithm
 within a few percent (paper: ≥ 93 % at r_s = 5, τ = 1); throughput grows
-with n and shrinks as speed/τ grow.
+with n and shrinks as speed/τ grow.  :func:`check` judges these claims
+on the means over topologies, the online share against 0.85.
 """
 
 from __future__ import annotations
@@ -15,10 +16,18 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.report import format_series_chart, format_series_table
-from repro.experiments.sweep import SweepPoint, SweepResult, run_sweep
+from repro.experiments.sweep import (
+    TOLERANCE_MB,
+    Claim,
+    SweepPoint,
+    SweepResult,
+    aggregate,
+    claim,
+    run_sweep,
+)
 from repro.sim.scenario import ScenarioConfig
 
-__all__ = ["ALGORITHMS", "PANELS", "SIZES", "build_points", "run", "report"]
+__all__ = ["ALGORITHMS", "PANELS", "SIZES", "build_points", "run", "report", "check"]
 
 ALGORITHMS: Tuple[str, ...] = ("Offline_Appro", "Online_Appro")
 
@@ -27,6 +36,10 @@ PANELS: Tuple[Tuple[float, float], ...] = ((5.0, 1.0), (10.0, 2.0), (30.0, 4.0))
 
 #: Network sizes swept (paper: 100..600).
 SIZES: Tuple[int, ...] = (100, 200, 300, 400, 500, 600)
+
+
+def _panel(speed: float, tau: float) -> str:
+    return f"r_s={speed:g} m/s, tau={tau:g} s"
 
 
 def build_points(
@@ -45,7 +58,7 @@ def build_points(
                     config,
                     ALGORITHMS,
                     seed_key=(n,),  # pair topologies across panels
-                    panel=f"r_s={speed:g} m/s, tau={tau:g} s",
+                    panel=_panel(speed, tau),
                     n=n,
                 )
             )
@@ -71,3 +84,24 @@ def report(result: SweepResult) -> str:
         + "\n"
         + format_series_chart(result)
     )
+
+
+def check(result: SweepResult) -> List[Claim]:
+    """Figure 2's claims on the means over topologies (see module doc)."""
+    stats = aggregate(result, ["panel", "n"])
+    off = {key: cell["Offline_Appro"][0] for key, cell in stats.items()}
+    on = {key: cell["Online_Appro"][0] for key, cell in stats.items()}
+    sizes = sorted(result.label_values("n"))
+    swept = result.label_values("panel")
+    # The paper's panels run from the slowest sink to the fastest.
+    ordered = [p for p in (_panel(*pt) for pt in PANELS) if p in swept]
+    gaps = [off[k] - on[k] for k in off]
+    shares = [on[k] / off[k] for k in off]
+    growth = [off[(p, sizes[-1])] / off[(p, sizes[0])] for p in swept if len(sizes) > 1]
+    slowdown = [off[(a, n)] / off[(b, n)] for a, b in zip(ordered, ordered[1:]) for n in sizes]
+    return [
+        claim("offline_ge_online", min(gaps, default=None), lambda g: g >= -TOLERANCE_MB),
+        claim("online_ge_0.85_offline", min(shares, default=None), lambda r: r >= 0.85),
+        claim("grows_with_n", min(growth, default=None), lambda r: r > 1.0),
+        claim("faster_sink_collects_less", min(slowdown, default=None), lambda r: r > 1.0),
+    ]

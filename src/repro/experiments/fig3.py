@@ -13,6 +13,9 @@ and +540 % for the inverse comparisons).  Note (documented in
 EXPERIMENTS.md): our faithful ``Offline_Appro`` with an exact knapsack
 lands within 1–2 % of the optimum, so the 16–19 % MaxMatch-over-Appro
 gap the paper reports compresses here; the *ordering* is preserved.
+:func:`check` judges the ordering, the online share (against 0.85) and
+the speed ratios at the largest n (5/10 m/s in [1.5, 3], 5/30 m/s in
+[3.5, 10]).
 """
 
 from __future__ import annotations
@@ -20,10 +23,27 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.report import format_series_chart, format_series_table
-from repro.experiments.sweep import SweepPoint, SweepResult, run_sweep
+from repro.experiments.sweep import (
+    TOLERANCE_MB,
+    Claim,
+    SweepPoint,
+    SweepResult,
+    aggregate,
+    claim,
+    run_sweep,
+)
 from repro.sim.scenario import ScenarioConfig
 
-__all__ = ["ALGORITHMS", "SPEEDS", "SIZES", "FIXED_POWER_W", "build_points", "run", "report"]
+__all__ = [
+    "ALGORITHMS",
+    "SPEEDS",
+    "SIZES",
+    "FIXED_POWER_W",
+    "build_points",
+    "run",
+    "report",
+    "check",
+]
 
 ALGORITHMS: Tuple[str, ...] = (
     "Offline_MaxMatch",
@@ -39,6 +59,10 @@ SIZES: Tuple[int, ...] = (100, 200, 300, 400, 500, 600)
 
 #: The paper's fixed transmission power (Section VII.C): 300 mW.
 FIXED_POWER_W: float = 0.3
+
+
+def _panel(speed: float) -> str:
+    return f"r_s={speed:g} m/s"
 
 
 def build_points(
@@ -60,7 +84,7 @@ def build_points(
                     config,
                     ALGORITHMS,
                     seed_key=(n,),  # pair topologies across speeds
-                    panel=f"r_s={speed:g} m/s",
+                    panel=_panel(speed),
                     n=n,
                 )
             )
@@ -86,3 +110,34 @@ def report(result: SweepResult) -> str:
         + "\n"
         + format_series_chart(result)
     )
+
+
+def check(result: SweepResult) -> List[Claim]:
+    """Figure 3's claims on the means over topologies (see module doc)."""
+    stats = aggregate(result, ["panel", "n"])
+    means = [{algo: mean for algo, (mean, _, _) in cell.items()} for cell in stats.values()]
+    n_big = max(result.label_values("n"), default=None)
+    top = {p: cell["Offline_MaxMatch"][0] for (p, n), cell in stats.items() if n == n_big}
+
+    def speedup(fast: float) -> Optional[float]:
+        """5 m/s over ``fast`` m/s at the largest n, if both were swept."""
+        slow, quick = top.get(_panel(5.0)), top.get(_panel(fast))
+        return None if slow is None or quick is None else slow / quick
+
+    leads = [
+        m["Offline_MaxMatch"] - max(v for a, v in m.items() if a != "Offline_MaxMatch")
+        for m in means
+    ]
+    appro_gaps = [m["Offline_Appro"] - m["Online_Appro"] for m in means]
+    shares = [m["Online_MaxMatch"] / m["Offline_MaxMatch"] for m in means]
+    return [
+        claim("offline_maxmatch_on_top", min(leads, default=None), lambda g: g >= -TOLERANCE_MB),
+        claim(
+            "offline_appro_ge_online_appro",
+            min(appro_gaps, default=None),
+            lambda g: g >= -TOLERANCE_MB,
+        ),
+        claim("online_maxmatch_ge_0.85_top", min(shares, default=None), lambda r: r >= 0.85),
+        claim("speed_5_over_10_in_1.5_3", speedup(10.0), lambda r: 1.5 <= r <= 3.0),
+        claim("speed_5_over_30_in_3.5_10", speedup(30.0), lambda r: 3.5 <= r <= 10.0),
+    ]

@@ -1,7 +1,8 @@
 """Registry mapping experiment ids to their modules.
 
-Keeps the CLI and the benchmark wrappers in sync with DESIGN.md's
-experiment index.
+Keeps the CLI subcommands and the tier-1 claims test
+(``tests/test_paper_claims.py``) in sync with DESIGN.md's experiment
+index.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from repro.experiments import ablation_energy, ablation_gamma, fig2, fig3, fig4
 
 __all__ = ["EXPERIMENTS", "get_experiment"]
 
-#: Experiment id → module with ``run(...) -> SweepResult`` and
-#: ``report(result) -> str``.
+#: Experiment id → module with ``run(...) -> SweepResult``,
+#: ``report(result) -> str`` and ``check(result) -> List[Claim]``.
 EXPERIMENTS: Dict[str, ModuleType] = {
     "fig2": fig2,
     "fig3": fig3,

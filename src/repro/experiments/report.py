@@ -12,9 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.ascii_chart import ascii_chart
-from repro.experiments.sweep import SweepResult, aggregate
+from repro.experiments.sweep import Claim, SweepResult, aggregate
 
-__all__ = ["format_series_table", "format_series_chart", "format_records"]
+__all__ = ["format_series_table", "format_series_chart", "format_records", "format_claims"]
 
 
 def format_series_table(
@@ -115,4 +115,20 @@ def format_records(result: SweepResult, limit: int = 20) -> str:
         )
     if len(result.records) > limit:
         lines.append(f"... ({len(result.records) - limit} more records)")
+    return "\n".join(lines)
+
+
+def format_claims(claims: Sequence[Claim]) -> str:
+    """One ``PASS``/``FAIL`` line per claim with its measured value, and
+    a closing verdict naming the failed claims."""
+    width = max((len(c.name) for c in claims), default=0)
+    lines = ["Claims:"]
+    for c in claims:
+        value = "vacuous (not swept)" if c.value is None else f"{c.value:.4g}"
+        lines.append(f"  {'PASS' if c.held else 'FAIL'}  {c.name:<{width}}  {value}")
+    failed = [c.name for c in claims if not c.held]
+    if failed:
+        lines.append(f"{len(failed)} of {len(claims)} claims failed: {', '.join(failed)}")
+    else:
+        lines.append(f"all {len(claims)} claims held")
     return "\n".join(lines)

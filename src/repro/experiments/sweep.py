@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,16 @@ from repro.sim.simulator import run_tour
 
 _log = get_logger("experiments.sweep")
 
-__all__ = ["SweepPoint", "SweepRecord", "SweepResult", "run_sweep", "aggregate"]
+__all__ = [
+    "TOLERANCE_MB",
+    "Claim",
+    "SweepPoint",
+    "SweepRecord",
+    "SweepResult",
+    "run_sweep",
+    "aggregate",
+    "claim",
+]
 
 
 @dataclass(frozen=True)
@@ -281,3 +290,27 @@ def aggregate(
             for name, vals in algos.items()
         }
     return out
+
+
+#: Throughput means are float sums: two equal allocations may differ by
+#: rounding, so "≥" claims between algorithms allow this slack (Mb).
+TOLERANCE_MB: float = 1e-6
+
+
+class Claim(NamedTuple):
+    """One row of an experiment's ``check(result)``: a claim and its verdict.
+
+    ``value`` is the measured statistic the claim bounds: its worst case
+    over the swept points for a claim that must hold at every point.  It
+    is ``None`` when the run did not sweep the dimension the claim is
+    about (one network size, say); the claim then holds vacuously.
+    """
+
+    name: str
+    held: bool
+    value: Optional[float]
+
+
+def claim(name: str, value: Optional[float], holds: Callable[[float], bool]) -> Claim:
+    """Judge ``value`` with ``holds``; a ``None`` value holds vacuously."""
+    return Claim(name, value is None or bool(holds(value)), value)

@@ -1,6 +1,4 @@
-"""Final-mile coverage: bench scale config, CLI guards, merge properties."""
-
-import os
+"""Final-mile coverage: CLI guards, merge properties."""
 
 import numpy as np
 import pytest
@@ -8,32 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation
-
-
-class TestBenchScale:
-    def test_quick_default(self, monkeypatch):
-        from benchmarks.conftest import bench_scale
-
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        scale = bench_scale()
-        assert scale["mode"] == "quick"
-        assert scale["repeats"] == 3
-        assert scale["sizes"] == (100, 300, 600)
-
-    def test_full_scale(self, monkeypatch):
-        from benchmarks.conftest import bench_scale
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
-        scale = bench_scale()
-        assert scale["repeats"] == 50  # the paper's methodology
-        assert scale["sizes"] == (100, 200, 300, 400, 500, 600)
-
-    def test_save_report_writes(self, tmp_path, monkeypatch):
-        import benchmarks.conftest as bc
-
-        monkeypatch.setattr(bc, "RESULTS_DIR", tmp_path)
-        path = bc.save_report("unit_test", "hello\n")
-        assert path.read_text() == "hello\n"
 
 
 class TestCliGuards:
