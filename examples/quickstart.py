@@ -26,7 +26,7 @@ def compare(config: ScenarioConfig, algorithms: list[str], seed: int = 42) -> No
         f"gamma={scenario.gamma}, LP bound={bound_bits / 1e6:.2f} Mb"
     )
     for name in algorithms:
-        result = run_tour(scenario, get_algorithm(name), mutate=False)
+        result = run_tour(scenario, get_algorithm(name), mutate=False, instance=instance)
         frac = result.collected_bits / bound_bits if bound_bits else 0.0
         msg = (
             f", {result.messages.total_messages} protocol messages"

@@ -177,6 +177,8 @@ class DataCollectionInstance:
         self._slot_groups: Optional[Tuple[np.ndarray, ...]] = None
         # Memoised DCMP→GAP reduction (owned by repro.core.offline_appro).
         self._dcmp_gap = None
+        # Memoised DCMP LP bound in bits (owned by repro.core.lp).
+        self._lp_bound: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Construction from the physical layers

@@ -10,8 +10,6 @@ b-matching LP of ``Offline_MaxMatch`` lives in :mod:`repro.core.matching`.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
@@ -26,48 +24,44 @@ def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     """Optimal value of the DCMP LP relaxation, in bits.
 
     Variables ``x_{i,j} ∈ [0, 1]`` over every positive-rate
-    (sensor, slot) pair; constraints (3) per slot and (4) per sensor.
-    Solved with HiGHS.  Returns 0 for instances with no transmittable
-    pair.
+    (sensor, slot) pair of :meth:`~DataCollectionInstance.flat_pairs`;
+    constraints (3) per slot and (4) per sensor.  Solved with HiGHS.
+    Returns 0 for instances with no transmittable pair.
+
+    The bound depends on the instance alone, so it is memoised on the
+    (immutable) instance: ``lp.calls`` and the ``lp.dcmp_bound`` phase
+    record real solves only, and every later caller (certificates, the
+    service response, the fuzzer's relations) reuses the first value.
     """
-    tau = instance.slot_duration
-    profits: List[float] = []
-    costs: List[float] = []
-    var_sensor: List[int] = []
-    var_slot: List[int] = []
-    for i, data in enumerate(instance.sensors):
-        if data.window is None:
-            continue
-        slots = data.slot_indices()
-        for k in np.flatnonzero(data.rates > 0):
-            profits.append(float(data.rates[k]) * tau)
-            costs.append(float(data.powers[k]) * tau)
-            var_sensor.append(i)
-            var_slot.append(int(slots[k]))
-    num_vars = len(profits)
+    if instance._lp_bound is not None:
+        return instance._lp_bound
+    flat = instance.flat_pairs()
+    live = flat.rates > 0
+    num_vars = int(np.count_nonzero(live))
     if num_vars == 0:
+        instance._lp_bound = 0.0
         return 0.0
-    profits_arr = np.asarray(profits)
-    costs_arr = np.asarray(costs)
-    sensor_arr = np.asarray(var_sensor, dtype=np.int64)
-    slot_arr = np.asarray(var_slot, dtype=np.int64)
 
     n = instance.num_sensors
     t = instance.num_slots
-    rows = np.concatenate([slot_arr, t + sensor_arr])
-    cols = np.concatenate([np.arange(num_vars), np.arange(num_vars)])
-    data = np.concatenate([np.ones(num_vars), costs_arr])
+    rows = np.concatenate([flat.slot[live], t + flat.sensor[live]])
+    cols = np.tile(np.arange(num_vars), 2)
+    data = np.concatenate([np.ones(num_vars), flat.costs[live]])
     a_ub = coo_matrix((data, (rows, cols)), shape=(t + n, num_vars)).tocsr()
-    budgets = np.array([instance.budget_of(i) for i in range(n)])
-    b_ub = np.concatenate([np.ones(t), budgets])
+    b_ub = np.concatenate([np.ones(t), instance.budgets_array()])
     registry = get_registry()
     registry.inc("lp.calls")
     registry.set_gauge("lp.num_vars", num_vars)
     with phase("lp.dcmp_bound"):
         res = linprog(
-            c=-profits_arr, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
+            c=-flat.profits[live],
+            A_ub=a_ub,
+            b_ub=b_ub,
+            bounds=(0.0, 1.0),
+            method="highs",
         )
     registry.set_gauge("lp.status", int(res.status))
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"DCMP LP relaxation failed: {res.message}")
-    return float(-res.fun)
+    instance._lp_bound = float(-res.fun)
+    return instance._lp_bound

@@ -24,9 +24,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_logger, get_registry, phase
-from repro.sim.algorithms import get_algorithm
+from repro.sim.batch import TourSpec, run_tours
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import run_tour
 
 _log = get_logger("experiments.sweep")
 
@@ -187,29 +186,25 @@ def _derive_seed(root_seed: int, key: Tuple[int, ...], repeat: int) -> int:
 def _run_unit(
     args: Tuple[ScenarioConfig, Tuple[str, ...], Tuple[Tuple[str, object], ...], int, int]
 ) -> List[SweepRecord]:
-    """Worker: one topology, all of the point's algorithms."""
+    """Worker: one topology, all of the point's algorithms, solved over
+    one shared instance by :func:`~repro.sim.batch.run_tours`."""
     config, algorithms, label, repeat, seed = args
     get_registry().inc("sweep.units")
     with phase("sweep.unit"):
-        scenario = config.build(seed=seed)
-        out: List[SweepRecord] = []
-        for name in algorithms:
-            algorithm = get_algorithm(name)
-            result = run_tour(scenario, algorithm, mutate=False)
-            messages = result.messages.total_messages if result.messages else 0
-            out.append(
-                SweepRecord(
-                    label=label,
-                    algorithm=name,
-                    repeat=repeat,
-                    seed=seed,
-                    collected_bits=result.collected_bits,
-                    collected_megabits=result.collected_megabits,
-                    wall_time=result.wall_time,
-                    total_messages=messages,
-                )
-            )
-    return out
+        results = run_tours([TourSpec(config, name, seed) for name in algorithms])
+    return [
+        SweepRecord(
+            label=label,
+            algorithm=name,
+            repeat=repeat,
+            seed=seed,
+            collected_bits=result.collected_bits,
+            collected_megabits=result.collected_megabits,
+            wall_time=result.wall_time,
+            total_messages=result.messages.total_messages if result.messages else 0,
+        )
+        for name, result in zip(algorithms, results)
+    ]
 
 
 def run_sweep(

@@ -27,13 +27,15 @@ client-visible response bodies.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
+from repro.core.instance import DataCollectionInstance
 from repro.core.lp import dcmp_lp_upper_bound
 from repro.obs.profiling import DeepProfiler, use_profiler
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.tracing import Tracer, use_tracer
 from repro.sim.algorithms import get_algorithm
+from repro.sim.batch import TourSpec, solve_by_deployment
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.simulator import run_tour
 from repro.verify.certificate import certify
@@ -60,38 +62,29 @@ FOLDED_STACKS_KEY = "folded_stacks"
 
 
 def _solve_one(
-    scenario: Scenario,
-    instance,
-    lp_bound_bits: float,
-    config: ScenarioConfig,
-    algorithm: str,
-    seed: Optional[int],
-    want_certificate: bool,
+    spec: TourSpec, scenario: Scenario, instance: DataCollectionInstance
 ) -> dict:
-    """One solve over an already-built scenario/instance/LP bound.
+    """One solve over a prepared deployment: the per-solve response document.
 
-    The single source of the per-solve response document: both
-    :func:`solve_payload` and every item of :func:`solve_batch_payload`
-    assemble their client-visible bodies here, so batch item results
-    are interchangeable with single-solve results (and their cache
-    entries interoperate).
+    The LP bound is priced before the tour and the certificate made
+    after it, both outside ``tour.total``, so the worker timers
+    ``tour.total``, ``lp.dcmp_bound`` and ``verify.certify`` stay
+    disjoint.  The bound is memoised on the shared instance: the first
+    solve of a deployment pays for it, the rest (and the certificate)
+    reuse it.
     """
+    lp_bound_bits = dcmp_lp_upper_bound(instance)
     result = run_tour(
-        scenario, get_algorithm(algorithm), mutate=False, instance=instance
+        scenario, get_algorithm(spec.algorithm), mutate=False, instance=instance
     )
     certificate = None
-    if want_certificate:
-        certificate = certify(
-            instance,
-            result.allocation,
-            algorithm=algorithm,
-            lp_bound_bits=lp_bound_bits,
-        )
+    if spec.certify:
+        certificate = certify(instance, result.allocation, algorithm=spec.algorithm)
     messages = result.messages.summary() if result.messages is not None else None
     doc = {
-        "algorithm": algorithm,
-        "seed": seed,
-        "scenario": config.to_dict(),
+        "algorithm": spec.algorithm,
+        "seed": spec.seed,
+        "scenario": spec.config.to_dict(),
         "collected_bits": float(result.collected_bits),
         "collected_megabits": float(result.collected_megabits),
         "lp_bound_bits": lp_bound_bits,
@@ -126,6 +119,27 @@ def _solve_one(
     return doc
 
 
+def _solve_items(items: List[dict]) -> List[dict]:
+    """Response documents of validated solve payloads, in item order.
+
+    Items are grouped by deployment through
+    :func:`~repro.sim.batch.solve_by_deployment`, so single and batch
+    solves share one path and every item document is the one a single
+    :func:`solve_payload` would produce (modulo wall-clock profile
+    numbers).
+    """
+    specs = [
+        TourSpec(
+            ScenarioConfig.from_dict(item["scenario"]),
+            item["algorithm"],
+            item.get("seed"),
+            bool(item.get("certify")),
+        )
+        for item in items
+    ]
+    return solve_by_deployment(specs, _solve_one)
+
+
 def solve_payload(payload: dict) -> dict:
     """Solve one request payload; returns the JSON-ready result dict.
 
@@ -139,14 +153,10 @@ def solve_payload(payload: dict) -> dict:
     already-computed LP bound is reused, so certification adds one
     constraint sweep, not a second LP solve.  When the scenario config
     carries a ``planner`` block the response gains a ``"plan"`` summary
-    (kind, per-sink tour lengths, planner meta).
+    (kind, per-sink tour lengths, planner meta).  The solve runs as a
+    batch of one, so its worker metrics carry the ``batch.*`` names too.
     """
-    config = ScenarioConfig.from_dict(payload["scenario"])
-    algorithm = payload["algorithm"]
-    seed = payload.get("seed")
     capture_trace = bool(payload.get("trace"))
-    want_certificate = bool(payload.get("certify"))
-
     registry = MetricsRegistry()
     tracer = Tracer() if capture_trace else None
     # memory=False keeps tracemalloc (a process-wide interpreter hook)
@@ -158,13 +168,7 @@ def solve_payload(payload: dict) -> dict:
             stack.enter_context(use_tracer(tracer))
         if profiler is not None:
             stack.enter_context(use_profiler(profiler))
-        scenario = config.build(seed=seed)
-        instance = scenario.instance()
-        lp_bound_bits = float(dcmp_lp_upper_bound(instance))
-        doc = _solve_one(
-            scenario, instance, lp_bound_bits, config, algorithm, seed,
-            want_certificate,
-        )
+        (doc,) = _solve_items([payload])
 
     doc[WORKER_METRICS_KEY] = registry.dump()
     if tracer is not None:
@@ -182,41 +186,14 @@ def solve_batch_payload(payload: dict) -> dict:
     slow-request capture).  Items are grouped by ``(scenario config,
     seed)``: each distinct deployment is built **once** — topology,
     DCMP instance, derived arrays and the LP upper bound are all shared
-    across that deployment's algorithms — and each item is then solved
-    by :func:`_solve_one`, so every per-item document is byte-identical
-    to what a single :func:`solve_payload` call would have produced
+    across that deployment's algorithms — and every per-item document
+    is the one a single :func:`solve_payload` call would have produced
     (modulo wall-clock profile numbers).  Results come back in item
     order.  The whole batch runs under one recording registry whose
     dump travels back under :data:`WORKER_METRICS_KEY` (top level only;
     items carry no internal keys).
     """
-    items = payload["items"]
-    parsed: List[Tuple[ScenarioConfig, str, Optional[int], bool]] = [
-        (
-            ScenarioConfig.from_dict(item["scenario"]),
-            item["algorithm"],
-            item.get("seed"),
-            bool(item.get("certify")),
-        )
-        for item in items
-    ]
-    groups: Dict[Tuple[ScenarioConfig, Optional[int]], List[int]] = {}
-    for position, (config, _, seed, _) in enumerate(parsed):
-        groups.setdefault((config, seed), []).append(position)
-
     registry = MetricsRegistry()
-    results: List[Optional[dict]] = [None] * len(parsed)
     with use_registry(registry):
-        registry.inc("batch.groups", len(groups))
-        registry.inc("batch.tours", len(parsed))
-        for (config, seed), positions in groups.items():
-            scenario = config.build(seed=seed)
-            instance = scenario.instance()
-            lp_bound_bits = float(dcmp_lp_upper_bound(instance))
-            for position in positions:
-                _, algorithm, _, want_certificate = parsed[position]
-                results[position] = _solve_one(
-                    scenario, instance, lp_bound_bits, config, algorithm,
-                    seed, want_certificate,
-                )
+        results = _solve_items(payload["items"])
     return {"results": results, WORKER_METRICS_KEY: registry.dump()}

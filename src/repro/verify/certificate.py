@@ -372,7 +372,6 @@ def certify(
     instance: DataCollectionInstance,
     allocation: Allocation,
     algorithm: Optional[str] = None,
-    lp_bound: bool = True,
     lp_bound_bits: Optional[float] = None,
     exact_cell_limit: int = DEFAULT_EXACT_CELL_LIMIT,
     exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES,
@@ -389,11 +388,12 @@ def certify(
         Registered algorithm name that produced the allocation; selects
         the proven ratio from :data:`RATIO_GUARANTEES` (if any) for the
         ``approximation_guarantee`` check.
-    lp_bound:
-        Compute the DCMP LP upper bound (cheap but not free; pass
-        ``False`` for hot loops that only need feasibility).
     lp_bound_bits:
-        Reuse an already-computed LP bound instead of re-solving.
+        An LP bound the caller already holds (perfbench's in-process
+        replay passes the one it timed).  Without it the bound comes
+        from :func:`~repro.core.lp.dcmp_lp_upper_bound`, which is
+        memoised on the instance, so certifying several allocations of
+        one instance solves the LP once.
     exact_cell_limit:
         Attempt the brute-force optimum only when ``T·n`` is at most
         this many cells (the oracle is exponential).
@@ -413,31 +413,27 @@ def certify(
         checks, objective = _constraint_checks(instance, allocation)
         horizon_ok = checks[0].passed
 
-        bound: Optional[float] = None
-        if lp_bound_bits is not None:
-            bound = float(lp_bound_bits)
-        elif lp_bound:
-            bound = float(dcmp_lp_upper_bound(instance))
-        if bound is not None:
-            tol = _ATOL + 1e-9 * max(1.0, abs(bound))
-            slack = bound - objective
-            checks.append(
-                CheckResult(
-                    "lp_upper_bound",
-                    objective <= bound + tol,
-                    slack=slack,
-                    detail=(
-                        f"objective {objective:.6g} <= LP bound {bound:.6g} bits"
-                        if objective <= bound + tol
-                        else f"objective {objective:.6g} EXCEEDS LP bound {bound:.6g} bits"
-                    ),
-                    violations=(
-                        ()
-                        if objective <= bound + tol
-                        else ({"objective_bits": objective, "lp_bound_bits": bound},)
-                    ),
-                )
+        bound = float(
+            dcmp_lp_upper_bound(instance) if lp_bound_bits is None else lp_bound_bits
+        )
+        tol = _ATOL + 1e-9 * max(1.0, abs(bound))
+        checks.append(
+            CheckResult(
+                "lp_upper_bound",
+                objective <= bound + tol,
+                slack=bound - objective,
+                detail=(
+                    f"objective {objective:.6g} <= LP bound {bound:.6g} bits"
+                    if objective <= bound + tol
+                    else f"objective {objective:.6g} EXCEEDS LP bound {bound:.6g} bits"
+                ),
+                violations=(
+                    ()
+                    if objective <= bound + tol
+                    else ({"objective_bits": objective, "lp_bound_bits": bound},)
+                ),
             )
+        )
 
         optimum: Optional[float] = None
         if horizon_ok and instance.num_slots * instance.num_sensors <= exact_cell_limit:

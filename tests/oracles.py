@@ -7,6 +7,9 @@ are *bit-identical* to the scalar semantics they replaced — same
 selections, same IEEE-754 accumulation order, same error behaviour —
 not merely "close".
 
+:func:`dcmp_lp_reference_bound` is the per-pair LP model the flat-pair
+bound replaced; both must reach the same optimum under ``==``.
+
 The matching oracles are independent solvers rather than re-traced
 loops: a successive-shortest-path min-cost flow (:class:`MinCostFlow`,
 :func:`mcmf_b_matching`), a dense assignment over left-node copies
@@ -29,6 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.gap import GapInstance, KnapsackSolver
@@ -40,6 +45,7 @@ __all__ = [
     "knapsack_few_weights_oracle",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
+    "dcmp_lp_reference_bound",
     "MinCostFlow",
     "mcmf_b_matching",
     "lsa_b_matching",
@@ -276,6 +282,56 @@ def allocation_stats_oracle(
                 f"{energy[sensor] - budgets[sensor]:.3e} J"
             )
     return collected, energy, bits, problems
+
+
+# ----------------------------------------------------------------------
+# LP bound: the per-pair model
+# ----------------------------------------------------------------------
+def dcmp_lp_reference_bound(instance: DataCollectionInstance) -> float:
+    """Reference for :func:`repro.core.lp.dcmp_lp_upper_bound`.
+
+    Assembles the DCMP LP relaxation one positive-rate (sensor, slot)
+    pair at a time from the per-sensor views, with the scalar
+    ``budget_of`` accessor, and solves it with HiGHS.  Variables come in
+    the production model's order (sensor-major, slots ascending), so the
+    two models are the same LP and their optima compare with ``==``.
+    Never memoised and never recorded on a registry.
+    """
+    tau = instance.slot_duration
+    profits: List[float] = []
+    costs: List[float] = []
+    var_sensor: List[int] = []
+    var_slot: List[int] = []
+    for i, data in enumerate(instance.sensors):
+        if data.window is None:
+            continue
+        slots = data.slot_indices()
+        for k in np.flatnonzero(data.rates > 0):
+            profits.append(float(data.rates[k]) * tau)
+            costs.append(float(data.powers[k]) * tau)
+            var_sensor.append(i)
+            var_slot.append(int(slots[k]))
+    num_vars = len(profits)
+    if num_vars == 0:
+        return 0.0
+    n = instance.num_sensors
+    t = instance.num_slots
+    rows = np.concatenate(
+        [np.asarray(var_slot, dtype=np.int64), t + np.asarray(var_sensor, dtype=np.int64)]
+    )
+    cols = np.concatenate([np.arange(num_vars), np.arange(num_vars)])
+    data = np.concatenate([np.ones(num_vars), np.asarray(costs)])
+    a_ub = coo_matrix((data, (rows, cols)), shape=(t + n, num_vars)).tocsr()
+    budgets = np.array([instance.budget_of(i) for i in range(n)])
+    res = linprog(
+        c=-np.asarray(profits),
+        A_ub=a_ub,
+        b_ub=np.concatenate([np.ones(t), budgets]),
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 # ----------------------------------------------------------------------

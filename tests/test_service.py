@@ -40,6 +40,11 @@ from repro.service import (
     parse_solve_request,
     solve_cache_key,
 )
+from repro.service.worker import (
+    WORKER_METRICS_KEY,
+    solve_batch_payload,
+    solve_payload,
+)
 from repro.sim.algorithms import ALGORITHMS, requires_fixed_power
 
 SMALL = {"num_sensors": 30, "path_length": 1500.0}
@@ -883,6 +888,48 @@ class TestCache:
         assert len(keys) == 3
 
 
+class TestWorker:
+    """The worker entry points in-process: a single solve is a batch of
+    one, so batch items and single-solve documents agree field for
+    field (wall-clock ``profile`` numbers aside)."""
+
+    @staticmethod
+    def _payloads():
+        bodies = [
+            _solve_body(seed=seed, algorithm=name)
+            for seed in (21, 22)
+            for name in ("Offline_Appro", "Online_Appro", "Baseline[greedy_profit]")
+        ]
+        bodies[1]["certify"] = True
+        bodies.append(
+            _solve_body(
+                scenario={**SMALL, "max_offset": 300.0, "sink_speed": 10.0},
+                seed=21,
+                planner={"kind": "plane_sweep"},
+            )
+        )
+        return [parse_solve_request(body).payload() for body in bodies]
+
+    def test_batch_items_equal_single_solves(self):
+        payloads = self._payloads()
+        batch = solve_batch_payload({"items": payloads})
+        counters = batch[WORKER_METRICS_KEY]["counters"]
+        assert counters["batch.groups"] == 3
+        assert counters["lp.calls"] == 3
+        assert len(batch["results"]) == len(payloads)
+        for payload, item in zip(payloads, batch["results"]):
+            single = solve_payload(payload)
+            metrics = single.pop(WORKER_METRICS_KEY)
+            assert metrics["counters"]["lp.calls"] == 1
+            assert len(metrics["timers"]["batch.prepare"]) == 1
+            assert set(single) == set(item)
+            assert {k: v for k, v in single.items() if k != "profile"} == {
+                k: v for k, v in item.items() if k != "profile"
+            }
+        assert "certificate" in batch["results"][1]
+        assert batch["results"][-1]["plan"]["kind"] == "plane_sweep"
+
+
 class TestSolveBatch:
     """``POST /v1/solve-batch``: one job, per-scenario results, shared
     instance preparation, cache interoperability with ``/v1/solve``."""
@@ -959,6 +1006,26 @@ class TestSolveBatch:
         assert a["seed"] == 65 and b["seed"] == 66 and c["seed"] == 65
         # Different seeds genuinely produce different deployments.
         assert a["collected_bits"] != b["collected_bits"]
+
+    def test_batch_prepares_each_deployment_once(self, served):
+        port, service = served
+        registry = service.registry
+        prepared = registry.timer_stats("batch.prepare").count
+        solves = registry.counter("lp.calls")
+        body = {
+            "items": [
+                _solve_body(seed=67),
+                _solve_body(seed=68),
+                _solve_body(seed=67, algorithm="Baseline[greedy_profit]", certify=True),
+            ]
+        }
+        status, doc = _request(port, "/v1/solve-batch", "POST", body)
+        assert status == 200, doc
+        assert doc["cache_hits"] == 0
+        assert registry.timer_stats("batch.prepare").count == prepared + 2
+        assert registry.counter("lp.calls") == solves + 2
+        a, _, c = doc["results"]
+        assert c["certificate"]["lp_bound_bits"] == a["lp_bound_bits"]
 
     def test_validation_errors_name_the_item(self, served):
         port, _ = served
