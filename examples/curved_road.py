@@ -57,13 +57,16 @@ def main() -> None:
     normals = rng.uniform(-150.0, 150.0, size=len(arc))
     xy = on_road + np.column_stack([np.zeros_like(normals), normals])
 
-    profile = sunny_profile()
+    # Every node has the same 10 mm x 10 mm panel under the same sky, so
+    # they share one harvester: SensorNetwork.harvest integrates a window
+    # once for all of them.
+    harvester = SolarHarvester(sunny_profile(), 100.0)
     network = SensorNetwork.build(
         path,
         xy,
         battery_capacity=10_000.0,
         initial_charges=rng.uniform(0.5, 8.0, size=len(arc)),
-        harvester_factory=lambda i: SolarHarvester(profile, 100.0),
+        harvester_factory=lambda i: harvester,
     )
     trajectory = SinkTrajectory(path, speed=8.0, slot_duration=1.0)
     instance = DataCollectionInstance.from_network(

@@ -84,7 +84,11 @@ class SolarHarvester:
         return float(self.profile.power_density(t)) * self.panel_area_mm2
 
     def energy(self, t_start: float, t_end: float) -> float:
-        """Integrated panel energy (J) over the window."""
+        """Integrated panel energy (J) over the window.
+
+        Like :meth:`SolarDayProfile.energy_density`, ``t_start`` may be
+        an array of window starts sharing ``t_end`` (one energy each).
+        """
         return self.profile.energy_density(t_start, t_end) * self.panel_area_mm2
 
 

@@ -96,21 +96,58 @@ class SolarDayProfile:
             density = density * np.clip(self.attenuation(t_arr), 0.0, 1.0)
         return density
 
-    def energy_density(self, t_start: float, t_end: float, resolution: float = 60.0) -> float:
+    def energy_density(
+        self,
+        t_start: Union[float, np.ndarray],
+        t_end: float,
+        resolution: float = 60.0,
+    ) -> Union[float, np.ndarray]:
         """Energy density (J/mm²) harvested over ``[t_start, t_end]``.
 
         Integrated with the trapezoidal rule at ``resolution``-second
         sampling; the default (1 min) is far finer than any cloud or
         day/night feature, so the error is negligible for tour-scale
         windows.
+
+        ``t_start`` may also be an array of window starts sharing the
+        one end ``t_end``; the result is then an array with one density
+        per window.  All windows are sampled on one flat grid — each
+        window's samples are exactly those ``np.linspace(start, t_end,
+        n)`` gives — and each window's trapezoid terms are summed by
+        their own pairwise reduction, as ``np.trapezoid`` does, so every
+        entry equals the scalar call on that window bit for bit.
         """
-        if t_end < t_start:
-            raise ValueError(f"t_end {t_end} < t_start {t_start}")
-        if t_end == t_start:
-            return 0.0
-        n = max(int(np.ceil((t_end - t_start) / resolution)), 1) + 1
-        grid = np.linspace(t_start, t_end, n)
-        return float(np.trapezoid(self.power_density(grid), grid))
+        starts = np.asarray(t_start, dtype=np.float64)
+        scalar = starts.ndim == 0
+        starts = starts.reshape(-1)
+        if starts.size == 0:
+            return np.zeros(0)
+        latest = float(starts.max())
+        if latest > t_end:
+            raise ValueError(f"t_end {t_end} < t_start {latest}")
+        spans = t_end - starts
+        counts = np.maximum(np.ceil(spans / resolution).astype(np.int64), 1) + 1
+        ends = np.cumsum(counts)
+        offsets = ends - counts
+        # Window i's grid is offsets[i]..ends[i]-1: local index k times
+        # the window's step plus its start, the last sample pinned to
+        # t_end, as np.linspace computes it.
+        local = np.arange(ends[-1]) - np.repeat(offsets, counts)
+        grid = local * np.repeat(spans / (counts - 1), counts) + np.repeat(starts, counts)
+        grid[ends - 1] = t_end
+        bounds = list(zip(offsets.tolist(), ends.tolist()))
+        if self.attenuation is None:
+            density = self.power_density(grid)
+        else:
+            # An attenuation callable may round differently with the
+            # length of its input (the cloudy profile's harmonic sum is
+            # a BLAS dot), so it sees one window at a time.
+            density = np.concatenate([self.power_density(grid[a:b]) for a, b in bounds])
+        # The trapezoid terms of consecutive samples; the terms that
+        # straddle two windows are never summed.
+        terms = np.diff(grid) * (density[1:] + density[:-1]) / 2.0
+        totals = np.array([np.add.reduce(terms[a : b - 1]) for a, b in bounds])
+        return float(totals[0]) if scalar else totals
 
     def daily_energy_density(self) -> float:
         """Clear-sky closed form: ∫ one day = peak · day_length · 2/π (J/mm²).

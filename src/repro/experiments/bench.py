@@ -37,14 +37,15 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.planning import PlannerConfig
 from repro.sim.algorithms import ALGORITHMS, get_algorithm, requires_fixed_power
 from repro.sim.batch import TourSpec, run_tours
+from repro.sim.results import TourResult
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import run_tour
+from repro.sim.simulator import run_tour, simulate_tours
 
 __all__ = [
     "BENCH_FORMAT",
@@ -108,6 +109,16 @@ BATCH_ALGORITHMS: Tuple[str, ...] = (
 #: (num_sensors, path_length) of the ``Batch[mixed]`` cell (both grids).
 BATCH_GRID: Tuple[Tuple[int, float], ...] = ((600, 10_000.0),)
 
+#: Perpetual cells: (algorithm, num_sensors, path_length), in both
+#: grids.  Each plays :data:`PERPETUAL_TOURS` tours through
+#: ``simulate_tours`` from 17:00 with a 3 h rest after each 2,000 s
+#: tour — dusk into night — so the ledger sees the battery debit and
+#: the harvest credit of the energy update on real harvest windows.
+PERPETUAL_GRID: Tuple[Tuple[str, int, float], ...] = (("Offline_Appro", 300, 10_000.0),)
+PERPETUAL_TOURS = 4
+PERPETUAL_START_S = 17 * 3600.0
+PERPETUAL_REST_S = 3 * 3600.0
+
 
 def _git(*args: str) -> Optional[str]:
     """Output of one git command, or ``None`` when unavailable."""
@@ -141,35 +152,41 @@ def git_provenance() -> Dict[str, object]:
     }
 
 
-def _bench_cell(
+def _measure_cell(
     name: str,
     config: ScenarioConfig,
     seed: int,
     repeat: int,
-    extra_phases: Sequence[str] = (),
+    run: Callable[[], Sequence[TourResult]],
+    timer_phases: Optional[Dict[str, str]] = None,
 ) -> Dict[str, object]:
-    """Run one (algorithm, config) cell ``repeat`` times; best-of entry.
+    """Run one cell ``repeat`` times; best-of entry.
 
-    ``extra_phases`` names registry timers (e.g. ``planner.plan``)
-    promoted into the entry's ``profile`` block as ``<stem>_s`` phases
-    so the compare gate grades them like any other wall metric.
+    ``run`` builds the cell's deployment and plays its tours under a
+    fresh recording registry.  The entry sums ``collected_megabits`` and
+    every ``profile`` phase over those tours, and promotes the
+    ``scenario.build`` timer to the ``scenario_build_s`` phase, plus
+    each ``{phase: timer}`` of ``timer_phases`` (e.g. ``plan_s`` from
+    ``planner.plan``), so the compare gate grades them like any other
+    wall metric.  ``wall_s`` spans the whole run.
     """
-    algorithm = PLANNER_ALGORITHM if name.startswith("Planner[") else name
-    runs: List[Tuple[float, Dict[str, object], object, Dict[str, float]]] = []
+    timers = {"scenario_build_s": "scenario.build", **(timer_phases or {})}
+    runs: List[Tuple[float, Dict[str, object], Sequence[TourResult], Dict[str, float]]] = []
     for _ in range(repeat):
         registry = MetricsRegistry()
         t0 = time.perf_counter()
         with use_registry(registry):
-            scenario = config.build(seed=seed)
-            result = run_tour(scenario, get_algorithm(algorithm), mutate=False)
+            tours = run()
         wall_s = time.perf_counter() - t0
-        phases = {
-            timer.rsplit(".", 1)[-1] + "_s": registry.timer_stats(timer).total
-            for timer in extra_phases
-        }
-        runs.append((wall_s, registry.snapshot(), result, phases))
+        phases = {key: registry.timer_stats(timer).total for key, timer in timers.items()}
+        runs.append((wall_s, registry.snapshot(), tours, phases))
     walls = sorted(wall for wall, _, _, _ in runs)
-    best_wall, snapshot, result, phases = min(runs, key=lambda run: run[0])
+    best_wall, snapshot, tours, phases = min(runs, key=lambda run: run[0])
+    profile: Dict[str, float] = {}
+    for tour in tours:
+        for phase, seconds in tour.profile.items():
+            profile[phase] = profile.get(phase, 0.0) + float(seconds)
+    profile.update((key, float(seconds)) for key, seconds in phases.items())
     entry: Dict[str, object] = {
         "algorithm": name,
         "num_sensors": config.num_sensors,
@@ -177,8 +194,8 @@ def _bench_cell(
         "fixed_power": config.fixed_power,
         "seed": seed,
         "wall_s": best_wall,
-        "collected_megabits": float(result.collected_megabits),
-        "profile": {**{k: float(v) for k, v in result.profile.items()}, **phases},
+        "collected_megabits": float(sum(tour.collected_megabits for tour in tours)),
+        "profile": profile,
         "counters": snapshot["counters"],
         "timers": snapshot["timers"],
     }
@@ -190,6 +207,26 @@ def _bench_cell(
             "max_s": walls[-1],
         }
     return entry
+
+
+def _bench_cell(
+    name: str,
+    config: ScenarioConfig,
+    seed: int,
+    repeat: int,
+    timer_phases: Optional[Dict[str, str]] = None,
+) -> Dict[str, object]:
+    """One build and one ``mutate=False`` tour of ``name`` (planner
+    cells solve with :data:`PLANNER_ALGORITHM`)."""
+    algorithm = PLANNER_ALGORITHM if name.startswith("Planner[") else name
+    return _measure_cell(
+        name,
+        config,
+        seed,
+        repeat,
+        lambda: [run_tour(config.build(seed=seed), get_algorithm(algorithm), mutate=False)],
+        timer_phases,
+    )
 
 
 def _bench_batch_cell(
@@ -204,48 +241,50 @@ def _bench_batch_cell(
     ``collected_megabits`` and the ``profile`` phases are summed across
     the batch's tours (so the output gate covers every algorithm at
     once); the shared per-deployment build cost appears as the
-    ``prepare_s`` phase.  ``wall_s`` spans the whole batch.
+    ``prepare_s`` phase, which contains ``scenario_build_s``.
     """
     config = ScenarioConfig(num_sensors=num_sensors, path_length=path_length)
     specs = [TourSpec(config=config, algorithm=name, seed=seed) for name in BATCH_ALGORITHMS]
-    runs: List[Tuple[float, Dict[str, object], list, float]] = []
-    for _ in range(repeat):
-        registry = MetricsRegistry()
-        t0 = time.perf_counter()
-        with use_registry(registry):
-            results = run_tours(specs)
-        wall_s = time.perf_counter() - t0
-        prepare_s = registry.timer_stats("batch.prepare").total
-        runs.append((wall_s, registry.snapshot(), results, prepare_s))
-    walls = sorted(wall for wall, _, _, _ in runs)
-    best_wall, snapshot, results, prepare_s = min(runs, key=lambda run: run[0])
-    profile: Dict[str, float] = {}
-    for result in results:
-        for phase, seconds in result.profile.items():
-            profile[phase] = profile.get(phase, 0.0) + float(seconds)
-    profile["prepare_s"] = float(prepare_s)
-    entry: Dict[str, object] = {
-        "algorithm": "Batch[mixed]",
-        "num_sensors": config.num_sensors,
-        "path_length": config.path_length,
-        "fixed_power": config.fixed_power,
-        "seed": seed,
-        "wall_s": best_wall,
-        "collected_megabits": float(
-            sum(result.collected_megabits for result in results)
-        ),
-        "profile": profile,
-        "counters": snapshot["counters"],
-        "timers": snapshot["timers"],
-    }
-    if repeat > 1:
-        entry["wall_stats"] = {
-            "repeats": repeat,
-            "min_s": walls[0],
-            "median_s": statistics.median(walls),
-            "max_s": walls[-1],
-        }
-    return entry
+    return _measure_cell(
+        "Batch[mixed]",
+        config,
+        seed,
+        repeat,
+        lambda: run_tours(specs),
+        {"prepare_s": "batch.prepare"},
+    )
+
+
+def _bench_perpetual_cell(
+    name: str,
+    num_sensors: int,
+    path_length: float,
+    seed: int,
+    repeat: int,
+) -> Dict[str, object]:
+    """A ``Perpetual[<algorithm>]`` cell: :data:`PERPETUAL_TOURS` tours
+    of one deployment through :func:`repro.sim.simulator.simulate_tours`
+    from :data:`PERPETUAL_START_S`, resting :data:`PERPETUAL_REST_S`
+    after each, so every tour debits and recharges the batteries.
+
+    ``collected_megabits`` and the ``profile`` phases are summed over
+    the tours, as in ``Batch[mixed]``.
+    """
+    config = ScenarioConfig(
+        num_sensors=num_sensors, path_length=path_length, start_time=PERPETUAL_START_S
+    )
+    return _measure_cell(
+        f"Perpetual[{name}]",
+        config,
+        seed,
+        repeat,
+        lambda: simulate_tours(
+            config.build(seed=seed),
+            get_algorithm(name),
+            PERPETUAL_TOURS,
+            rest_time=PERPETUAL_REST_S,
+        ).tours,
+    )
 
 
 def run_bench(
@@ -278,7 +317,13 @@ def run_bench(
     shared instance) join the same way via ``scale_grid`` /
     ``batch_grid``.  When ``grid`` or ``algorithms`` is overridden,
     these extra cells only run if their grid is given explicitly —
-    shrunk test runs stay shrunk.
+    shrunk test runs stay shrunk.  The ``Perpetual[...]`` cells
+    (:data:`PERPETUAL_GRID`, several battery-writing tours of one
+    deployment) run only in the default grids.
+
+    Every cell's ``profile`` carries ``scenario_build_s``, the
+    ``scenario.build`` timer, next to the tour phases, so the build is
+    a graded wall phase like the rest of the pipeline.
     """
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
@@ -315,7 +360,7 @@ def run_bench(
                 config,
                 seed,
                 repeat,
-                extra_phases=("planner.plan",),
+                {"plan_s": "planner.plan"},
             )
         )
     for name, num_sensors, path_length in scale_grid or ():
@@ -327,6 +372,9 @@ def run_bench(
         entries.append(_bench_cell(name, config, seed, repeat))
     for num_sensors, path_length in batch_grid or ():
         entries.append(_bench_batch_cell(num_sensors, path_length, seed, repeat))
+    if grid is None and algorithms is None:
+        for name, num_sensors, path_length in PERPETUAL_GRID:
+            entries.append(_bench_perpetual_cell(name, num_sensors, path_length, seed, repeat))
     return {
         "format": BENCH_FORMAT,
         "version": BENCH_VERSION,

@@ -11,7 +11,7 @@ construction never loops in Python over per-sensor attribute lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,6 +117,28 @@ class SensorNetwork:
     def charges(self) -> np.ndarray:
         """``(n,)`` current battery charges (J)."""
         return np.array([s.battery.charge for s in self._sensors])
+
+    def harvest(self, t_start: float, t_end: float) -> np.ndarray:
+        """``(n,)`` energy (J) each node harvests over the absolute time
+        window ``[t_start, t_end]`` seconds; 0 for a node without a
+        harvester.
+
+        Nodes may share one harvest model (a scenario's nodes share one
+        panel under one profile), so ``energy`` is called once per
+        distinct model object and its value given to every node that
+        holds it.
+        """
+        by_model: Dict[int, float] = {}
+        gains = []
+        for sensor in self._sensors:
+            model = sensor.harvester
+            if model is None:
+                gains.append(0.0)
+                continue
+            if id(model) not in by_model:
+                by_model[id(model)] = model.energy(t_start, t_end)
+            gains.append(by_model[id(model)])
+        return np.array(gains, dtype=np.float64)
 
     def budgets(self, policy: Optional[BudgetPolicy] = None, tour_index: int = 0) -> np.ndarray:
         """``(n,)`` per-tour energy budgets under ``policy``.

@@ -53,13 +53,6 @@ class Sensor:
         """Position as a ``(2,)`` array."""
         return self.position.as_array()
 
-    def harvested_energy(self, t_start: float, t_end: float) -> float:
-        """Energy (J) harvested over the absolute time window
-        ``[t_start, t_end]`` seconds; 0 without a harvester."""
-        if self.harvester is None:
-            return 0.0
-        return self.harvester.energy(t_start, t_end)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Sensor(id={self.node_id}, x={self.position.x:.1f}, y={self.position.y:.1f}, "

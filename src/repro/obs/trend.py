@@ -70,10 +70,12 @@ _BENCH_FORMAT = "repro.bench"
 #: ``plan_s`` only appears in planner cells; a phase a cell lacks is
 #: skipped.
 WALL_PHASES: Tuple[str, ...] = (
+    "scenario_build_s",
     "plan_s",
     "instance_build_s",
     "solve_s",
     "verify_s",
+    "energy_update_s",
     "total_s",
 )
 

@@ -258,16 +258,14 @@ class Scenario:
             )
             path = self.plan.path
 
-        profile = None
+        # Every node carries the same panel under the same sky, so the
+        # nodes share one harvester: a harvest window is integrated once
+        # for the whole network (SensorNetwork.harvest).
+        harvester = None
         if config.weather == "sunny":
-            profile = sunny_profile()
+            harvester = SolarHarvester(sunny_profile(), config.panel_area_mm2)
         elif config.weather == "cloudy":
-            profile = cloudy_profile(seed=0)
-
-        def harvester_factory(node_id: int):
-            if profile is None:
-                return None
-            return SolarHarvester(profile, config.panel_area_mm2)
+            harvester = SolarHarvester(cloudy_profile(seed=0), config.panel_area_mm2)
 
         # Initial charge: harvest accumulated over U(lo, hi) daylight
         # hours ending at solar noon (the brightest stretch, a mild
@@ -275,16 +273,9 @@ class Scenario:
         energy_rng = stream.child("energy").generator
         lo, hi = config.accumulation_hours
         hours = energy_rng.uniform(lo, hi, size=config.num_sensors)
-        if profile is not None:
+        if harvester is not None:
             noon = 12.0 * 3600.0
-            charges = np.array(
-                [
-                    SolarHarvester(profile, config.panel_area_mm2).energy(
-                        noon - h * 3600.0, noon
-                    )
-                    for h in hours
-                ]
-            )
+            charges = harvester.energy(noon - hours * 3600.0, noon)
         else:
             # Without harvesting, interpret "hours" against the sunny
             # profile's average power so the two regimes are comparable.
@@ -298,7 +289,7 @@ class Scenario:
             positions,
             battery_capacity=config.battery_capacity,
             initial_charges=charges,
-            harvester_factory=harvester_factory if profile is not None else None,
+            harvester_factory=(lambda node_id: harvester) if harvester is not None else None,
         )
         self.trajectory = SinkTrajectory(
             path, config.sink_speed, config.slot_duration

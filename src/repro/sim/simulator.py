@@ -127,12 +127,12 @@ def run_tour(
             spilled = np.zeros(instance.num_sensors)
             if mutate:
                 window_end = start_time + tour_duration + rest_time
-                for i, sensor in enumerate(scenario.network.sensors):
-                    sensor.battery.withdraw(min(float(spent[i]), sensor.battery.charge))
-                    gain = sensor.harvested_energy(start_time, window_end)
-                    harvested[i] = gain
-                    stored = sensor.battery.deposit(gain)
-                    spilled[i] = gain - stored
+                harvested = scenario.network.harvest(start_time, window_end)
+                for i, (sensor, cost, gain) in enumerate(
+                    zip(scenario.network.sensors, spent.tolist(), harvested.tolist())
+                ):
+                    sensor.battery.withdraw(min(cost, sensor.battery.charge))
+                    spilled[i] = gain - sensor.battery.deposit(gain)
 
     result = TourResult(
         tour_index=tour_index,

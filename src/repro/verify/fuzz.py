@@ -315,14 +315,21 @@ def check_instance(
             )
 
     if relations:
-        findings.extend(_check_relations(instance, gamma, algorithms))
+        findings.extend(_check_relations(instance, gamma, algorithms, allocations))
     return findings
 
 
 def _check_relations(
-    instance: DataCollectionInstance, gamma: int, algorithms: Mapping[str, Any]
+    instance: DataCollectionInstance,
+    gamma: int,
+    algorithms: Mapping[str, Any],
+    allocations: Mapping[str, Any],
 ) -> List[FuzzFinding]:
-    """The metamorphic pass: transform the instance, re-solve, compare."""
+    """The metamorphic pass: transform the instance, re-solve, compare.
+
+    ``allocations`` holds what :func:`check_instance` already solved on
+    the base instance, so the base objectives are read, not re-solved.
+    """
     from repro.core.lp import dcmp_lp_upper_bound
 
     findings: List[FuzzFinding] = []
@@ -331,15 +338,14 @@ def _check_relations(
     }
     if not solvers:
         return findings
+    if any(name not in allocations for name in solvers):
+        return findings  # a solver crashed; the certificate pass reported it
     base_bound = dcmp_lp_upper_bound(instance)
-    base_objectives: Dict[str, float] = {}
-    for name, algo in solvers.items():
-        try:
-            base_objectives[name] = _run_algorithm(algo, instance, gamma).collected_bits(
-                instance
-            )
-        except Exception:  # already reported by the certificate pass
-            return findings
+    base_objectives = {
+        name: allocations[name].collected_bits(instance)
+        for name in solvers
+        if name in _EXACT_ALGORITHMS
+    }
 
     for relation, (transform, bound_factor) in _RELATIONS.items():
         transformed = transform(instance)

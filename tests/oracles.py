@@ -10,6 +10,12 @@ not merely "close".
 :func:`dcmp_lp_reference_bound` is the per-pair LP model the flat-pair
 bound replaced; both must reach the same optimum under ``==``.
 
+The harvest references are the per-sensor loops one shared integral
+replaced: :func:`energy_density_reference` is the one-window
+``linspace`` + ``trapezoid`` integral, :func:`initial_charges_reference`
+the per-sensor initial-charge list of a scenario build, and
+:func:`simulate_tours_reference` the per-sensor energy update of a tour.
+
 The matching oracles are independent solvers rather than re-traced
 loops: a successive-shortest-path min-cost flow (:class:`MinCostFlow`,
 :func:`mcmf_b_matching`), a dense assignment over left-node copies
@@ -40,12 +46,18 @@ from repro.core.gap import GapInstance, KnapsackSolver
 from repro.core.instance import DataCollectionInstance
 from repro.core.matching import MatchingResult
 from repro.core.offline_maxmatch import fixed_power_of
+from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
+from repro.sim.scenario import ScenarioConfig
+from repro.utils.rng import RngStream
 
 __all__ = [
     "knapsack_few_weights_oracle",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
     "dcmp_lp_reference_bound",
+    "energy_density_reference",
+    "initial_charges_reference",
+    "simulate_tours_reference",
     "MinCostFlow",
     "mcmf_b_matching",
     "lsa_b_matching",
@@ -332,6 +344,89 @@ def dcmp_lp_reference_bound(instance: DataCollectionInstance) -> float:
     )
     assert res.success, res.message
     return float(-res.fun)
+
+
+# ----------------------------------------------------------------------
+# Harvest: one window, one sensor at a time
+# ----------------------------------------------------------------------
+def energy_density_reference(
+    profile: SolarDayProfile, t_start: float, t_end: float, resolution: float = 60.0
+) -> float:
+    """Reference for one window of :meth:`SolarDayProfile.energy_density`:
+    ``np.trapezoid`` over this window's own ``np.linspace`` grid."""
+    if t_end < t_start:
+        raise ValueError(f"t_end {t_end} < t_start {t_start}")
+    if t_end == t_start:
+        return 0.0
+    n = max(int(np.ceil((t_end - t_start) / resolution)), 1) + 1
+    grid = np.linspace(t_start, t_end, n)
+    return float(np.trapezoid(profile.power_density(grid), grid))
+
+
+def initial_charges_reference(config: ScenarioConfig, seed: Optional[int]) -> np.ndarray:
+    """Reference for a scenario's initial battery charges: one solar
+    integral per sensor over its own accumulation window."""
+    lo, hi = config.accumulation_hours
+    hours = (
+        RngStream.from_seed(seed).child("energy").generator.uniform(
+            lo, hi, size=config.num_sensors
+        )
+    )
+    area = config.panel_area_mm2
+    noon = 12.0 * 3600.0
+    if config.weather == "none":
+        mean_power = (
+            energy_density_reference(sunny_profile(), 0.0, 48 * 3600.0) * area / (48 * 3600.0)
+        )
+        charges = hours * 3600.0 * mean_power
+    else:
+        profile = sunny_profile() if config.weather == "sunny" else cloudy_profile(seed=0)
+        charges = np.array(
+            [energy_density_reference(profile, noon - h * 3600.0, noon) * area for h in hours]
+        )
+    return np.minimum(charges, config.battery_capacity)
+
+
+def simulate_tours_reference(
+    scenario, algorithm, num_tours: int, rest_time: float = 0.0
+) -> List[Dict[str, object]]:
+    """Reference for ``simulate_tours``: each tour's energy update debits
+    and credits one sensor at a time, integrating each sensor's harvest
+    on its own.  Mutates ``scenario``'s batteries; returns per tour the
+    budgets, the collected bits and the spent/harvested/spilled arrays.
+    """
+    tours = []
+    duration = scenario.trajectory.tour_duration
+    for j in range(num_tours):
+        start = scenario.config.start_time + j * (duration + rest_time)
+        instance = scenario.instance(tour_index=j)
+        allocation, _messages = algorithm.run(instance, scenario.gamma)
+        spent = allocation.energy_spent(instance)
+        harvested = np.zeros(instance.num_sensors)
+        spilled = np.zeros(instance.num_sensors)
+        for i, sensor in enumerate(scenario.network.sensors):
+            sensor.battery.withdraw(min(float(spent[i]), sensor.battery.charge))
+            gain = 0.0
+            if sensor.harvester is not None:
+                gain = (
+                    energy_density_reference(
+                        sensor.harvester.profile, start, start + duration + rest_time
+                    )
+                    * sensor.harvester.panel_area_mm2
+                )
+            harvested[i] = gain
+            stored = sensor.battery.deposit(gain)
+            spilled[i] = gain - stored
+        tours.append(
+            {
+                "budgets": np.array(instance.budgets_array()),
+                "collected_bits": allocation.collected_bits(instance),
+                "energy_spent": spent,
+                "energy_harvested": harvested,
+                "energy_spilled": spilled,
+            }
+        )
+    return tours
 
 
 # ----------------------------------------------------------------------

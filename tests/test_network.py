@@ -32,14 +32,6 @@ class TestSensor:
         s = Sensor(0, Point(3.0, 4.0), Battery(10.0))
         np.testing.assert_array_equal(s.xy, [3.0, 4.0])
 
-    def test_harvested_energy_without_harvester(self):
-        s = Sensor(0, Point(0, 0), Battery(10.0))
-        assert s.harvested_energy(0.0, 100.0) == 0.0
-
-    def test_harvested_energy_with_harvester(self):
-        s = Sensor(0, Point(0, 0), Battery(10.0), ConstantHarvester(0.5))
-        assert s.harvested_energy(0.0, 100.0) == pytest.approx(50.0)
-
 
 class TestSensorNetwork:
     def test_build_basic(self, network):
@@ -97,3 +89,38 @@ class TestSensorNetwork:
         net = SensorNetwork(LinearPath(100.0), [])
         assert net.num_sensors == 0
         assert net.positions.shape == (0, 2)
+        assert net.harvest(0.0, 100.0).shape == (0,)
+
+    def test_harvest_without_harvester(self):
+        net = SensorNetwork(LinearPath(100.0), [Sensor(0, Point(0, 0), Battery(10.0))])
+        np.testing.assert_array_equal(net.harvest(0.0, 100.0), [0.0])
+
+    def test_harvest_with_harvester(self):
+        sensor = Sensor(0, Point(0, 0), Battery(10.0), ConstantHarvester(0.5))
+        net = SensorNetwork(LinearPath(100.0), [sensor])
+        assert net.harvest(0.0, 100.0)[0] == pytest.approx(50.0)
+
+    def test_harvest_calls_each_shared_model_once(self):
+        class Counting:
+            def __init__(self, power_w):
+                self.model = ConstantHarvester(power_w)
+                self.calls = 0
+
+            def power(self, t):
+                return self.model.power(t)
+
+            def energy(self, t_start, t_end):
+                self.calls += 1
+                return self.model.energy(t_start, t_end)
+
+        shared, first, second = Counting(0.7), Counting(0.1), Counting(0.3)
+        models = [None, shared, first, shared, None, second, shared]
+        net = SensorNetwork(
+            LinearPath(100.0),
+            [Sensor(i, Point(i, 0), Battery(10.0), m) for i, m in enumerate(models)],
+        )
+        gains = net.harvest(10.0, 250.0)
+        # Exactly what a per-node call returns, node by node.
+        expected = [0.0 if m is None else m.model.energy(10.0, 250.0) for m in models]
+        assert gains.tolist() == expected
+        assert (shared.calls, first.calls, second.calls) == (1, 1, 1)

@@ -474,13 +474,15 @@ def test_tour_phase_views_agree_exactly(algorithm, seed):
 
 
 def test_tour_phases_sum_to_total_on_quick_bench_grid(monkeypatch):
-    """Per quick-bench cell, the median over 5 tours of ``total_s`` minus
-    the other tour phases (the time no phase covers) is in [0, 100 µs]."""
+    """Per quick-bench tour, the median over 5 repeats of ``total_s``
+    minus the other tour phases (the time no phase covers) is in
+    [0, 100 µs].  Batch cells count one tour per algorithm, perpetual
+    cells one per tour index."""
     import statistics
     from collections import defaultdict
 
     from repro.experiments import bench
-    from repro.sim import batch
+    from repro.sim import batch, simulator
 
     gaps = defaultdict(list)
 
@@ -489,20 +491,27 @@ def test_tour_phases_sum_to_total_on_quick_bench_grid(monkeypatch):
             result = run_tour(scenario, algorithm, **kwargs)
             phases = dict(result.profile)
             total = phases.pop("total_s")
-            gaps[source, scenario.config, algorithm.name].append(
-                total - sum(phases.values())
-            )
+            key = (source, scenario.config, algorithm.name, kwargs.get("tour_index", 0))
+            gaps[key].append(total - sum(phases.values()))
             return result
 
         return wrapper
 
     monkeypatch.setattr(bench, "run_tour", recording(bench.run_tour, "cell"))
     monkeypatch.setattr(batch, "run_tour", recording(batch.run_tour, "batch"))
+    # simulate_tours (the Perpetual[...] cells) calls the simulator's own.
+    monkeypatch.setattr(simulator, "run_tour", recording(simulator.run_tour, "perpetual"))
     document = bench.run_bench(quick=True, repeat=5)
-    # The Batch[mixed] entry runs one tour per batch algorithm.
-    cells = len(document["entries"]) - 1 + len(bench.BATCH_ALGORITHMS)
+    perpetual = len(bench.PERPETUAL_GRID)
+    cells = (
+        len(document["entries"])
+        - 1
+        + len(bench.BATCH_ALGORITHMS)
+        - perpetual
+        + perpetual * bench.PERPETUAL_TOURS
+    )
     assert len(gaps) == cells
-    for (source, config, name), values in gaps.items():
+    for (source, config, name, tour), values in gaps.items():
         assert len(values) == 5
         gap = statistics.median(values)
-        assert 0.0 <= gap <= 100e-6, (source, name, config.num_sensors, gap)
+        assert 0.0 <= gap <= 100e-6, (source, name, config.num_sensors, tour, gap)

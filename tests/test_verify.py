@@ -145,6 +145,32 @@ class TestCertificate:
         cert = certify(inst, offline_appro(inst), lp_bound_bits=1e9)
         assert cert.lp_bound_bits == pytest.approx(1e9)
 
+    def test_lp_bound_is_priced_outside_verify_certify(self):
+        """Three certified solves of one deployment: one LP solve, and no
+        ``lp.dcmp_bound`` span inside a ``verify.certify`` span, so the
+        two timers add up without double counting."""
+        from repro.obs import Tracer, use_tracer
+        from repro.sim import ScenarioConfig, TourSpec, run_tours
+
+        config = ScenarioConfig(num_sensors=30, path_length=1500.0)
+        specs = [
+            TourSpec(config, name, seed=3, certify=True)
+            for name in ("Offline_Appro", "Online_Appro", "Baseline[greedy_profit]")
+        ]
+        tracer = Tracer()
+        with use_registry(MetricsRegistry()), use_tracer(tracer):
+            results = run_tours(specs)
+        certifies = [e for e in tracer.events if e.name == "verify.certify"]
+        (bound,) = [e for e in tracer.events if e.name == "lp.dcmp_bound"]
+        assert len(certifies) == 3
+        for span in certifies:
+            inside = (
+                span.start_s <= bound.start_s
+                and bound.start_s + bound.duration_s <= span.start_s + span.duration_s
+            )
+            assert not inside, (span, bound)
+        assert all(r.certificate.verdict == "pass" for r in results)
+
     def test_render_mentions_verdict_and_checks(self, inst):
         cert = certify(inst, offline_appro(inst), algorithm="Offline_Appro")
         text = render_certificate(cert)
@@ -205,6 +231,30 @@ class TestFuzz:
         # distinct instances, one LP solve apiece, however many
         # algorithms certify against the bound.
         assert registry.counter("lp.calls") == 5 * 8
+
+    def test_metamorphic_pass_reuses_the_base_solves(self):
+        """Each metamorphic solver runs once on the base instance and once
+        per relation: the metamorphic pass reads the allocations
+        ``check_instance`` already certified instead of solving again."""
+        from repro.sim.algorithms import get_algorithm
+        from repro.verify.fuzz import _METAMORPHIC_ALGORITHMS, _RELATIONS
+
+        class Counting:
+            def __init__(self, name):
+                self.algorithm = get_algorithm(name)
+                self.calls = 0
+
+            def run(self, instance, gamma):
+                self.calls += 1
+                return self.algorithm.run(instance, gamma)
+
+        for index in range(4):
+            rng = np.random.default_rng([1, index])
+            instance = random_instance(rng, num_slots=10, num_sensors=4, fixed_power=0.3)
+            solvers = {name: Counting(name) for name in _METAMORPHIC_ALGORITHMS}
+            assert check_instance(instance, 2, algorithms=solvers) == []
+            for name, solver in solvers.items():
+                assert solver.calls == 1 + len(_RELATIONS) == 5, name
 
     def test_replayable_seeds(self):
         first = run_fuzz(runs=4, seed=123)
