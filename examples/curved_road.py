@@ -70,7 +70,7 @@ def main() -> None:
     )
     trajectory = SinkTrajectory(path, speed=8.0, slot_duration=1.0)
     instance = DataCollectionInstance.from_network(
-        network, trajectory, CC2420_LIKE_TABLE, network.budgets()
+        network, trajectory, CC2420_LIKE_TABLE, network.charges()
     )
     reachable = sum(1 for s in instance.sensors if s.window is not None)
     print(f"instance: {instance.num_sensors} sensors ({reachable} reachable), "

@@ -53,12 +53,6 @@ from repro.core import (
     solve_dcmp_ilp,
     solve_knapsack,
 )
-from repro.network import (
-    SpeedProfile,
-    VariableSpeedTrajectory,
-    analyze_coverage,
-    density_speed_profile,
-)
 from repro.online import online_appro, online_maxmatch, run_online
 from repro.planning import PlannerConfig, PlanningError, SinkPlan, plan_scenario
 from repro.sim import (
@@ -86,10 +80,6 @@ __all__ = [
     "dcmp_lp_upper_bound",
     "solve_dcmp_ilp",
     "solve_knapsack",
-    "analyze_coverage",
-    "SpeedProfile",
-    "VariableSpeedTrajectory",
-    "density_speed_profile",
     "max_weight_b_matching",
     "greedy_by_profit",
     "greedy_by_density",

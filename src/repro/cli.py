@@ -29,10 +29,6 @@ Subcommands:
       python -m repro profile --sensors 300 --algo Online_Appro --trace out.json
       python -m repro profile --sensors 100 --deep --folded profile.folded
 
-* ``coverage`` — deployment diagnostics (contention, holes, ceiling)::
-
-      python -m repro coverage --sensors 300 --seed 7
-
 * ``plan`` — design a sink tour over a 2D field before solving: ASCII
   field map plus a deterministic JSON plan document (see
   ``docs/PLANNING.md``; every scenario command also accepts
@@ -276,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --deep, write the collapsed-stack text here "
         "(default: <output>.folded next to --output, else profile.folded)",
     )
-
-    coverage = sub.add_parser("coverage", help="deployment coverage diagnostics")
-    _add_scenario_args(coverage)
 
     plan = sub.add_parser(
         "plan",
@@ -801,26 +794,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_coverage(args: argparse.Namespace) -> int:
-    from repro.network.coverage import analyze_coverage
-
-    scenario = _build_scenario(args)
-    instance = scenario.instance()
-    report = analyze_coverage(instance)
-    print(f"topology: n={args.sensors}, T={instance.num_slots}, seed={args.seed}")
-    print(f"coverage fraction      {report.coverage_fraction:.1%}")
-    print(f"coverage holes         {report.uncovered_slots.size} slots")
-    print(f"mean / max contention  {report.mean_contention:.2f} / {report.max_contention}")
-    print(f"unreachable sensors    {int((report.window_sizes == 0).sum())}")
-    print(
-        "throughput ceiling     "
-        f"{report.throughput_ceiling_bits(instance.slot_duration) / 1e6:.2f} Mb (energy-free)"
-    )
-    dense = report.is_densely_deployed(scenario.gamma)
-    print(f"dense-deployment premise (gamma={scenario.gamma}): {'holds' if dense else 'VIOLATED'}")
-    return 0
-
-
 def _run_plan(args: argparse.Namespace) -> int:
     import json
 
@@ -1069,8 +1042,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_compare(args)
     if args.command == "profile":
         return _run_profile(args)
-    if args.command == "coverage":
-        return _run_coverage(args)
     if args.command == "plan":
         return _run_plan(args)
     if args.command == "serve":

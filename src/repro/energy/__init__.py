@@ -1,4 +1,4 @@
-"""Energy subsystem: solar profiles, harvest models, batteries, budgets.
+"""Energy subsystem: solar profiles, harvest models, batteries.
 
 Implements the paper's energy model (Section II.B): sensors are powered
 by renewable sources whose replenishment is slow relative to consumption;
@@ -20,27 +20,8 @@ from repro.energy.solar import (
     cloudy_profile,
     sunny_profile,
 )
-from repro.energy.harvester import (
-    ConstantHarvester,
-    HarvestModel,
-    MarkovHarvester,
-    SolarHarvester,
-    TraceHarvester,
-)
+from repro.energy.harvester import ConstantHarvester, HarvestModel, SolarHarvester
 from repro.energy.battery import Battery
-from repro.energy.prediction import (
-    EwmaPredictor,
-    PersistencePredictor,
-    PredictiveBudgetPolicy,
-    observe_history,
-    prediction_rmse,
-)
-from repro.energy.budget import (
-    BudgetPolicy,
-    CappedBudgetPolicy,
-    FractionBudgetPolicy,
-    StoredEnergyBudgetPolicy,
-)
 
 __all__ = [
     "SolarDayProfile",
@@ -52,16 +33,5 @@ __all__ = [
     "HarvestModel",
     "ConstantHarvester",
     "SolarHarvester",
-    "MarkovHarvester",
-    "TraceHarvester",
     "Battery",
-    "BudgetPolicy",
-    "StoredEnergyBudgetPolicy",
-    "FractionBudgetPolicy",
-    "CappedBudgetPolicy",
-    "EwmaPredictor",
-    "PersistencePredictor",
-    "PredictiveBudgetPolicy",
-    "observe_history",
-    "prediction_rmse",
 ]

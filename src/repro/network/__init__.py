@@ -16,17 +16,7 @@ from repro.network.radio import (
     RateTable,
 )
 from repro.network.sensor import Sensor
-from repro.network.coverage import CoverageReport, analyze_coverage
-from repro.network.variable_speed import (
-    SpeedProfile,
-    VariableSpeedTrajectory,
-    density_speed_profile,
-)
-from repro.network.deployment import (
-    clustered_deployment,
-    poisson_deployment,
-    uniform_deployment,
-)
+from repro.network.deployment import clustered_deployment, uniform_deployment
 from repro.network.network import SensorNetwork
 
 __all__ = [
@@ -41,12 +31,6 @@ __all__ = [
     "CC2420_LIKE_TABLE",
     "Sensor",
     "uniform_deployment",
-    "poisson_deployment",
     "clustered_deployment",
     "SensorNetwork",
-    "CoverageReport",
-    "analyze_coverage",
-    "SpeedProfile",
-    "VariableSpeedTrajectory",
-    "density_speed_profile",
 ]

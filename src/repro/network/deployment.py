@@ -3,12 +3,9 @@
 The paper's experiments deploy 100–600 homogeneous sensors "randomly
 along a pre-defined path" of 10,000 m with "the maximum distance between
 the location of any sensor and the path" being 180 m.  We implement that
-uniform deployment plus two common alternatives used in WSN evaluations:
-
-* Poisson-process deployment — sensor count itself is random with a
-  given linear density (models uncoordinated drops);
-* clustered deployment — sensors concentrate around hot spots (models
-  intersections / interchanges on a highway).
+uniform deployment plus a clustered alternative used in WSN evaluations,
+where sensors concentrate around hot spots (models intersections /
+interchanges on a highway).
 
 Each generator returns an ``(n, 2)`` position array; the caller attaches
 batteries/harvesters via :func:`repro.network.network.SensorNetwork.build`.
@@ -16,14 +13,12 @@ batteries/harvesters via :func:`repro.network.network.SensorNetwork.build`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_nonnegative, check_positive
 
-__all__ = ["uniform_deployment", "poisson_deployment", "clustered_deployment"]
+__all__ = ["uniform_deployment", "clustered_deployment"]
 
 
 def uniform_deployment(
@@ -60,23 +55,6 @@ def uniform_deployment(
     x = rng.uniform(0.0, path_length, size=num_sensors)
     y = rng.uniform(-max_offset, max_offset, size=num_sensors)
     return np.column_stack([x, y])
-
-
-def poisson_deployment(
-    density_per_km: float,
-    path_length: float,
-    max_offset: float,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Poisson-process deployment with expected ``density_per_km``
-    sensors per kilometre of highway."""
-    check_nonnegative(density_per_km, "density_per_km")
-    check_positive(path_length, "path_length")
-    check_nonnegative(max_offset, "max_offset")
-    rng = as_generator(seed)
-    expected = density_per_km * path_length / 1000.0
-    n = int(rng.poisson(expected))
-    return uniform_deployment(n, path_length, max_offset, rng)
 
 
 def clustered_deployment(

@@ -4,7 +4,7 @@ Ties together a set of :class:`~repro.network.sensor.Sensor` nodes and
 the pre-defined path they line.  The container is the hand-off point
 between the *physical* layers (geometry, radio, energy) and the
 *combinatorial* layer (:mod:`repro.core.instance`), and offers bulk
-vectorised accessors (positions, charges, budgets) so instance
+vectorised accessors (positions, charges, harvest) so instance
 construction never loops in Python over per-sensor attribute lookups.
 """
 
@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.energy.battery import Battery
-from repro.energy.budget import BudgetPolicy, StoredEnergyBudgetPolicy
 from repro.energy.harvester import HarvestModel
 from repro.network.geometry import LinearPath, PiecewiseLinearPath, Point
 from repro.network.sensor import Sensor
@@ -139,14 +138,6 @@ class SensorNetwork:
                 by_model[id(model)] = model.energy(t_start, t_end)
             gains.append(by_model[id(model)])
         return np.array(gains, dtype=np.float64)
-
-    def budgets(self, policy: Optional[BudgetPolicy] = None, tour_index: int = 0) -> np.ndarray:
-        """``(n,)`` per-tour energy budgets under ``policy``.
-
-        Defaults to the paper's policy (whole stored charge).
-        """
-        policy = policy or StoredEnergyBudgetPolicy()
-        return np.array([policy.budget(s.battery, tour_index) for s in self._sensors])
 
     def __len__(self) -> int:
         return len(self._sensors)

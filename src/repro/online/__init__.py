@@ -12,11 +12,8 @@ from repro.online.messages import MessageLog, MessageType
 from repro.online.framework import IntervalRecord, OnlineResult, run_online
 from repro.online.online_appro import GapIntervalScheduler, online_appro
 from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxmatch
-from repro.online.lookahead import LookaheadScheduler, online_appro_lookahead
 
 __all__ = [
-    "LookaheadScheduler",
-    "online_appro_lookahead",
     "MessageLog",
     "MessageType",
     "run_online",

@@ -180,14 +180,8 @@ def run_online(
             sub_instance, parents = instance.restrict(
                 interval, budgets=residual, sensor_ids=registered
             )
-        # Schedulers that use tour-level per-sensor knowledge carried in
-        # the Ack (e.g. the lookahead extension) receive the parent ids.
         with phase("online.interval_schedule", interval=j, registered=len(registered)):
-            parent_aware = getattr(scheduler, "schedule_with_parents", None)
-            if parent_aware is not None:
-                sub_allocation = parent_aware(sub_instance, parents)
-            else:
-                sub_allocation = scheduler.schedule(sub_instance)
+            sub_allocation = scheduler.schedule(sub_instance)
         sub_allocation.check_feasible(sub_instance)
         log.record_broadcast(MessageType.SCHEDULE, registered)
         # --- Transmissions: merge into the tour allocation, debit energy.

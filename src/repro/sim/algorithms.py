@@ -22,7 +22,6 @@ from repro.core.instance import DataCollectionInstance
 from repro.core.offline_appro import offline_appro
 from repro.core.offline_maxmatch import offline_maxmatch
 from repro.online.messages import MessageLog
-from repro.online.lookahead import online_appro_lookahead
 from repro.online.online_appro import online_appro
 from repro.online.online_maxmatch import online_maxmatch
 
@@ -93,26 +92,6 @@ class OnlineApproAlgorithm(TourAlgorithm):
 
 
 @dataclass
-class OnlineApproLookaheadAlgorithm(TourAlgorithm):
-    """``Online_Appro`` + value-proportional budget lookahead (extension)."""
-
-    knapsack_method: str = "auto"
-    epsilon: float = 0.1
-    strength: float = 1.0
-    name: str = "Online_Appro_Lookahead"
-
-    def run(self, instance: DataCollectionInstance, gamma: int) -> RunOutput:
-        result = online_appro_lookahead(
-            instance,
-            gamma,
-            knapsack_method=self.knapsack_method,
-            epsilon=self.epsilon,
-            strength=self.strength,
-        )
-        return result.allocation, result.messages
-
-
-@dataclass
 class OfflineMaxMatchAlgorithm(TourAlgorithm):
     """``Offline_MaxMatch`` (exact, fixed-power special case)."""
 
@@ -169,7 +148,6 @@ class BaselineAlgorithm(TourAlgorithm):
 ALGORITHMS: Dict[str, Callable[[], TourAlgorithm]] = {
     "Offline_Appro": OfflineApproAlgorithm,
     "Online_Appro": OnlineApproAlgorithm,
-    "Online_Appro_Lookahead": OnlineApproLookaheadAlgorithm,
     "Offline_MaxMatch": OfflineMaxMatchAlgorithm,
     "Online_MaxMatch": OnlineMaxMatchAlgorithm,
     "Baseline[greedy_profit]": lambda: BaselineAlgorithm("greedy_profit"),

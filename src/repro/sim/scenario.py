@@ -26,7 +26,6 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.instance import DataCollectionInstance
-from repro.energy.budget import BudgetPolicy, StoredEnergyBudgetPolicy
 from repro.energy.harvester import SolarHarvester
 from repro.energy.solar import cloudy_profile, sunny_profile
 from repro.network.deployment import clustered_deployment, uniform_deployment
@@ -304,15 +303,14 @@ class Scenario:
             return self.config.gamma_override
         return self.trajectory.gamma(self.rate_table.max_range)
 
-    def instance(
-        self,
-        budget_policy: Optional[BudgetPolicy] = None,
-        tour_index: int = 0,
-    ) -> DataCollectionInstance:
-        """The DCMP instance for the *current* battery state."""
-        budgets = self.network.budgets(budget_policy or StoredEnergyBudgetPolicy(), tour_index)
+    def instance(self) -> DataCollectionInstance:
+        """The DCMP instance for the *current* battery state.
+
+        Each sensor's budget is its stored charge, the paper's
+        ``P(v) = P_j(v)`` (Section II.B).
+        """
         return DataCollectionInstance.from_network(
-            self.network, self.trajectory, self.rate_table, budgets
+            self.network, self.trajectory, self.rate_table, self.network.charges()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.instance import DataCollectionInstance
-from repro.energy.budget import BudgetPolicy, StoredEnergyBudgetPolicy
 from repro.obs import get_logger, get_registry, phase
 from repro.sim.algorithms import TourAlgorithm
 from repro.sim.results import SimulationResult, TourResult
@@ -36,7 +35,6 @@ def run_tour(
     algorithm: TourAlgorithm,
     tour_index: int = 0,
     start_time: Optional[float] = None,
-    budget_policy: Optional[BudgetPolicy] = None,
     rest_time: float = 0.0,
     mutate: bool = True,
     certify: bool = False,
@@ -52,13 +50,11 @@ def run_tour(
     algorithm:
         Any :class:`~repro.sim.algorithms.TourAlgorithm`.
     tour_index:
-        0-based tour number (flows into the budget policy).
+        0-based tour number.
     start_time:
         Absolute start time (s).  Defaults to the scenario config's
-        ``start_time`` plus ``tour_index`` tour durations — i.e.
-        back-to-back tours.
-    budget_policy:
-        Defaults to the paper's whole-store policy.
+        ``start_time`` plus ``tour_index`` tours, each followed by
+        ``rest_time`` — i.e. the ``tour_index``-th of back-to-back tours.
     rest_time:
         Extra harvesting time (s) credited after the tour (sink
         repositioning, duty-cycle gaps).
@@ -95,7 +91,6 @@ def run_tour(
     """
     if rest_time < 0:
         raise ValueError(f"rest_time must be >= 0, got {rest_time}")
-    policy = budget_policy or StoredEnergyBudgetPolicy()
     tour_duration = scenario.trajectory.tour_duration
     if start_time is None:
         start_time = scenario.config.start_time + tour_index * (tour_duration + rest_time)
@@ -106,7 +101,7 @@ def run_tour(
     with phase("tour.total", profile, tour=tour_index, algorithm=algorithm.name):
         with phase("tour.instance_build", profile, deep=True):
             if instance is None:
-                instance = scenario.instance(policy, tour_index)
+                instance = scenario.instance()
             budgets = np.array(instance.budgets_array())
 
         with phase("tour.solve", profile, deep=True, algorithm=algorithm.name):
@@ -165,7 +160,6 @@ def simulate_tours(
     algorithm: TourAlgorithm,
     num_tours: int,
     rest_time: float = 0.0,
-    budget_policy: Optional[BudgetPolicy] = None,
 ) -> SimulationResult:
     """Run ``num_tours`` back-to-back tours, evolving battery state.
 
@@ -175,18 +169,6 @@ def simulate_tours(
     if num_tours < 0:
         raise ValueError(f"num_tours must be >= 0, got {num_tours}")
     result = SimulationResult(algorithm=algorithm.name)
-    tour_duration = scenario.trajectory.tour_duration
     for j in range(num_tours):
-        start = scenario.config.start_time + j * (tour_duration + rest_time)
-        result.tours.append(
-            run_tour(
-                scenario,
-                algorithm,
-                tour_index=j,
-                start_time=start,
-                budget_policy=budget_policy,
-                rest_time=rest_time,
-                mutate=True,
-            )
-        )
+        result.tours.append(run_tour(scenario, algorithm, tour_index=j, rest_time=rest_time))
     return result

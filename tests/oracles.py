@@ -392,14 +392,19 @@ def simulate_tours_reference(
 ) -> List[Dict[str, object]]:
     """Reference for ``simulate_tours``: each tour's energy update debits
     and credits one sensor at a time, integrating each sensor's harvest
-    on its own.  Mutates ``scenario``'s batteries; returns per tour the
-    budgets, the collected bits and the spent/harvested/spilled arrays.
+    on its own, and each tour's budgets are read from the batteries
+    directly (P(v) = P_j(v)), not through ``Scenario.instance``.  Mutates
+    ``scenario``'s batteries; returns per tour the budgets, the collected
+    bits and the spent/harvested/spilled arrays.
     """
     tours = []
     duration = scenario.trajectory.tour_duration
     for j in range(num_tours):
         start = scenario.config.start_time + j * (duration + rest_time)
-        instance = scenario.instance(tour_index=j)
+        charges = [s.battery.charge for s in scenario.network.sensors]
+        instance = DataCollectionInstance.from_network(
+            scenario.network, scenario.trajectory, scenario.rate_table, charges
+        )
         allocation, _messages = algorithm.run(instance, scenario.gamma)
         spent = allocation.energy_spent(instance)
         harvested = np.zeros(instance.num_sensors)

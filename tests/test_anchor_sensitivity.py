@@ -26,7 +26,7 @@ def build(anchor, seed=0, n=60):
     xy = np.column_stack([rng.uniform(0, 3000, n), rng.uniform(-180, 180, n)])
     net = SensorNetwork.build(path, xy, 10_000.0, rng.uniform(0.5, 6.0, n))
     traj = SinkTrajectory(path, 5.0, 1.0, anchor=anchor)
-    inst = DataCollectionInstance.from_network(net, traj, CC2420_LIKE_TABLE, net.budgets())
+    inst = DataCollectionInstance.from_network(net, traj, CC2420_LIKE_TABLE, net.charges())
     return inst
 
 

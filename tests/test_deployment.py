@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.deployment import (
-    clustered_deployment,
-    poisson_deployment,
-    uniform_deployment,
-)
+from repro.network.deployment import clustered_deployment, uniform_deployment
 
 
 class TestUniform:
@@ -50,27 +46,6 @@ class TestUniform:
         gen = np.random.default_rng(5)
         pos = uniform_deployment(5, 100.0, 10.0, seed=gen)
         assert pos.shape == (5, 2)
-
-
-class TestPoisson:
-    def test_expected_count(self):
-        counts = [
-            poisson_deployment(50.0, 10_000.0, 100.0, seed=k).shape[0]
-            for k in range(20)
-        ]
-        assert abs(np.mean(counts) - 500.0) < 50.0
-
-    def test_zero_density(self):
-        assert poisson_deployment(0.0, 1000.0, 100.0, seed=0).shape == (0, 2)
-
-    def test_bounds(self):
-        pos = poisson_deployment(100.0, 1000.0, 60.0, seed=2)
-        assert np.all(np.abs(pos[:, 1]) <= 60.0)
-
-    def test_deterministic(self):
-        a = poisson_deployment(30.0, 2000.0, 50.0, seed=9)
-        b = poisson_deployment(30.0, 2000.0, 50.0, seed=9)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestClustered:
@@ -116,12 +91,11 @@ class TestCrossGeneratorDeterminism:
         "deploy",
         [
             lambda seed: uniform_deployment(40, 1500.0, 120.0, seed=seed),
-            lambda seed: poisson_deployment(25.0, 1500.0, 120.0, seed=seed),
             lambda seed: clustered_deployment(
                 40, 1500.0, 120.0, num_clusters=4, cluster_std=90.0, seed=seed
             ),
         ],
-        ids=["uniform", "poisson", "clustered"],
+        ids=["uniform", "clustered"],
     )
     def test_same_seed_identical_coords(self, deploy):
         a, b = deploy(13), deploy(13)

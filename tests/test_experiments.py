@@ -183,13 +183,6 @@ class TestCli:
         assert "Offline_MaxMatch" in note
         assert "--fixed-power" in note
 
-    def test_coverage_subcommand(self, capsys):
-        code = main(["coverage", "--sensors", "30", "--seed", "3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "coverage fraction" in out
-        assert "dense-deployment premise" in out
-
     def test_main_runs_small_fig2(self, capsys):
         code = main(["fig2", "--repeats", "1", "--sizes", "30", "--jobs", "1"])
         assert code == 0

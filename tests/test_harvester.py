@@ -1,17 +1,8 @@
-"""Harvest models: constant, solar, Markov, trace playback."""
+"""Harvest models: constant and solar."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.energy.harvester import (
-    ConstantHarvester,
-    HarvestModel,
-    MarkovHarvester,
-    SolarHarvester,
-    TraceHarvester,
-)
+from repro.energy.harvester import ConstantHarvester, HarvestModel, SolarHarvester
 from repro.energy.solar import sunny_profile
 
 HOUR = 3600.0
@@ -64,88 +55,3 @@ class TestSolarHarvester:
 
     def test_satisfies_protocol(self):
         assert isinstance(SolarHarvester(sunny_profile(), 10.0), HarvestModel)
-
-
-class TestMarkovHarvester:
-    def test_deterministic_given_seed(self):
-        a = MarkovHarvester(1.0, seed=4)
-        b = MarkovHarvester(1.0, seed=4)
-        assert a.energy(0.0, 10_000.0) == pytest.approx(b.energy(0.0, 10_000.0))
-
-    def test_energy_bounded_by_full_on(self):
-        h = MarkovHarvester(2.0, mean_on=100.0, mean_off=100.0, seed=1)
-        e = h.energy(0.0, 5000.0)
-        assert 0.0 <= e <= 2.0 * 5000.0
-
-    def test_starts_on(self):
-        h = MarkovHarvester(1.5, seed=0)
-        assert h.power(0.0) == 1.5
-
-    def test_energy_additive(self):
-        h = MarkovHarvester(1.0, mean_on=50.0, mean_off=50.0, seed=2)
-        total = h.energy(0.0, 2000.0)
-        split = h.energy(0.0, 777.0) + h.energy(777.0, 2000.0)
-        assert total == pytest.approx(split)
-
-    def test_energy_beyond_initial_horizon(self):
-        h = MarkovHarvester(1.0, seed=3, horizon=100.0)
-        # Query far past the pre-sampled horizon: path extends lazily.
-        assert h.energy(0.0, 50_000.0) >= 0.0
-
-    def test_long_run_mean_near_duty_cycle(self):
-        h = MarkovHarvester(1.0, mean_on=100.0, mean_off=300.0, seed=5)
-        horizon = 2_000_000.0
-        duty = h.energy(0.0, horizon) / horizon
-        assert duty == pytest.approx(0.25, abs=0.05)
-
-    def test_reversed_window_rejected(self):
-        with pytest.raises(ValueError):
-            MarkovHarvester(1.0).energy(5.0, 1.0)
-
-
-class TestTraceHarvester:
-    def test_piecewise_energy_exact(self):
-        h = TraceHarvester([0.0, 10.0, 20.0], [1.0, 3.0, 0.5])
-        # [0,10): 1 W, [10,20): 3 W, beyond: 0.5 W.
-        assert h.energy(0.0, 20.0) == pytest.approx(10.0 + 30.0)
-        assert h.energy(5.0, 15.0) == pytest.approx(5.0 + 15.0)
-        assert h.energy(20.0, 24.0) == pytest.approx(2.0)
-
-    def test_power_lookup(self):
-        h = TraceHarvester([0.0, 10.0], [1.0, 2.0])
-        assert h.power(5.0) == 1.0
-        assert h.power(10.0) == 2.0
-        assert h.power(100.0) == 2.0
-
-    def test_before_trace_extends_first_value(self):
-        h = TraceHarvester([10.0, 20.0], [2.0, 1.0])
-        assert h.power(0.0) == 2.0
-        assert h.energy(0.0, 10.0) == pytest.approx(20.0)
-
-    def test_requires_increasing_times(self):
-        with pytest.raises(ValueError):
-            TraceHarvester([0.0, 0.0], [1.0, 2.0])
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            TraceHarvester([0.0, 1.0], [1.0, -2.0])
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            TraceHarvester([0.0, 1.0], [1.0])
-
-    @given(
-        st.lists(st.floats(0.0, 100.0), min_size=2, max_size=8, unique=True),
-        st.data(),
-    )
-    def test_energy_matches_numeric_integral(self, times, data):
-        times = sorted(times)
-        powers = [
-            data.draw(st.floats(0.0, 5.0)) for _ in times
-        ]
-        h = TraceHarvester(times, powers)
-        t0 = data.draw(st.floats(times[0], times[-1]))
-        t1 = data.draw(st.floats(t0, times[-1]))
-        grid = np.linspace(t0, t1, 4001)
-        numeric = np.trapezoid([h.power(t) for t in grid], grid)
-        assert h.energy(t0, t1) == pytest.approx(numeric, abs=0.2)

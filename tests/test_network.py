@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.energy.battery import Battery
-from repro.energy.budget import CappedBudgetPolicy
 from repro.energy.harvester import ConstantHarvester
 from repro.network.geometry import LinearPath, Point
 from repro.network.network import SensorNetwork
 from repro.network.sensor import Sensor
+from repro.sim.algorithms import get_algorithm
+from repro.sim.scenario import ScenarioConfig
+from repro.sim.simulator import run_tour
 
 
 @pytest.fixture
@@ -45,13 +47,16 @@ class TestSensorNetwork:
     def test_charges(self, network):
         np.testing.assert_allclose(network.charges(), [10.0, 20.0, 30.0])
 
-    def test_default_budgets_are_charges(self, network):
-        np.testing.assert_allclose(network.budgets(), [10.0, 20.0, 30.0])
-
-    def test_budget_policy_applied(self, network):
-        np.testing.assert_allclose(
-            network.budgets(CappedBudgetPolicy(15.0)), [10.0, 15.0, 15.0]
-        )
+    def test_default_budgets_are_charges(self):
+        """A scenario's instance budgets each sensor its stored charge,
+        P(v) = P_j(v), before and after a tour moves the batteries."""
+        scenario = ScenarioConfig(num_sensors=30, path_length=2000.0).build(seed=5)
+        before = scenario.instance().budgets_array()
+        assert np.array_equal(before, scenario.network.charges())
+        run_tour(scenario, get_algorithm("Offline_Appro"), mutate=True)
+        after = scenario.instance().budgets_array()
+        assert np.array_equal(after, scenario.network.charges())
+        assert not np.array_equal(before, after)
 
     def test_scalar_initial_charge_broadcast(self):
         net = SensorNetwork.build(

@@ -5,9 +5,12 @@ in an ``__all__`` must import, and every public callable and class must
 carry a docstring (the documentation deliverable, enforced).
 """
 
+import argparse
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,6 @@ MODULES = [
     "repro.sim",
     "repro.planning",
     "repro.experiments",
-    "repro.viz",
     "repro.service",
     "repro.verify",
     "repro.cli",
@@ -97,6 +99,22 @@ def test_paper_algorithm_names_exported():
         "Online_Appro",
         "Offline_MaxMatch",
         "Online_MaxMatch",
-        "Online_Appro_Lookahead",
     ):
         assert name in ALGORITHMS
+
+
+def test_api_doc_cli_line_matches_parser():
+    """The ``python -m repro {...}`` line of docs/API.md names exactly
+    the subcommands ``repro --help`` lists."""
+    from repro.cli import build_parser
+
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text(encoding="utf-8")
+    match = re.search(r"`python -m repro \{([^}]*)\}", doc)
+    assert match, "docs/API.md has no `python -m repro {...}` line"
+    documented = {name.strip() for name in match.group(1).split(",")}
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert documented == set(subparsers.choices)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.energy.budget import CappedBudgetPolicy
 from repro.sim.algorithms import get_algorithm
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.simulator import run_tour, simulate_tours
@@ -42,16 +41,6 @@ class TestRunTour:
     def test_offline_algorithms_have_no_messages(self, scenario):
         result = run_tour(scenario, get_algorithm("Offline_Appro"), mutate=False)
         assert result.messages is None
-
-    def test_budget_policy_respected(self, scenario):
-        result = run_tour(
-            scenario,
-            get_algorithm("Offline_Appro"),
-            budget_policy=CappedBudgetPolicy(0.4),
-            mutate=False,
-        )
-        assert np.all(result.budgets <= 0.4 + 1e-12)
-        assert np.all(result.energy_spent <= result.budgets + 1e-9)
 
     def test_negative_rest_time_rejected(self, scenario):
         with pytest.raises(ValueError):
