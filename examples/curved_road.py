@@ -62,7 +62,6 @@ def main() -> None:
     # once for all of them.
     harvester = SolarHarvester(sunny_profile(), 100.0)
     network = SensorNetwork.build(
-        path,
         xy,
         battery_capacity=10_000.0,
         initial_charges=rng.uniform(0.5, 8.0, size=len(arc)),

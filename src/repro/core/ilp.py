@@ -5,7 +5,8 @@ The paper motivates its combinatorial algorithm by arguing that
 (Section I.B).  To reproduce that *argument* and to provide exact optima
 on medium instances (far beyond the brute-force oracle's reach), this
 module formulates the integer program of Section II.D verbatim and
-hands it to HiGHS through :func:`scipy.optimize.milp`:
+hands the arrays of :func:`repro.core.lp.dcmp_model` (the model the LP
+bound relaxes) to HiGHS through :func:`scipy.optimize.milp`:
 
     max  Σ r_{i,j}·τ·x_{i,j}
     s.t. Σ_i x_{i,j} ≤ 1                    ∀ slot j        (3)
@@ -19,14 +20,14 @@ times out, the incumbent (if any) is returned with ``optimal=False``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import LinearConstraint, milp
-from scipy.sparse import coo_matrix
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
+from repro.core.lp import dcmp_model
 from repro.obs import get_registry, phase
 
 __all__ = ["IlpSolution", "solve_dcmp_ilp"]
@@ -71,38 +72,11 @@ def solve_dcmp_ilp(
     -------
     IlpSolution
     """
-    tau = instance.slot_duration
-    profits: List[float] = []
-    costs: List[float] = []
-    var_sensor: List[int] = []
-    var_slot: List[int] = []
-    for i, data in enumerate(instance.sensors):
-        if data.window is None:
-            continue
-        slots = data.slot_indices()
-        for k in np.flatnonzero(data.rates > 0):
-            profits.append(float(data.rates[k]) * tau)
-            costs.append(float(data.powers[k]) * tau)
-            var_sensor.append(i)
-            var_slot.append(int(slots[k]))
-    num_vars = len(profits)
+    model = dcmp_model(instance)
+    num_vars = model.profits.size
     if num_vars == 0:
         return IlpSolution(Allocation.empty(instance.num_slots), 0.0, True)
-
-    profits_arr = np.asarray(profits)
-    costs_arr = np.asarray(costs)
-    sensor_arr = np.asarray(var_sensor, dtype=np.int64)
-    slot_arr = np.asarray(var_slot, dtype=np.int64)
-
-    n = instance.num_sensors
-    t = instance.num_slots
-    rows = np.concatenate([slot_arr, t + sensor_arr])
-    cols = np.concatenate([np.arange(num_vars), np.arange(num_vars)])
-    data = np.concatenate([np.ones(num_vars), costs_arr])
-    a = coo_matrix((data, (rows, cols)), shape=(t + n, num_vars)).tocsc()
-    budgets = np.array([instance.budget_of(i) for i in range(n)])
-    upper = np.concatenate([np.ones(t), budgets])
-    constraint = LinearConstraint(a, -np.inf, upper)
+    constraint = LinearConstraint(model.matrix.tocsc(), -np.inf, model.upper)
 
     options = {}
     if time_limit is not None:
@@ -112,7 +86,7 @@ def solve_dcmp_ilp(
     registry.set_gauge("ilp.num_vars", num_vars)
     with phase("ilp.solve"):
         result = milp(
-            c=-profits_arr,
+            c=-model.profits,
             constraints=[constraint],
             integrality=np.ones(num_vars),
             bounds=(0, 1),
@@ -125,8 +99,7 @@ def solve_dcmp_ilp(
 
     chosen = result.x > 0.5
     owner = np.full(instance.num_slots, -1, dtype=np.int64)
-    for k in np.flatnonzero(chosen):
-        owner[slot_arr[k]] = sensor_arr[k]
+    owner[model.slot[chosen]] = model.sensor[chosen]
     allocation = Allocation(owner)
     allocation.check_feasible(instance)
     # status 0 = optimal; 1 = iteration/time limit with incumbent.

@@ -205,10 +205,13 @@ class DataCollectionInstance:
 
         Notes
         -----
-        Slots whose anchor distance falls marginally outside ``R`` (the
+        A window slot whose anchor lies outside ``R`` gets rate 0; it
+        stays in the window but no rational algorithm assigns it.  On the
+        straight road that happens only marginally, at a window end (the
         window is computed from continuous coverage, the anchor is a
-        point sample) get rate 0; they stay in the window but no rational
-        algorithm assigns them.
+        point sample).  On a planned tour the window encloses every pass
+        of the sink through the sensor's range, so the slots between two
+        passes are rate 0 as well (see ``docs/PLANNING.md``).
         """
         budgets = np.asarray(budgets, dtype=np.float64)
         if budgets.shape != (network.num_sensors,):

@@ -1,14 +1,18 @@
-"""The LP relaxation bound of the DCMP.
+"""The DCMP program and its LP relaxation bound.
 
-:func:`dcmp_lp_upper_bound` solves the LP relaxation of the paper's
-integer program (Section II.D).  Its optimum upper-bounds the true
-optimum, so reporting ``algorithm / LP`` gives a certified lower bound on
-the fraction of optimum achieved ("the solutions are fractional of the
-optimum" is the paper's closing claim; this makes it quantitative).  The
-b-matching LP of ``Offline_MaxMatch`` lives in :mod:`repro.core.matching`.
+:func:`dcmp_model` assembles the paper's integer program (Section II.D)
+once, as arrays; :func:`dcmp_lp_upper_bound` solves its LP relaxation
+and :func:`repro.core.ilp.solve_dcmp_ilp` the program itself.  The LP
+optimum upper-bounds the true optimum, so reporting ``algorithm / LP``
+gives a certified lower bound on the fraction of optimum achieved ("the
+solutions are fractional of the optimum" is the paper's closing claim;
+this makes it quantitative).  The b-matching LP of ``Offline_MaxMatch``
+lives in :mod:`repro.core.matching`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -17,15 +21,47 @@ from scipy.sparse import coo_matrix
 from repro.core.instance import DataCollectionInstance
 from repro.obs import get_registry, phase
 
-__all__ = ["dcmp_lp_upper_bound"]
+__all__ = ["DcmpModel", "dcmp_model", "dcmp_lp_upper_bound"]
+
+
+class DcmpModel(NamedTuple):
+    """The DCMP program over its positive-rate (sensor, slot) pairs.
+
+    One variable ``x_{i,j}`` per pair of
+    :meth:`~DataCollectionInstance.flat_pairs` with ``r_{i,j} > 0``, in
+    the same sensor-major order.  ``matrix`` holds constraint (3) in its
+    first ``T`` rows (one per slot) and constraint (4) in the next ``n``
+    (one per sensor); ``upper`` is their right-hand side.
+    """
+
+    sensor: np.ndarray  # (k,) sensor of each variable
+    slot: np.ndarray  # (k,) slot of each variable
+    profits: np.ndarray  # (k,) r_{i,j}·τ bits
+    matrix: coo_matrix  # (T + n, k)
+    upper: np.ndarray  # (T + n,): 1 per slot, then P(v_i) per sensor
+
+
+def dcmp_model(instance: DataCollectionInstance) -> DcmpModel:
+    """Assemble the DCMP program of ``instance`` (see :class:`DcmpModel`)."""
+    flat = instance.flat_pairs()
+    live = flat.rates > 0
+    sensor = flat.sensor[live]
+    slot = flat.slot[live]
+    num_vars = sensor.size
+    t = instance.num_slots
+    rows = np.concatenate([slot, t + sensor])
+    cols = np.tile(np.arange(num_vars), 2)
+    data = np.concatenate([np.ones(num_vars), flat.costs[live]])
+    matrix = coo_matrix((data, (rows, cols)), shape=(t + instance.num_sensors, num_vars))
+    upper = np.concatenate([np.ones(t), instance.budgets_array()])
+    return DcmpModel(sensor, slot, flat.profits[live], matrix, upper)
 
 
 def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     """Optimal value of the DCMP LP relaxation, in bits.
 
-    Variables ``x_{i,j} ∈ [0, 1]`` over every positive-rate
-    (sensor, slot) pair of :meth:`~DataCollectionInstance.flat_pairs`;
-    constraints (3) per slot and (4) per sensor.  Solved with HiGHS.
+    The program of :func:`dcmp_model` with ``x_{i,j} ∈ [0, 1]``, solved
+    with HiGHS.
     Returns 0 for instances with no transmittable pair.
 
     The bound depends on the instance alone, so it is memoised on the
@@ -35,28 +71,20 @@ def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     """
     if instance._lp_bound is not None:
         return instance._lp_bound
-    flat = instance.flat_pairs()
-    live = flat.rates > 0
-    num_vars = int(np.count_nonzero(live))
+    model = dcmp_model(instance)
+    num_vars = model.profits.size
     if num_vars == 0:
         instance._lp_bound = 0.0
         return 0.0
 
-    n = instance.num_sensors
-    t = instance.num_slots
-    rows = np.concatenate([flat.slot[live], t + flat.sensor[live]])
-    cols = np.tile(np.arange(num_vars), 2)
-    data = np.concatenate([np.ones(num_vars), flat.costs[live]])
-    a_ub = coo_matrix((data, (rows, cols)), shape=(t + n, num_vars)).tocsr()
-    b_ub = np.concatenate([np.ones(t), instance.budgets_array()])
     registry = get_registry()
     registry.inc("lp.calls")
     registry.set_gauge("lp.num_vars", num_vars)
     with phase("lp.dcmp_bound"):
         res = linprog(
-            c=-flat.profits[live],
-            A_ub=a_ub,
-            b_ub=b_ub,
+            c=-model.profits,
+            A_ub=model.matrix.tocsr(),
+            b_ub=model.upper,
             bounds=(0.0, 1.0),
             method="highs",
         )

@@ -15,9 +15,6 @@ Theorem 2.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
-
-import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.gap import GapBin, GapInstance, local_ratio_gap
@@ -66,7 +63,6 @@ def offline_appro(
     instance: DataCollectionInstance,
     knapsack_method: str = "auto",
     epsilon: float = 0.1,
-    augment: bool = False,
 ) -> Allocation:
     """Run Algorithm 1 on a DCMP instance.
 
@@ -82,12 +78,6 @@ def offline_appro(
         ``"few_weights"``, ``"branch_and_bound"``.
     epsilon:
         FPTAS accuracy knob (ignored by other methods).
-    augment:
-        Library extension (not in the paper): after the local-ratio
-        assignment, greedily hand still-unassigned slots to the
-        highest-profit competing sensor with residual budget.  Never
-        decreases the objective; disabled by default so the default
-        output is the paper's algorithm verbatim.
 
     Returns
     -------
@@ -97,8 +87,7 @@ def offline_appro(
     Notes
     -----
     Emits the ``offline_appro`` phase and its ``offline_appro.*``
-    children to :mod:`repro.obs` (reduction, local-ratio rounds,
-    optional augment pass).
+    children to :mod:`repro.obs` (reduction, local-ratio rounds).
     """
     with phase("offline_appro", n=instance.num_sensors, method=knapsack_method):
         with phase("offline_appro.reduce"):
@@ -108,33 +97,4 @@ def offline_appro(
             solution = local_ratio_gap(
                 gap, knapsack_solver=solver, bin_order=instance.sensor_order()
             )
-        allocation = Allocation.from_sensor_slots(instance.num_slots, solution.assignment)
-        if augment:
-            with phase("offline_appro.augment"):
-                allocation = _augment(instance, allocation)
-    return allocation
-
-
-def _augment(instance: DataCollectionInstance, allocation: Allocation) -> Allocation:
-    """Greedy post-pass: fill unassigned slots within residual budgets."""
-    owner = allocation.slot_owner.copy()
-    owner.flags.writeable = True
-    residual = instance.budgets_array() - allocation.energy_spent(instance)
-    bounds, sensors_g, profits_g, costs_g = instance._slot_grouped()
-    edges = bounds.tolist()
-    for j in range(instance.num_slots):
-        if owner[j] != -1:
-            continue
-        lo, hi = edges[j], edges[j + 1]
-        comp = sensors_g[lo:hi]
-        prof = profits_g[lo:hi]
-        cost = costs_g[lo:hi]
-        # Affordable positive-profit competitors; argmax returns the
-        # first (= lowest sensor id) maximum, matching the scalar scan.
-        ok = (prof > 0.0) & (cost <= residual[comp] + 1e-12)
-        if np.any(ok):
-            k = int(np.flatnonzero(ok)[int(np.argmax(prof[ok]))])
-            best_sensor = int(comp[k])
-            owner[j] = best_sensor
-            residual[best_sensor] -= cost[k]
-    return Allocation(owner)
+        return Allocation.from_sensor_slots(instance.num_slots, solution.assignment)

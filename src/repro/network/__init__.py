@@ -6,7 +6,7 @@ sensor deployments along a highway, and the multi-rate radio table
 (Section II.C).
 """
 
-from repro.network.geometry import LinearPath, PiecewiseLinearPath, Point
+from repro.network.geometry import PiecewiseLinearPath, Point
 from repro.network.path import SinkTrajectory
 from repro.network.radio import (
     CC2420_LIKE_TABLE,
@@ -21,7 +21,6 @@ from repro.network.network import SensorNetwork
 
 __all__ = [
     "Point",
-    "LinearPath",
     "PiecewiseLinearPath",
     "SinkTrajectory",
     "RateLevel",

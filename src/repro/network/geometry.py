@@ -1,9 +1,10 @@
 """Planar geometry for the pre-defined sink path.
 
 The paper assumes the pre-defined path is a straight line "which can be
-easily extended to real scenarios"; we implement both the straight line
-(:class:`LinearPath`) and the extension (:class:`PiecewiseLinearPath`)
-so the library covers real road geometries too.
+easily extended to real scenarios".  One class covers both: a
+:class:`PiecewiseLinearPath` through a sequence of waypoints.  The
+paper's straight road is the two-waypoint path ``[(0, 0), (L, 0)]``;
+planned tours and real roads are longer polylines.
 
 A path is parameterised by **arc length** ``s ∈ [0, length]``.  The sink's
 travel converts time to arc length; geometry converts arc length to a
@@ -17,9 +18,9 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_positive
 
-__all__ = ["Point", "LinearPath", "PiecewiseLinearPath"]
+__all__ = ["Point", "PiecewiseLinearPath"]
 
 
 @dataclass(frozen=True)
@@ -38,105 +39,14 @@ class Point:
         return np.array([self.x, self.y], dtype=np.float64)
 
 
-class LinearPath:
-    """A straight-line path along the x-axis from ``(0, 0)`` to ``(length, 0)``.
-
-    This is the paper's default highway geometry: sensors sit at
-    ``(x, y)`` with ``|y|`` bounded by the deployment's lateral offset,
-    and the sink drives from arc length 0 to ``length``.
-    """
-
-    def __init__(self, length: float):
-        self._length = check_positive(length, "length")
-
-    @property
-    def length(self) -> float:
-        """Total arc length of the path in metres."""
-        return self._length
-
-    def point_at(self, arc: Union[float, np.ndarray]) -> np.ndarray:
-        """Planar point(s) at arc length ``arc``.
-
-        Parameters
-        ----------
-        arc:
-            Scalar or array of arc lengths; values are clipped to
-            ``[0, length]`` (the sink never leaves the path).
-
-        Returns
-        -------
-        numpy.ndarray
-            Shape ``(2,)`` for scalar input, ``(k, 2)`` for array input.
-        """
-        arc_arr = np.clip(np.asarray(arc, dtype=np.float64), 0.0, self._length)
-        if arc_arr.ndim == 0:
-            return np.array([float(arc_arr), 0.0])
-        out = np.zeros(arc_arr.shape + (2,), dtype=np.float64)
-        out[..., 0] = arc_arr
-        return out
-
-    def distance_from(self, xy: np.ndarray, arc: Union[float, np.ndarray]) -> np.ndarray:
-        """Distance between point(s) ``xy`` and the path point at ``arc``.
-
-        ``xy`` has shape ``(2,)`` or ``(n, 2)``; ``arc`` is scalar or
-        ``(k,)``.  Broadcasting follows NumPy rules over the leading axes:
-        ``(n, 2)`` against ``(k,)`` yields ``(n, k)``.
-        """
-        xy = np.asarray(xy, dtype=np.float64)
-        pts = self.point_at(arc)  # (2,) or (k, 2)
-        if xy.ndim == 1 and pts.ndim == 1:
-            return np.hypot(xy[0] - pts[0], xy[1] - pts[1])
-        if xy.ndim == 1:
-            return np.hypot(xy[0] - pts[..., 0], xy[1] - pts[..., 1])
-        if pts.ndim == 1:
-            return np.hypot(xy[:, 0] - pts[0], xy[:, 1] - pts[1])
-        return np.hypot(
-            xy[:, None, 0] - pts[None, :, 0],
-            xy[:, None, 1] - pts[None, :, 1],
-        )
-
-    def coverage_window(self, xy: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Arc-length window in which the path is within ``radius`` of ``xy``.
-
-        For the straight line this is the chord
-        ``[x - w, x + w]`` with ``w = sqrt(radius² − y²)`` clipped to the
-        path, the quantity the paper uses to derive ``A(v)``.
-
-        Parameters
-        ----------
-        xy:
-            ``(2,)`` or ``(n, 2)`` sensor coordinates.
-        radius:
-            Transmission range ``R`` in metres.
-
-        Returns
-        -------
-        (lo, hi):
-            Arrays of arc lengths.  Where the point is farther than
-            ``radius`` from the line, ``lo > hi`` (empty window).
-        """
-        check_positive(radius, "radius")
-        xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
-        lateral = np.abs(xy[:, 1])
-        half = np.sqrt(np.maximum(radius**2 - lateral**2, 0.0))
-        reachable = lateral <= radius
-        lo = np.where(reachable, np.clip(xy[:, 0] - half, 0.0, self._length), 1.0)
-        hi = np.where(reachable, np.clip(xy[:, 0] + half, 0.0, self._length), 0.0)
-        # A point whose chord misses the [0, L] segment entirely is also
-        # unreachable even if |y| <= radius.
-        beyond = reachable & ((xy[:, 0] + half < 0.0) | (xy[:, 0] - half > self._length))
-        lo = np.where(beyond, 1.0, lo)
-        hi = np.where(beyond, 0.0, hi)
-        return lo, hi
-
-
 class PiecewiseLinearPath:
     """A polyline path through a sequence of waypoints.
 
-    Provided as the "real scenario" extension the paper mentions.  The
-    parameterisation is arc length along the polyline; queries locate the
-    containing segment via ``searchsorted`` so bulk evaluation stays
-    vectorised.
+    Each segment's start point, unit direction, length and starting arc
+    are computed once, as 1-D arrays, so a bulk lookup is a
+    ``searchsorted`` plus one ``np.take`` per quantity.  On an x-axis
+    segment the unit direction is exactly ``(1.0, 0.0)``, so the straight
+    road's points and coverage chords carry no rounding.
     """
 
     def __init__(self, waypoints: Sequence[Tuple[float, float]]):
@@ -144,9 +54,9 @@ class PiecewiseLinearPath:
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError("waypoints must be an (m>=2, 2) sequence of points")
         # Collapse zero-length segments (consecutive duplicate vertices):
-        # they would poison arc-length lookup with 0/0 divisions, and
-        # planners legitimately emit them (e.g. a degenerate sweep column
-        # or a tour stitched from tours that share an endpoint).
+        # they have no direction, and planners legitimately emit them
+        # (e.g. a degenerate sweep column or a tour stitched from tours
+        # that share an endpoint).
         keep = np.concatenate(
             [[True], np.hypot(*(np.diff(pts, axis=0).T)) > 0.0]
         )
@@ -158,9 +68,15 @@ class PiecewiseLinearPath:
         seg = np.diff(pts, axis=0)
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
         self._pts = pts
-        self._seg = seg
+        self._x0 = pts[:-1, 0].copy()
+        self._y0 = pts[:-1, 1].copy()
+        self._ux = seg[:, 0] / seg_len
+        self._uy = seg[:, 1] / seg_len
         self._seg_len = seg_len
         self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        # Interior vertices' arcs: the number at or below an arc is the
+        # index of its segment (0 throughout a one-segment path).
+        self._breaks = self._cum[1:-1]
 
     @property
     def length(self) -> float:
@@ -173,17 +89,26 @@ class PiecewiseLinearPath:
         return self._pts.copy()
 
     def point_at(self, arc: Union[float, np.ndarray]) -> np.ndarray:
-        """Planar point(s) at arc length ``arc`` (clipped to the path)."""
-        arc_arr = np.clip(np.asarray(arc, dtype=np.float64), 0.0, self.length)
-        scalar = arc_arr.ndim == 0
-        arc_arr = np.atleast_1d(arc_arr)
-        idx = np.clip(np.searchsorted(self._cum, arc_arr, side="right") - 1, 0, len(self._seg_len) - 1)
-        frac = (arc_arr - self._cum[idx]) / self._seg_len[idx]
-        out = self._pts[idx] + frac[:, None] * self._seg[idx]
-        return out[0] if scalar else out
+        """Planar point(s) at arc length ``arc``.
+
+        ``arc`` is clipped to ``[0, length]`` (the sink never leaves the
+        path).  Returns shape ``(2,)`` for scalar input, ``arc.shape +
+        (2,)`` otherwise.
+        """
+        arc = np.clip(np.asarray(arc, dtype=np.float64), 0.0, self.length)
+        seg = np.searchsorted(self._breaks, arc, side="right")
+        along = arc - np.take(self._cum, seg)
+        out = np.empty(arc.shape + (2,), dtype=np.float64)
+        out[..., 0] = np.take(self._x0, seg) + np.take(self._ux, seg) * along
+        out[..., 1] = np.take(self._y0, seg) + np.take(self._uy, seg) * along
+        return out
 
     def distance_from(self, xy: np.ndarray, arc: Union[float, np.ndarray]) -> np.ndarray:
-        """Distance between ``xy`` and the path point(s) at ``arc``."""
+        """Distance between point(s) ``xy`` and the path point(s) at ``arc``.
+
+        ``xy`` has shape ``(2,)`` or ``(n, 2)``; ``arc`` is scalar or
+        ``(k,)``.  ``(n, 2)`` against ``(k,)`` yields ``(n, k)``.
+        """
         xy = np.asarray(xy, dtype=np.float64)
         pts = self.point_at(arc)
         if xy.ndim == 1 and pts.ndim == 1:
@@ -198,25 +123,47 @@ class PiecewiseLinearPath:
         )
 
     def coverage_window(self, xy: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate arc-length coverage window for each point in ``xy``.
+        """Arc-length window in which the path comes within ``radius`` of ``xy``.
 
-        Unlike the straight line, a polyline may be within range over a
-        non-contiguous arc set; the paper's model assumes consecutive
-        windows, so we return the *tightest enclosing* window (first to
-        last in-range sample) computed on a fine arc grid.  For gentle
-        road curvature the window is exact.
+        Each point's disc is intersected with every segment exactly: with
+        ``d = p − start``, ``along = d·unit`` and ``perp = unit × d``, the
+        segment is in range over ``along ± √(radius² − perp²)`` clipped to
+        the segment.  The window is the enclosing span ``[min lo, max hi]``
+        of those arcs.  On the straight road that is the paper's chord
+        ``x ± √(R² − y²)``; on a tour that leaves range and comes back
+        (a serpentine passing a sensor twice) the arcs in between lie
+        inside the window but out of range.
+
+        Parameters
+        ----------
+        xy:
+            ``(2,)`` or ``(n, 2)`` sensor coordinates.
+        radius:
+            Transmission range ``R`` in metres.
+
+        Returns
+        -------
+        (lo, hi):
+            Arrays of arc lengths.  Where no segment comes within
+            ``radius``, ``lo = 1.0 > hi = 0.0`` (empty window).
         """
         check_positive(radius, "radius")
         xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
-        # Sample the path at ~0.5 m resolution, bounded for memory.
-        samples = min(int(self.length * 2) + 2, 200_001)
-        grid = np.linspace(0.0, self.length, samples)
-        pts = self.point_at(grid)  # (k, 2)
-        d = np.hypot(xy[:, None, 0] - pts[None, :, 0], xy[:, None, 1] - pts[None, :, 1])
-        within = d <= radius
-        any_within = within.any(axis=1)
-        first = np.argmax(within, axis=1)
-        last = samples - 1 - np.argmax(within[:, ::-1], axis=1)
-        lo = np.where(any_within, grid[first], 1.0)
-        hi = np.where(any_within, grid[last], 0.0)
-        return lo, hi
+        dx = xy[:, 0, None] - self._x0
+        dy = xy[:, 1, None] - self._y0
+        along = dx * self._ux + dy * self._uy
+        perp = self._ux * dy - self._uy * dx
+        half = np.sqrt(np.maximum(radius**2 - perp**2, 0.0))
+        meets = (
+            (np.abs(perp) <= radius)
+            & (along + half >= 0.0)
+            & (along - half <= self._seg_len)
+        )
+        start = self._cum[:-1]
+        lo = np.where(meets, np.clip(along - half, 0.0, self._seg_len) + start, np.inf)
+        hi = np.where(meets, np.clip(along + half, 0.0, self._seg_len) + start, -np.inf)
+        reachable = meets.any(axis=1)
+        return (
+            np.where(reachable, lo.min(axis=1), 1.0),
+            np.where(reachable, hi.max(axis=1), 0.0),
+        )

@@ -1,10 +1,11 @@
 """The :class:`SensorNetwork` container.
 
-Ties together a set of :class:`~repro.network.sensor.Sensor` nodes and
-the pre-defined path they line.  The container is the hand-off point
-between the *physical* layers (geometry, radio, energy) and the
-*combinatorial* layer (:mod:`repro.core.instance`), and offers bulk
-vectorised accessors (positions, charges, harvest) so instance
+Holds the :class:`~repro.network.sensor.Sensor` nodes that line the
+pre-defined path (the path itself belongs to the sink's
+:class:`~repro.network.path.SinkTrajectory`).  The container is the
+hand-off point between the *physical* layers (geometry, radio, energy)
+and the *combinatorial* layer (:mod:`repro.core.instance`), and offers
+bulk vectorised accessors (positions, charges, harvest) so instance
 construction never loops in Python over per-sensor attribute lookups.
 """
 
@@ -17,12 +18,10 @@ import numpy as np
 
 from repro.energy.battery import Battery
 from repro.energy.harvester import HarvestModel
-from repro.network.geometry import LinearPath, PiecewiseLinearPath, Point
+from repro.network.geometry import Point
 from repro.network.sensor import Sensor
 
 __all__ = ["SensorNetwork"]
-
-PathLike = Union[LinearPath, PiecewiseLinearPath]
 
 
 class SensorNetwork:
@@ -30,17 +29,14 @@ class SensorNetwork:
 
     Parameters
     ----------
-    path:
-        The pre-defined path the mobile sink travels.
     sensors:
         The stationary sensor nodes ``V``.
     """
 
-    def __init__(self, path: PathLike, sensors: Sequence[Sensor]):
+    def __init__(self, sensors: Sequence[Sensor]):
         ids = [s.node_id for s in sensors]
         if ids != list(range(len(sensors))):
             raise ValueError("sensor node_ids must be 0..n-1 in order")
-        self.path = path
         self._sensors: List[Sensor] = list(sensors)
         self._positions = (
             np.array([[s.position.x, s.position.y] for s in sensors], dtype=np.float64)
@@ -54,7 +50,6 @@ class SensorNetwork:
     @classmethod
     def build(
         cls,
-        path: PathLike,
         positions: np.ndarray,
         battery_capacity: float,
         initial_charges: Union[float, np.ndarray],
@@ -64,8 +59,6 @@ class SensorNetwork:
 
         Parameters
         ----------
-        path:
-            Sink path geometry.
         positions:
             ``(n, 2)`` sensor coordinates (e.g. from
             :func:`repro.network.deployment.uniform_deployment`).
@@ -91,7 +84,7 @@ class SensorNetwork:
             )
             for i in range(n)
         ]
-        return cls(path, sensors)
+        return cls(sensors)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -149,4 +142,4 @@ class SensorNetwork:
         return self._sensors[node_id]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SensorNetwork(n={self.num_sensors}, L={self.path.length:.0f} m)"
+        return f"SensorNetwork(n={self.num_sensors})"

@@ -20,13 +20,12 @@ from typing import Literal, Union
 
 import numpy as np
 
-from repro.network.geometry import LinearPath, PiecewiseLinearPath
+from repro.network.geometry import PiecewiseLinearPath
 from repro.utils.intervals import SlotInterval
 from repro.utils.validation import check_positive
 
 __all__ = ["SinkTrajectory"]
 
-PathLike = Union[LinearPath, PiecewiseLinearPath]
 SlotAnchor = Literal["midpoint", "start", "end"]
 
 _ANCHOR_OFFSET = {"midpoint": 0.5, "start": 0.0, "end": 1.0}
@@ -50,7 +49,7 @@ class SinkTrajectory:
 
     def __init__(
         self,
-        path: PathLike,
+        path: PiecewiseLinearPath,
         speed: float,
         slot_duration: float,
         anchor: SlotAnchor = "midpoint",
@@ -112,7 +111,7 @@ class SinkTrajectory:
     def distances_to(self, xy: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Sensor–sink distances for points ``xy`` at slot indices ``slots``.
 
-        Shapes follow :meth:`LinearPath.distance_from` broadcasting.
+        Shapes follow :meth:`PiecewiseLinearPath.distance_from` broadcasting.
         """
         return self.path.distance_from(xy, self.arc_at_slot(slots))
 
@@ -122,13 +121,15 @@ class SinkTrajectory:
     def availability(self, xy: np.ndarray, transmission_range: float):
         """Compute ``A(v)`` for each sensor position.
 
-        A slot ``j`` is available to a sensor when the sink's anchor
-        position during ``j`` lies within ``transmission_range`` of the
-        sensor.  Because the anchor positions are evenly spaced along a
-        straight-line (or gently curved) path and the in-range region is
-        an arc-length window ``[lo, hi]``, ``A(v)`` is the consecutive
-        slot window whose anchors fall inside that window — exactly the
-        paper's "set of consecutive time slots".
+        ``A(v)`` is the consecutive slot window whose anchors fall inside
+        the path's coverage window ``[lo, hi]`` for the sensor
+        (:meth:`PiecewiseLinearPath.coverage_window`).  On the straight
+        road that window is one chord, so every slot of ``A(v)`` has its
+        anchor within ``transmission_range`` — exactly the paper's "set
+        of consecutive time slots".  On a tour that leaves a sensor's
+        range and comes back (a serpentine passing it twice) the window
+        encloses both passes, and the slots in between are in ``A(v)``
+        with the sink out of range (rate 0).
 
         Returns
         -------

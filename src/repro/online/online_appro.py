@@ -9,8 +9,6 @@ over the tour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
 from repro.core.offline_appro import offline_appro
@@ -19,34 +17,16 @@ from repro.online.framework import OnlineResult, run_online
 __all__ = ["GapIntervalScheduler", "online_appro"]
 
 
-@dataclass
 class GapIntervalScheduler:
-    """Interval scheduler running the local-ratio GAP algorithm.
-
-    Parameters mirror :func:`repro.core.offline_appro.offline_appro`.
-    """
-
-    knapsack_method: str = "auto"
-    epsilon: float = 0.1
-    augment: bool = False
+    """Interval scheduler running the local-ratio GAP algorithm
+    (:func:`repro.core.offline_appro.offline_appro`)."""
 
     def schedule(self, sub_instance: DataCollectionInstance) -> Allocation:
         """Pack the interval's slots with the local-ratio GAP pass."""
-        return offline_appro(
-            sub_instance,
-            knapsack_method=self.knapsack_method,
-            epsilon=self.epsilon,
-            augment=self.augment,
-        )
+        return offline_appro(sub_instance)
 
 
-def online_appro(
-    instance: DataCollectionInstance,
-    gamma: int,
-    knapsack_method: str = "auto",
-    epsilon: float = 0.1,
-    augment: bool = False,
-) -> OnlineResult:
+def online_appro(instance: DataCollectionInstance, gamma: int) -> OnlineResult:
     """Run the full ``Online_Appro`` tour.
 
     Parameters
@@ -55,14 +35,9 @@ def online_appro(
         The tour's DCMP instance.
     gamma:
         Probe-interval length ``Γ = ⌊R/(r_s·τ)⌋`` in slots.
-    knapsack_method / epsilon / augment:
-        Passed through to the per-interval GAP scheduler.
 
     Returns
     -------
     OnlineResult
     """
-    scheduler = GapIntervalScheduler(
-        knapsack_method=knapsack_method, epsilon=epsilon, augment=augment
-    )
-    return run_online(instance, gamma, scheduler)
+    return run_online(instance, gamma, GapIntervalScheduler())

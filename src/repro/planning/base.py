@@ -10,11 +10,11 @@ geometry/obs, so the scenario layer can call them without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.geometry import LinearPath, PiecewiseLinearPath
+from repro.network.geometry import PiecewiseLinearPath
 
 __all__ = [
     "PlanningError",
@@ -24,8 +24,6 @@ __all__ = [
     "stitch_tours",
     "PLANNERS",
 ]
-
-PathLike = Union[LinearPath, PiecewiseLinearPath]
 
 
 class PlanningError(ValueError):
@@ -65,7 +63,7 @@ class SinkPlan:
     """
 
     kind: str
-    path: PathLike
+    path: PiecewiseLinearPath
     tours: Tuple[np.ndarray, ...]
     tour_lengths: Tuple[float, ...]
     assignment: Optional[np.ndarray] = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.network.geometry import LinearPath
+from repro.network.geometry import PiecewiseLinearPath
 from repro.obs import inc, set_gauge
 
 from .base import SinkPlan
@@ -28,12 +28,13 @@ def plan_fixed_line(
 ) -> SinkPlan:
     """Emit the paper's straight-line tour along the field's long axis.
 
-    The path is exactly the :class:`~repro.network.geometry.LinearPath`
-    a planner-less scenario would build, so solve results match the
-    historical fixed-path pipeline bit-for-bit.
+    The path is exactly the two-waypoint
+    :class:`~repro.network.geometry.PiecewiseLinearPath` a planner-less
+    scenario builds, so solve results match the fixed-path pipeline
+    bit-for-bit.
     """
-    path = LinearPath(field_width)
     waypoints = np.array([[0.0, 0.0], [field_width, 0.0]])
+    path = PiecewiseLinearPath(waypoints)
     inc("planner.plans")
     inc("planner.sweep.segments", 1)
     set_gauge("planner.tour_length_m", float(field_width))

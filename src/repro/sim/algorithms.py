@@ -56,38 +56,20 @@ class TourAlgorithm:
 class OfflineApproAlgorithm(TourAlgorithm):
     """``Offline_Appro`` (Algorithm 1)."""
 
-    knapsack_method: str = "auto"
-    epsilon: float = 0.1
-    augment: bool = False
     name: str = "Offline_Appro"
 
     def run(self, instance: DataCollectionInstance, gamma: int) -> RunOutput:
-        allocation = offline_appro(
-            instance,
-            knapsack_method=self.knapsack_method,
-            epsilon=self.epsilon,
-            augment=self.augment,
-        )
-        return allocation, None
+        return offline_appro(instance), None
 
 
 @dataclass
 class OnlineApproAlgorithm(TourAlgorithm):
     """``Online_Appro`` (Algorithm 2 + GAP interval scheduler)."""
 
-    knapsack_method: str = "auto"
-    epsilon: float = 0.1
-    augment: bool = False
     name: str = "Online_Appro"
 
     def run(self, instance: DataCollectionInstance, gamma: int) -> RunOutput:
-        result = online_appro(
-            instance,
-            gamma,
-            knapsack_method=self.knapsack_method,
-            epsilon=self.epsilon,
-            augment=self.augment,
-        )
+        result = online_appro(instance, gamma)
         return result.allocation, result.messages
 
 

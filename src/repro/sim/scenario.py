@@ -29,7 +29,7 @@ from repro.core.instance import DataCollectionInstance
 from repro.energy.harvester import SolarHarvester
 from repro.energy.solar import cloudy_profile, sunny_profile
 from repro.network.deployment import clustered_deployment, uniform_deployment
-from repro.network.geometry import LinearPath
+from repro.network.geometry import PiecewiseLinearPath
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import CC2420_LIKE_TABLE, RateTable
@@ -246,7 +246,7 @@ class Scenario:
             )
         if config.planner is None:
             self.plan = None
-            path = LinearPath(config.path_length)
+            path = PiecewiseLinearPath([(0.0, 0.0), (config.path_length, 0.0)])
         else:
             self.plan = plan_scenario(
                 config.planner,
@@ -284,7 +284,6 @@ class Scenario:
         charges = np.minimum(charges, config.battery_capacity)
 
         self.network = SensorNetwork.build(
-            path,
             positions,
             battery_capacity=config.battery_capacity,
             initial_charges=charges,

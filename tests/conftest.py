@@ -18,10 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.network.geometry import PiecewiseLinearPath
 from repro.sim.scenario import ScenarioConfig
 from repro.verify.gen import make_instance, random_instance
 
-__all__ = ["make_instance", "random_instance"]
+__all__ = ["make_instance", "random_instance", "straight_road"]
+
+
+def straight_road(length: float) -> PiecewiseLinearPath:
+    """The paper's straight road: the two-waypoint path ``(0, 0) → (length, 0)``."""
+    return PiecewiseLinearPath([(0.0, 0.0), (length, 0.0)])
 
 settings.register_profile("dev", max_examples=25, deadline=None)
 settings.register_profile("ci", max_examples=100, deadline=None)

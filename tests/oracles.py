@@ -10,6 +10,15 @@ not merely "close".
 :func:`dcmp_lp_reference_bound` is the per-pair LP model the flat-pair
 bound replaced; both must reach the same optimum under ``==``.
 
+The path references are the two coverage models one exact
+segment–disc intersection replaced: :class:`LinearPathReference`, the
+straight road as its own class with the closed-form chord
+``x ± √(R² − y²)``, and :func:`sampled_coverage_window`, the enclosing
+window of a 0.5 m sampling grid over any path.  A
+:class:`LinearPathReference` can stand in for the production path inside
+:class:`~repro.network.path.SinkTrajectory` (it has ``length``,
+``point_at`` and ``coverage_window``).
+
 The harvest references are the per-sensor loops one shared integral
 replaced: :func:`energy_density_reference` is the one-window
 ``linspace`` + ``trapezoid`` integral, :func:`initial_charges_reference`
@@ -55,6 +64,9 @@ __all__ = [
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
     "dcmp_lp_reference_bound",
+    "LinearPathReference",
+    "sampled_coverage_window",
+    "sampling_step",
     "energy_density_reference",
     "initial_charges_reference",
     "simulate_tours_reference",
@@ -344,6 +356,74 @@ def dcmp_lp_reference_bound(instance: DataCollectionInstance) -> float:
     )
     assert res.success, res.message
     return float(-res.fun)
+
+
+# ----------------------------------------------------------------------
+# Path: the closed-form straight road and the sampled enclosing window
+# ----------------------------------------------------------------------
+class LinearPathReference:
+    """Reference straight road along the x-axis from ``(0, 0)`` to
+    ``(length, 0)``, the first of the two path models the one
+    :class:`~repro.network.geometry.PiecewiseLinearPath` replaced.
+
+    ``point_at`` returns ``(arc, 0.0)`` and ``coverage_window`` the chord
+    ``[x − w, x + w]``, ``w = √(R² − y²)``, clipped to ``[0, length]``;
+    the two-waypoint production path must equal both under ``==``.
+    """
+
+    def __init__(self, length: float):
+        if not length > 0:
+            raise ValueError(f"length must be > 0, got {length}")
+        self.length = float(length)
+
+    def point_at(self, arc):
+        arc_arr = np.clip(np.asarray(arc, dtype=np.float64), 0.0, self.length)
+        if arc_arr.ndim == 0:
+            return np.array([float(arc_arr), 0.0])
+        out = np.zeros(arc_arr.shape + (2,), dtype=np.float64)
+        out[..., 0] = arc_arr
+        return out
+
+    def coverage_window(self, xy, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+        lateral = np.abs(xy[:, 1])
+        half = np.sqrt(np.maximum(radius**2 - lateral**2, 0.0))
+        reachable = lateral <= radius
+        lo = np.where(reachable, np.clip(xy[:, 0] - half, 0.0, self.length), 1.0)
+        hi = np.where(reachable, np.clip(xy[:, 0] + half, 0.0, self.length), 0.0)
+        # A chord that misses [0, L] entirely is unreachable too.
+        beyond = reachable & ((xy[:, 0] + half < 0.0) | (xy[:, 0] - half > self.length))
+        lo = np.where(beyond, 1.0, lo)
+        hi = np.where(beyond, 0.0, hi)
+        return lo, hi
+
+
+def sampled_coverage_window(path, xy, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference enclosing window on a sampling grid, the second path
+    model: the first and last of ``min(2·L + 2, 200,001)`` evenly spaced
+    arcs (about 0.5 m apart) whose point lies within ``radius`` of each
+    sensor, from an n × samples distance matrix; ``(1.0, 0.0)`` when no
+    sample is in range.  The exact window must contain it, each end
+    within one grid step (:func:`sampling_step`).
+    """
+    xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+    samples = min(int(path.length * 2) + 2, 200_001)
+    grid = np.linspace(0.0, path.length, samples)
+    pts = path.point_at(grid)
+    d = np.hypot(xy[:, None, 0] - pts[None, :, 0], xy[:, None, 1] - pts[None, :, 1])
+    within = d <= radius
+    any_within = within.any(axis=1)
+    first = np.argmax(within, axis=1)
+    last = samples - 1 - np.argmax(within[:, ::-1], axis=1)
+    lo = np.where(any_within, grid[first], 1.0)
+    hi = np.where(any_within, grid[last], 0.0)
+    return lo, hi
+
+
+def sampling_step(path) -> float:
+    """Grid spacing of :func:`sampled_coverage_window` on ``path``."""
+    samples = min(int(path.length * 2) + 2, 200_001)
+    return path.length / (samples - 1)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,10 @@ import pytest
 
 from repro.core.instance import DataCollectionInstance
 from repro.core.offline_appro import offline_appro
-from repro.network.geometry import LinearPath
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import CC2420_LIKE_TABLE
+from tests.conftest import straight_road
 
 
 ANCHORS = ["start", "midpoint", "end"]
@@ -22,9 +22,9 @@ ANCHORS = ["start", "midpoint", "end"]
 
 def build(anchor, seed=0, n=60):
     rng = np.random.default_rng(seed)
-    path = LinearPath(3000.0)
+    path = straight_road(3000.0)
     xy = np.column_stack([rng.uniform(0, 3000, n), rng.uniform(-180, 180, n)])
-    net = SensorNetwork.build(path, xy, 10_000.0, rng.uniform(0.5, 6.0, n))
+    net = SensorNetwork.build(xy, 10_000.0, rng.uniform(0.5, 6.0, n))
     traj = SinkTrajectory(path, 5.0, 1.0, anchor=anchor)
     inst = DataCollectionInstance.from_network(net, traj, CC2420_LIKE_TABLE, net.charges())
     return inst

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.instance import DataCollectionInstance, SensorSlotData
-from repro.network.geometry import LinearPath
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import CC2420_LIKE_TABLE
 from repro.utils.intervals import SlotInterval
-from tests.conftest import make_instance
+from tests.conftest import make_instance, straight_road
 
 
 @pytest.fixture
@@ -158,8 +157,8 @@ class TestFromNetwork:
     def test_from_network_end_to_end(self):
         # One sensor on the axis at x=500: every in-window slot's rate
         # follows the anchor distance through the paper's table.
-        path = LinearPath(1000.0)
-        net = SensorNetwork.build(path, np.array([[500.0, 0.0]]), 100.0, 50.0)
+        path = straight_road(1000.0)
+        net = SensorNetwork.build(np.array([[500.0, 0.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])
@@ -173,8 +172,8 @@ class TestFromNetwork:
         assert inst.budget_of(0) == 50.0
 
     def test_from_network_unreachable_sensor(self):
-        path = LinearPath(1000.0)
-        net = SensorNetwork.build(path, np.array([[500.0, 400.0]]), 100.0, 50.0)
+        path = straight_road(1000.0)
+        net = SensorNetwork.build(np.array([[500.0, 400.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])
@@ -182,8 +181,8 @@ class TestFromNetwork:
         assert inst.window_of(0) is None
 
     def test_from_network_budget_shape_checked(self):
-        path = LinearPath(1000.0)
-        net = SensorNetwork.build(path, np.array([[500.0, 0.0]]), 100.0, 50.0)
+        path = straight_road(1000.0)
+        net = SensorNetwork.build(np.array([[500.0, 0.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         with pytest.raises(ValueError):
             DataCollectionInstance.from_network(
@@ -192,8 +191,8 @@ class TestFromNetwork:
 
     def test_rates_symmetric_for_centered_sensor(self):
         """A sensor on the axis sees a rate profile symmetric in its window."""
-        path = LinearPath(1000.0)
-        net = SensorNetwork.build(path, np.array([[502.5, 0.0]]), 100.0, 50.0)
+        path = straight_road(1000.0)
+        net = SensorNetwork.build(np.array([[502.5, 0.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.energy.battery import Battery
 from repro.energy.harvester import ConstantHarvester
-from repro.network.geometry import LinearPath, Point
+from repro.network.geometry import Point
 from repro.network.network import SensorNetwork
 from repro.network.sensor import Sensor
 from repro.sim.algorithms import get_algorithm
@@ -17,7 +17,6 @@ from repro.sim.simulator import run_tour
 def network():
     positions = np.array([[100.0, 10.0], [200.0, -20.0], [300.0, 0.0]])
     return SensorNetwork.build(
-        LinearPath(1000.0),
         positions,
         battery_capacity=100.0,
         initial_charges=np.array([10.0, 20.0, 30.0]),
@@ -59,9 +58,7 @@ class TestSensorNetwork:
         assert not np.array_equal(before, after)
 
     def test_scalar_initial_charge_broadcast(self):
-        net = SensorNetwork.build(
-            LinearPath(100.0), np.array([[1.0, 0.0], [2.0, 0.0]]), 50.0, 5.0
-        )
+        net = SensorNetwork.build(np.array([[1.0, 0.0], [2.0, 0.0]]), 50.0, 5.0)
         np.testing.assert_allclose(net.charges(), [5.0, 5.0])
 
     def test_harvesters_assigned_per_node(self, network):
@@ -69,9 +66,7 @@ class TestSensorNetwork:
         assert network[2].harvester.power(0.0) == pytest.approx(0.3)
 
     def test_no_harvester_factory(self):
-        net = SensorNetwork.build(
-            LinearPath(100.0), np.array([[1.0, 0.0]]), 50.0, 5.0
-        )
+        net = SensorNetwork.build(np.array([[1.0, 0.0]]), 50.0, 5.0)
         assert net[0].harvester is None
 
     def test_iteration_order(self, network):
@@ -80,7 +75,7 @@ class TestSensorNetwork:
 
     def test_bad_positions_shape(self):
         with pytest.raises(ValueError):
-            SensorNetwork.build(LinearPath(100.0), np.zeros((3, 3)), 50.0, 5.0)
+            SensorNetwork.build(np.zeros((3, 3)), 50.0, 5.0)
 
     def test_out_of_order_ids_rejected(self):
         sensors = [
@@ -88,21 +83,21 @@ class TestSensorNetwork:
             Sensor(0, Point(1, 0), Battery(10.0)),
         ]
         with pytest.raises(ValueError):
-            SensorNetwork(LinearPath(100.0), sensors)
+            SensorNetwork(sensors)
 
     def test_empty_network(self):
-        net = SensorNetwork(LinearPath(100.0), [])
+        net = SensorNetwork([])
         assert net.num_sensors == 0
         assert net.positions.shape == (0, 2)
         assert net.harvest(0.0, 100.0).shape == (0,)
 
     def test_harvest_without_harvester(self):
-        net = SensorNetwork(LinearPath(100.0), [Sensor(0, Point(0, 0), Battery(10.0))])
+        net = SensorNetwork([Sensor(0, Point(0, 0), Battery(10.0))])
         np.testing.assert_array_equal(net.harvest(0.0, 100.0), [0.0])
 
     def test_harvest_with_harvester(self):
         sensor = Sensor(0, Point(0, 0), Battery(10.0), ConstantHarvester(0.5))
-        net = SensorNetwork(LinearPath(100.0), [sensor])
+        net = SensorNetwork([sensor])
         assert net.harvest(0.0, 100.0)[0] == pytest.approx(50.0)
 
     def test_harvest_calls_each_shared_model_once(self):
@@ -121,8 +116,7 @@ class TestSensorNetwork:
         shared, first, second = Counting(0.7), Counting(0.1), Counting(0.3)
         models = [None, shared, first, shared, None, second, shared]
         net = SensorNetwork(
-            LinearPath(100.0),
-            [Sensor(i, Point(i, 0), Battery(10.0), m) for i, m in enumerate(models)],
+            [Sensor(i, Point(i, 0), Battery(10.0), m) for i, m in enumerate(models)]
         )
         gains = net.harvest(10.0, 250.0)
         # Exactly what a per-node call returns, node by node.

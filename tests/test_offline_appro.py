@@ -118,18 +118,6 @@ class TestBehaviour:
         alloc = offline_appro(inst)
         assert alloc.num_assigned() == 0
 
-    def test_augment_never_hurts(self, rng):
-        for _ in range(10):
-            inst = random_instance(rng, num_slots=10, num_sensors=4)
-            base = offline_appro(inst, augment=False).collected_bits(inst)
-            plus = offline_appro(inst, augment=True).collected_bits(inst)
-            assert plus >= base - 1e-9
-
-    def test_augmented_allocation_feasible(self, rng):
-        for _ in range(10):
-            inst = random_instance(rng, num_slots=10, num_sensors=4)
-            offline_appro(inst, augment=True).check_feasible(inst)
-
     def test_deterministic(self, rng):
         inst = random_instance(rng, num_slots=10, num_sensors=4)
         a = offline_appro(inst)

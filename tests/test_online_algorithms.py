@@ -48,11 +48,15 @@ class TestOnlineAppro:
         assert np.mean(ratios) >= 0.85
 
     def test_knapsack_method_passthrough(self, rng):
+        """The framework runs any interval scheduler: the local-ratio
+        pass with another knapsack solver stays feasible."""
+
+        class GreedyScheduler:
+            def schedule(self, sub_instance):
+                return offline_appro(sub_instance, knapsack_method="greedy")
+
         inst = random_instance(rng, num_slots=16, num_sensors=5)
-        a = online_appro(inst, 4, knapsack_method="greedy")
-        b = online_appro(inst, 4, knapsack_method="auto")
-        a.allocation.check_feasible(inst)
-        assert b.collected_bits >= a.collected_bits - 1e-9 or True  # both valid
+        run_online(inst, 4, GreedyScheduler()).allocation.check_feasible(inst)
 
 
 class TestOnlineMaxMatch:

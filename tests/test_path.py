@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.network.geometry import LinearPath
 from repro.network.path import SinkTrajectory
 from repro.utils.intervals import SlotInterval
+from tests.conftest import straight_road
 
 
 @pytest.fixture
 def traj():
     # 1000 m path, 5 m/s, 1 s slots -> 200 slots of 5 m.
-    return SinkTrajectory(LinearPath(1000.0), speed=5.0, slot_duration=1.0)
+    return SinkTrajectory(straight_road(1000.0), speed=5.0, slot_duration=1.0)
 
 
 def test_num_slots(traj):
@@ -19,7 +19,7 @@ def test_num_slots(traj):
 
 
 def test_num_slots_floor():
-    t = SinkTrajectory(LinearPath(1001.0), speed=5.0, slot_duration=1.0)
+    t = SinkTrajectory(straight_road(1001.0), speed=5.0, slot_duration=1.0)
     assert t.num_slots == 200  # floor(1001/5)
 
 
@@ -33,12 +33,12 @@ def test_slot_length(traj):
 
 def test_zero_slot_tour_rejected():
     with pytest.raises(ValueError):
-        SinkTrajectory(LinearPath(3.0), speed=5.0, slot_duration=1.0)
+        SinkTrajectory(straight_road(3.0), speed=5.0, slot_duration=1.0)
 
 
 def test_invalid_anchor():
     with pytest.raises(ValueError):
-        SinkTrajectory(LinearPath(100.0), 5.0, 1.0, anchor="middle")
+        SinkTrajectory(straight_road(100.0), 5.0, 1.0, anchor="middle")
 
 
 def test_midpoint_anchor(traj):
@@ -47,12 +47,12 @@ def test_midpoint_anchor(traj):
 
 
 def test_start_anchor():
-    t = SinkTrajectory(LinearPath(1000.0), 5.0, 1.0, anchor="start")
+    t = SinkTrajectory(straight_road(1000.0), 5.0, 1.0, anchor="start")
     assert t.arc_at_slot(3) == pytest.approx(15.0)
 
 
 def test_end_anchor():
-    t = SinkTrajectory(LinearPath(1000.0), 5.0, 1.0, anchor="end")
+    t = SinkTrajectory(straight_road(1000.0), 5.0, 1.0, anchor="end")
     assert t.arc_at_slot(3) == pytest.approx(20.0)
 
 
@@ -68,17 +68,17 @@ def test_distances_to(traj):
 
 def test_gamma_paper_defaults():
     # R=200, r_s=5, tau=1 -> Gamma = 40.
-    t = SinkTrajectory(LinearPath(10_000.0), 5.0, 1.0)
+    t = SinkTrajectory(straight_road(10_000.0), 5.0, 1.0)
     assert t.gamma(200.0) == 40
 
 
 def test_gamma_floor():
-    t = SinkTrajectory(LinearPath(10_000.0), 30.0, 4.0)  # slot = 120 m
+    t = SinkTrajectory(straight_road(10_000.0), 30.0, 4.0)  # slot = 120 m
     assert t.gamma(200.0) == 1  # floor(200/120)
 
 
 def test_gamma_minimum_one():
-    t = SinkTrajectory(LinearPath(10_000.0), 100.0, 4.0)  # slot = 400 m > R
+    t = SinkTrajectory(straight_road(10_000.0), 100.0, 4.0)  # slot = 400 m > R
     assert t.gamma(200.0) == 1
 
 
@@ -136,7 +136,7 @@ def test_probe_interval_slots(traj):
 
 
 def test_probe_interval_last_truncated():
-    t = SinkTrajectory(LinearPath(1025.0), 5.0, 1.0)  # T=205, Gamma=10
+    t = SinkTrajectory(straight_road(1025.0), 5.0, 1.0)  # T=205, Gamma=10
     last = t.num_probe_intervals(50.0) - 1
     assert t.probe_interval(last, 50.0) == SlotInterval(200, 204)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.network.geometry import LinearPath, PiecewiseLinearPath
+from repro.network.geometry import PiecewiseLinearPath
 from repro.planning import (
     PLANNER_KINDS,
     PlannerConfig,
@@ -284,7 +284,7 @@ class TestFixedLine:
     def test_matches_paper_path(self):
         pos = _positions()
         plan = plan_scenario(PlannerConfig(kind="fixed_line"), pos, 1200.0, 300.0, R)
-        assert isinstance(plan.path, LinearPath)
+        np.testing.assert_array_equal(plan.path.waypoints, [[0.0, 0.0], [1200.0, 0.0]])
         assert plan.path.length == 1200.0
         assert plan.tour_lengths == (1200.0,)
 
