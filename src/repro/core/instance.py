@@ -20,10 +20,10 @@ geometry and rates/powers from the radio table in one vectorised pass
 over every (sensor, slot) pair at once.
 
 The instance also caches its **flat pair arrays** (one entry per
-in-window (sensor, slot) pair, sensor-major) and the dense ``(n, T)``
-rate/profit/cost matrices; solvers, baselines and the allocation
-accounting consume these instead of re-deriving per-sensor views in
-Python loops.  All cached arrays are immutable (``writeable`` cleared).
+in-window (sensor, slot) pair, sensor-major); solvers, baselines and the
+allocation accounting consume these instead of re-deriving per-sensor
+views in Python loops.  All cached arrays are immutable (``writeable``
+cleared).
 """
 
 from __future__ import annotations
@@ -170,10 +170,6 @@ class DataCollectionInstance:
         self._window_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._budgets: Optional[np.ndarray] = None
         self._order: Optional[List[int]] = None
-        self._total_profit: Optional[float] = None
-        self._profits_dense: Optional[np.ndarray] = None
-        self._costs_dense: Optional[np.ndarray] = None
-        self._rates_dense: Optional[np.ndarray] = None
         self._slot_groups: Optional[Tuple[np.ndarray, ...]] = None
         # Memoised DCMP→GAP reduction (owned by repro.core.offline_appro).
         self._dcmp_gap = None
@@ -467,45 +463,6 @@ class DataCollectionInstance:
             self._order = np.lexsort((ids, end_key, start_key)).tolist()
         return list(self._order)
 
-    @property
-    def rates_dense(self) -> np.ndarray:
-        """Dense ``(n, T)`` rate matrix ``r_{i,j}`` (0 outside windows;
-        cached, immutable)."""
-        if self._rates_dense is None:
-            self._rates_dense = _freeze(self._densify(self.flat_pairs().rates))
-        return self._rates_dense
-
-    @property
-    def profits_dense(self) -> np.ndarray:
-        """Dense ``(n, T)`` profit matrix ``r_{i,j}·tau`` — the paper's
-        ``D⁰`` (cached, immutable)."""
-        if self._profits_dense is None:
-            self._profits_dense = _freeze(self._densify(self.flat_pairs().profits))
-        return self._profits_dense
-
-    @property
-    def costs_dense(self) -> np.ndarray:
-        """Dense ``(n, T)`` cost (weight) matrix ``P_{i,j}·tau`` (cached,
-        immutable)."""
-        if self._costs_dense is None:
-            self._costs_dense = _freeze(self._densify(self.flat_pairs().costs))
-        return self._costs_dense
-
-    def _densify(self, values: np.ndarray) -> np.ndarray:
-        flat = self.flat_pairs()
-        dense = np.zeros((self.num_sensors, self.num_slots))
-        dense[flat.sensor, flat.slot] = values
-        return dense
-
-    def dense_profit_matrix(self) -> np.ndarray:
-        """The paper's initial profit matrix ``D⁰`` as a dense ``(n, T)``
-        array — ``r_{i,j}·tau`` inside windows, 0 elsewhere.
-
-        Returns a fresh writable copy; use :attr:`profits_dense` for the
-        cached immutable view.
-        """
-        return self.profits_dense.copy()
-
     def restrict(
         self,
         interval: SlotInterval,
@@ -565,16 +522,6 @@ class DataCollectionInstance:
             DataCollectionInstance(len(interval), self.slot_duration, subs),
             parents,
         )
-
-    # ------------------------------------------------------------------
-    def total_available_profit(self) -> float:
-        """Σ over all (sensor, slot) pairs of profit — a trivial upper
-        bound used for sanity checks.  Cached after the first call."""
-        if self._total_profit is None:
-            self._total_profit = float(
-                sum(s.rates.sum() for s in self.sensors) * self.slot_duration
-            )
-        return self._total_profit
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         reachable = sum(1 for s in self.sensors if s.window is not None)

@@ -8,31 +8,39 @@ problem is really a **b-matching**: left node ``i`` may be matched to up
 to ``c_i`` right nodes, every right node to at most one left node,
 maximising total edge weight.
 
-One exact engine solves every b-matching: the b-matching LP with HiGHS
-dual simplex (``method="highs-ds"``).  The constraint matrix is the
-incidence matrix of a bipartite graph, hence totally unimodular, so the
-vertex optimum is integral; the solver still checks integrality and
-raises on a fractional vertex.  The test suite cross-checks it against
-a min-cost-flow oracle and a brute-force matcher.
+One exact engine solves every b-matching: the b-matching LP, handed to
+HiGHS through :func:`scipy.optimize.milp` with no integrality (so HiGHS
+runs its LP path: presolve, then dual simplex).  The constraint matrix
+is the incidence matrix of a bipartite graph, hence totally unimodular,
+so the vertex optimum is integral; the solver still checks integrality
+and raises on a fractional vertex.  The test suite cross-checks it
+against a min-cost-flow oracle and a brute-force matcher.
+
+Edges arrive as one ``(E, 3)`` float64 array of ``(left, right,
+weight)`` rows (any sequence of triples is accepted and converted), and
+the LP's constraint matrix is built directly in the compressed-column
+form HiGHS takes.
 
 Tie-break.  Optimal matchings often tie (equal-weight slots in one
 window), and which optimum a solver returns depends on the order it
 sees the columns.  The order is pinned by construction: edges are
 deduplicated (the heaviest parallel edge survives) and sorted by
 ``(left, right)`` before the LP is built, so the same edge *set* always
-yields the same LP and, with the deterministic dual simplex, the same
-pairs, whatever order the caller listed the edges in.  Pairs come back
-sorted by ``(left, right)``.
+yields the same LP and, with HiGHS's deterministic dual simplex after
+presolve, the same pairs, whatever order the caller listed the edges
+in.  Pairs come back sorted by ``(left, right)``.  The same LP through
+``linprog(method="highs-ds")`` is kept in ``tests/oracles.py``, and the
+tests require both to return equal pairs on tied instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 from repro.obs import get_registry, phase
 
@@ -40,6 +48,9 @@ __all__ = ["MatchingResult", "max_weight_b_matching"]
 
 #: Edges below this weight are dropped (they cannot improve the matching).
 _WEIGHT_EPS = 1e-12
+
+#: ``(E, 3)`` rows of ``(left, right, weight)``, or any sequence of triples.
+Edges = Union[np.ndarray, Sequence[Tuple[int, int, float]]]
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class MatchingResult:
 
 
 def _check_inputs(
-    edges: Sequence[Tuple[int, int, float]],
+    edges: Edges,
     left_capacities: Sequence[int],
     num_right: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -70,9 +81,10 @@ def _check_inputs(
         raise ValueError("left capacities must be >= 0")
     if num_right < 0:
         raise ValueError("num_right must be >= 0")
-    if len(edges) == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), caps
-    arr = np.asarray([(u, v, w) for (u, v, w) in edges], dtype=np.float64)
+    arr = np.asarray(edges, dtype=np.float64)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 3):
+        raise ValueError("edges must be (left, right, weight) triples")
+    arr = arr.reshape(-1, 3)
     u = arr[:, 0].astype(np.int64)
     v = arr[:, 1].astype(np.int64)
     w = arr[:, 2]
@@ -86,7 +98,7 @@ def _check_inputs(
 
 
 def max_weight_b_matching(
-    edges: Sequence[Tuple[int, int, float]],
+    edges: Edges,
     left_capacities: Sequence[int],
     num_right: int,
 ) -> MatchingResult:
@@ -95,9 +107,12 @@ def max_weight_b_matching(
     Parameters
     ----------
     edges:
-        ``(left, right, weight)`` triples.  Non-positive-weight edges are
-        ignored (they never help a *maximum*-weight matching).  Parallel
-        edges are allowed; only the heaviest parallel edge can matter.
+        ``(left, right, weight)`` rows: an ``(E, 3)`` float64 array (the
+        form :func:`repro.core.offline_maxmatch.build_matching_edges`
+        returns) or any sequence of triples.  Non-positive-weight edges
+        are ignored (they never help a *maximum*-weight matching).
+        Parallel edges are allowed; only the heaviest parallel edge can
+        matter.
     left_capacities:
         ``c_i`` per left node (the paper's ``n_i'`` copy counts).
     num_right:
@@ -142,22 +157,22 @@ def _solve_lp(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
 ) -> MatchingResult:
     """HiGHS dual simplex on the (totally unimodular) b-matching LP."""
-    num_left = caps.size
     num_edges = u.size
-    # Constraints: per-right <= 1, per-left <= c_i.
-    rows = np.concatenate([v, num_right + u])
-    cols = np.concatenate([np.arange(num_edges), np.arange(num_edges)])
-    data = np.ones(2 * num_edges)
-    a_ub = coo_matrix(
-        (data, (rows, cols)), shape=(num_right + num_left, num_edges)
-    ).tocsr()
+    # Constraints: per-right <= 1 (rows 0..T-1), per-left <= c_i (rows
+    # T + i).  Column k holds a 1 in slot row v[k] and one in sensor row
+    # T + u[k]; v[k] < T, so each column's row indices are ascending.
+    indices = np.empty(2 * num_edges, dtype=np.int64)
+    indices[0::2] = v
+    indices[1::2] = num_right + u
+    a_ub = csc_array(
+        (np.ones(2 * num_edges), indices, np.arange(0, 2 * num_edges + 1, 2)),
+        shape=(num_right + caps.size, num_edges),
+    )
     b_ub = np.concatenate([np.ones(num_right), caps.astype(np.float64)])
-    res = linprog(
+    res = milp(
         c=-w,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(0.0, 1.0),
-        method="highs-ds",
+        constraints=LinearConstraint(a_ub, -np.inf, b_ub),
+        bounds=Bounds(0.0, 1.0),
     )
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"b-matching LP failed: {res.message}")

@@ -18,7 +18,7 @@ the b-matching solver (:mod:`repro.core.matching`) is.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,35 +35,39 @@ _POWER_RTOL = 1e-9
 def fixed_power_of(instance: DataCollectionInstance) -> float:
     """The unique transmission power ``P'`` of a special-case instance.
 
-    Scans every in-range (rate > 0) slot of every sensor; raises
-    ``ValueError`` if more than one distinct power appears, since the
-    matching algorithm is only exact for the single-power case.
+    Reads the powers of every in-range (rate > 0) pair of
+    ``instance.flat_pairs()``.  The reference power is the lowest
+    in-range power of the first sensor that can transmit.  Raises
+    ``ValueError`` when no slot is in range, or when another in-range
+    power differs from the reference by more than ``_POWER_RTOL``
+    (relative): the matching algorithm is only exact for the
+    single-power case.
     """
-    power: Optional[float] = None
-    for data in instance.sensors:
-        if data.window is None:
-            continue
-        active = data.powers[data.rates > 0]
-        for p in np.unique(active):
-            if power is None:
-                power = float(p)
-            elif not np.isclose(p, power, rtol=_POWER_RTOL, atol=0.0):
-                raise ValueError(
-                    f"instance is not single-power: found {power} W and {p} W"
-                )
-    if power is None:
+    flat = instance.flat_pairs()
+    active = flat.rates > 0
+    if not active.any():
         raise ValueError("instance has no transmittable (rate > 0) slot at all")
+    powers = flat.powers[active]
+    sensors = flat.sensor[active]
+    power = float(powers[sensors == sensors[0]].min())
+    off = ~np.isclose(powers, power, rtol=_POWER_RTOL, atol=0.0)
+    if off.any():
+        # Name the lowest off-reference power of the first sensor that
+        # has one, the offender a sensor-by-sensor scan meets first.
+        p = powers[off & (sensors == sensors[off][0])].min()
+        raise ValueError(f"instance is not single-power: found {power} W and {p} W")
     return power
 
 
 def build_matching_edges(
     instance: DataCollectionInstance,
     fixed_power: Optional[float] = None,
-) -> Tuple[List[Tuple[int, int, float]], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Edges and left capacities of the Section-VI bipartite graph.
 
-    Returns ``(edges, capacities)`` where ``edges`` holds
-    ``(sensor, slot, r_{i,j}·τ)`` for every positive-rate slot and
+    Returns ``(edges, capacities)``: ``edges`` is an ``(E, 3)`` float64
+    array of ``(sensor, slot, r_{i,j}·τ)`` rows, one per positive-rate
+    slot of a sensor with capacity, sensor-major with slots ascending;
     ``capacities[i] = min(|A(v_i)|, ⌊P(v_i)/(P'·τ)⌋)``.
     """
     if fixed_power is None:
@@ -77,15 +81,9 @@ def build_matching_edges(
     ).astype(np.int64)
     caps = np.minimum(window_sizes, affordable)
     np.maximum(caps, 0, out=caps)
-    # One masked pass over the flat pairs, (sensor asc, slot asc) like
-    # the scalar loop.
     keep = (flat.rates > 0) & (caps[flat.sensor] > 0)
-    edges = list(
-        zip(
-            flat.sensor[keep].tolist(),
-            flat.slot[keep].tolist(),
-            (flat.rates[keep] * tau).tolist(),
-        )
+    edges = np.column_stack(
+        (flat.sensor[keep], flat.slot[keep], flat.rates[keep] * tau)
     )
     return edges, caps
 
@@ -113,12 +111,9 @@ def offline_maxmatch(
         The optimal allocation for the special case.
     """
     if fixed_power is None:
-        try:
-            fixed_power = fixed_power_of(instance)
-        except ValueError as err:
-            if "no transmittable" in str(err):
-                return Allocation(np.full(instance.num_slots, -1, dtype=np.int64))
-            raise
+        if not np.any(instance.flat_pairs().rates > 0):
+            return Allocation(np.full(instance.num_slots, -1, dtype=np.int64))
+        fixed_power = fixed_power_of(instance)
     edges, caps = build_matching_edges(instance, fixed_power)
     result = max_weight_b_matching(edges, caps, instance.num_slots)
     allocation = Allocation(result.right_of(instance.num_slots))

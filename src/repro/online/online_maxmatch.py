@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
 from repro.core.matching import max_weight_b_matching
@@ -71,11 +73,9 @@ def online_maxmatch(
     OnlineResult
     """
     if fixed_power is None:
-        try:
+        if np.any(instance.flat_pairs().rates > 0):
             fixed_power = fixed_power_of(instance)
-        except ValueError as err:
-            if "no transmittable" not in str(err):
-                raise
+        else:
             # Nothing can ever transmit: run the framework anyway so the
             # message accounting (all-empty intervals) stays meaningful.
             fixed_power = 1.0

@@ -30,8 +30,12 @@ loops: a successive-shortest-path min-cost flow (:class:`MinCostFlow`,
 :func:`mcmf_b_matching`), a dense assignment over left-node copies
 (:func:`lsa_b_matching`) and the paper's literal Section-VI node-copies
 graph G′ (:func:`build_copies_graph`, :func:`maxmatch_via_copies`).
-The production b-matching LP must reach the same optimal *weight*;
-which of several tied optima it picks is its own business.
+The production b-matching LP must reach the same optimal *weight*
+as these.  Which of several tied optima it picks is pinned against
+:func:`linprog_b_matching`, the same LP handed to HiGHS through
+``linprog(method="highs-ds")`` from a COO matrix and a per-edge tuple
+list, which must return *equal* pairs.  :func:`fixed_power_of_reference`
+is the per-sensor scan the flat-pair power check replaced.
 
 Keep these boring: single code path, plain Python floats, nested loops.
 Any cleverness added here defeats their purpose as references.
@@ -54,7 +58,7 @@ from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.gap import GapInstance, KnapsackSolver
 from repro.core.instance import DataCollectionInstance
 from repro.core.matching import MatchingResult
-from repro.core.offline_maxmatch import fixed_power_of
+from repro.core.offline_maxmatch import _POWER_RTOL, fixed_power_of
 from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import RngStream
@@ -73,6 +77,8 @@ __all__ = [
     "MinCostFlow",
     "mcmf_b_matching",
     "lsa_b_matching",
+    "linprog_b_matching",
+    "fixed_power_of_reference",
     "CopiesGraph",
     "build_copies_graph",
     "maxmatch_via_copies",
@@ -744,6 +750,106 @@ def lsa_b_matching(
             pairs.append((copy_owner[r], c))
             weight += float(dense[r, c])
     return MatchingResult(tuple(sorted(pairs)), weight)
+
+
+# ----------------------------------------------------------------------
+# Matching: the same LP through linprog (tie-break reference)
+# ----------------------------------------------------------------------
+def linprog_b_matching(
+    edges: Sequence[Tuple[int, int, float]],
+    left_capacities: Sequence[int],
+    num_right: int,
+) -> MatchingResult:
+    """Tie-break reference for :func:`repro.core.matching.max_weight_b_matching`.
+
+    The b-matching LP exactly as HiGHS received it through
+    ``linprog(method="highs-ds")``: the edges read one tuple at a time,
+    deduplicated (heaviest parallel edge kept) and sorted by ``(left,
+    right)``, the constraint matrix assembled as COO and converted to
+    CSR.  Same validation, same result.  Never recorded on a registry.
+    """
+    caps = np.asarray(left_capacities, dtype=np.int64)
+    if caps.ndim != 1:
+        raise ValueError("left_capacities must be 1-D")
+    if np.any(caps < 0):
+        raise ValueError("left capacities must be >= 0")
+    if num_right < 0:
+        raise ValueError("num_right must be >= 0")
+    if len(edges) == 0:
+        return MatchingResult((), 0.0)
+    arr = np.asarray([(u, v, w) for (u, v, w) in edges], dtype=np.float64)
+    u = arr[:, 0].astype(np.int64)
+    v = arr[:, 1].astype(np.int64)
+    w = arr[:, 2]
+    if np.any(u < 0) or np.any(u >= caps.size):
+        raise ValueError("edge left endpoint out of range")
+    if np.any(v < 0) or np.any(v >= num_right):
+        raise ValueError("edge right endpoint out of range")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("edge weights must be finite")
+    keep = w > 1e-12
+    u, v, w = u[keep], v[keep], w[keep]
+    if u.size == 0:
+        return MatchingResult((), 0.0)
+
+    key = u * np.int64(num_right) + v
+    order = np.lexsort((-w, key))
+    key_sorted = key[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = key_sorted[1:] != key_sorted[:-1]
+    sel = order[first]
+    u, v, w = u[sel], v[sel], w[sel]
+
+    num_left = caps.size
+    num_edges = u.size
+    rows = np.concatenate([v, num_right + u])
+    cols = np.concatenate([np.arange(num_edges), np.arange(num_edges)])
+    data = np.ones(2 * num_edges)
+    a_ub = coo_matrix(
+        (data, (rows, cols)), shape=(num_right + num_left, num_edges)
+    ).tocsr()
+    b_ub = np.concatenate([np.ones(num_right), caps.astype(np.float64)])
+    res = linprog(
+        c=-w,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=(0.0, 1.0),
+        method="highs-ds",
+    )
+    if not res.success:
+        raise RuntimeError(f"b-matching LP failed: {res.message}")
+    x = res.x
+    chosen = x > 0.5
+    frac = np.abs(x - np.round(x)).max() if x.size else 0.0
+    if frac > 1e-6:
+        raise RuntimeError(f"LP returned a fractional vertex (max frac {frac:.2e})")
+    pairs = tuple(zip(u[chosen].tolist(), v[chosen].tolist()))
+    weight = float(w[chosen].sum())
+    return MatchingResult(pairs, weight)
+
+
+def fixed_power_of_reference(instance: DataCollectionInstance) -> float:
+    """Reference for :func:`repro.core.offline_maxmatch.fixed_power_of`.
+
+    Scans every in-range (rate > 0) slot sensor by sensor, each sensor's
+    distinct powers ascending: the first becomes the reference, and the
+    first one not within ``_POWER_RTOL`` of it raises.
+    """
+    power: Optional[float] = None
+    for data in instance.sensors:
+        if data.window is None:
+            continue
+        active = data.powers[data.rates > 0]
+        for p in np.unique(active):
+            if power is None:
+                power = float(p)
+            elif not np.isclose(p, power, rtol=_POWER_RTOL, atol=0.0):
+                raise ValueError(
+                    f"instance is not single-power: found {power} W and {p} W"
+                )
+    if power is None:
+        raise ValueError("instance has no transmittable (rate > 0) slot at all")
+    return power
 
 
 # ----------------------------------------------------------------------

@@ -106,17 +106,6 @@ class TestBasics:
         )
         assert inst.sensor_order() == [2, 1, 0, 3]
 
-    def test_dense_profit_matrix(self, tiny):
-        dense = tiny.dense_profit_matrix()
-        assert dense.shape == (2, 10)
-        assert dense[0, 4] == pytest.approx(300.0)
-        assert dense[1, 4] == pytest.approx(150.0)
-        assert dense[0, 0] == 0.0
-        assert dense[1, 9] == 0.0
-
-    def test_total_available_profit(self, tiny):
-        assert tiny.total_available_profit() == pytest.approx(800.0 + 800.0)
-
 
 class TestRestrict:
     def test_restrict_clips_windows(self, tiny):

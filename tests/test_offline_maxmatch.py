@@ -11,6 +11,7 @@ from repro.core.offline_maxmatch import (
     fixed_power_of,
     offline_maxmatch,
 )
+from repro.online.online_maxmatch import online_maxmatch
 from tests.conftest import make_instance, random_instance
 from tests.oracles import lsa_b_matching, mcmf_b_matching
 
@@ -41,6 +42,22 @@ class TestFixedPowerDetection:
         )
         with pytest.raises(ValueError):
             fixed_power_of(inst)
+
+    def test_multi_power_raises_from_both_entry_points(self):
+        """Only an instance where nothing can transmit is an empty tour;
+        one with two powers is still an error from both algorithms."""
+        inst = make_instance(
+            4,
+            1.0,
+            [
+                {"window": (0, 1), "rates": [5.0, 5.0], "powers": [0.3, 0.3], "budget": 1.0},
+                {"window": (2, 3), "rates": [9.0, 0.0], "powers": [0.22, 0.3], "budget": 1.0},
+            ],
+        )
+        with pytest.raises(ValueError, match="not single-power"):
+            offline_maxmatch(inst)
+        with pytest.raises(ValueError, match="not single-power"):
+            online_maxmatch(inst, 2)
 
     def test_zero_rate_slots_ignored_for_detection(self):
         # A zero-rate slot's power is irrelevant (never transmitted).
