@@ -718,6 +718,7 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_profile(args: argparse.Namespace) -> int:
+    from repro.core.lp import load_highs
     from repro.obs import (
         DeepProfiler,
         MetricsRegistry,
@@ -744,6 +745,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     profiler = DeepProfiler() if args.deep else None
     deep = None
     folded_text = None
+    load_highs()  # before the recorders, so the report holds no import
     with _contextlib.ExitStack() as stack:
         stack.enter_context(use_registry(registry))
         stack.enter_context(use_tracer(tracer))

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.core.lp import dcmp_model
+from repro.core.lp import dcmp_model, load_highs
 from repro.obs import get_registry, phase
 
 __all__ = ["IlpSolution", "solve_dcmp_ilp"]
@@ -76,7 +75,8 @@ def solve_dcmp_ilp(
     num_vars = model.profits.size
     if num_vars == 0:
         return IlpSolution(Allocation.empty(instance.num_slots), 0.0, True)
-    constraint = LinearConstraint(model.matrix.tocsc(), -np.inf, model.upper)
+    optimize, _ = load_highs()
+    constraint = optimize.LinearConstraint(model.matrix.tocsc(), -np.inf, model.upper)
 
     options = {}
     if time_limit is not None:
@@ -85,7 +85,7 @@ def solve_dcmp_ilp(
     registry.inc("ilp.calls")
     registry.set_gauge("ilp.num_vars", num_vars)
     with phase("ilp.solve"):
-        result = milp(
+        result = optimize.milp(
             c=-model.profits,
             constraints=[constraint],
             integrality=np.ones(num_vars),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,25 +88,16 @@ def _clean(
     return idx, profits[idx], weights[idx]
 
 
-def _result(indices: Sequence[int], profits: np.ndarray, weights: np.ndarray,
-            chosen: Sequence[int]) -> KnapsackResult:
-    """Assemble a result from *local* chosen positions."""
-    chosen = sorted(chosen)
-    sel = tuple(np.asarray(indices)[chosen].tolist())
-    # Plain sequential summation (matches the scalar reference oracle
-    # bit-for-bit; np.sum's pairwise accumulation would not).
-    return KnapsackResult(
-        sel,
-        float(sum(profits[chosen].tolist())),
-        float(sum(weights[chosen].tolist())),
-    )
-
-
 def _result_from_lists(
     indices: List[int], profits: List[float], weights: List[float],
     chosen: List[int],
 ) -> KnapsackResult:
-    """List-based twin of :func:`_result` (same sequential summation)."""
+    """Assemble a result from *local* chosen positions.
+
+    The totals are a plain loop in index order, which matches the scalar
+    reference oracle bit for bit: ``np.sum`` accumulates pairwise, and
+    ``sum()`` compensates on Python >= 3.12.
+    """
     chosen = sorted(chosen)
     profit = 0.0
     weight = 0.0
@@ -148,8 +139,8 @@ def knapsack_greedy(
             total += p_list[k]
     best_single = int(np.argmax(p))
     if p[best_single] > total:
-        return _result(idx, p, w, [best_single])
-    return _result(idx, p, w, chosen)
+        chosen = [best_single]
+    return _result_from_lists(idx.tolist(), p_list, w_list, chosen)
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +412,7 @@ def knapsack_branch_and_bound(
 
     dfs(0, float(capacity), 0.0)
     chosen = [int(order[k]) for k in best_set]
-    return _result(idx, p, w, chosen)
+    return _result_from_lists(idx.tolist(), p.tolist(), w.tolist(), chosen)
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +487,7 @@ def knapsack_fptas(
             chosen.append(k)
             used.add(k)
             remaining -= float(w[k])
-    return _result(idx, p, w, chosen)
+    return _result_from_lists(idx.tolist(), p.tolist(), w.tolist(), chosen)
 
 
 # ----------------------------------------------------------------------

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
 
+from repro.core.lp import load_highs
 from repro.obs import get_registry, phase
 
 __all__ = ["MatchingResult", "max_weight_b_matching"]
@@ -157,6 +156,7 @@ def _solve_lp(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
 ) -> MatchingResult:
     """HiGHS dual simplex on the (totally unimodular) b-matching LP."""
+    optimize, sparse = load_highs()
     num_edges = u.size
     # Constraints: per-right <= 1 (rows 0..T-1), per-left <= c_i (rows
     # T + i).  Column k holds a 1 in slot row v[k] and one in sensor row
@@ -164,15 +164,15 @@ def _solve_lp(
     indices = np.empty(2 * num_edges, dtype=np.int64)
     indices[0::2] = v
     indices[1::2] = num_right + u
-    a_ub = csc_array(
+    a_ub = sparse.csc_array(
         (np.ones(2 * num_edges), indices, np.arange(0, 2 * num_edges + 1, 2)),
         shape=(num_right + caps.size, num_edges),
     )
     b_ub = np.concatenate([np.ones(num_right), caps.astype(np.float64)])
-    res = milp(
+    res = optimize.milp(
         c=-w,
-        constraints=LinearConstraint(a_ub, -np.inf, b_ub),
-        bounds=Bounds(0.0, 1.0),
+        constraints=optimize.LinearConstraint(a_ub, -np.inf, b_ub),
+        bounds=optimize.Bounds(0.0, 1.0),
     )
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"b-matching LP failed: {res.message}")

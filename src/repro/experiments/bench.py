@@ -39,6 +39,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.lp import load_highs
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.planning import PlannerConfig
 from repro.sim.algorithms import ALGORITHMS, get_algorithm, requires_fixed_power
@@ -336,6 +337,8 @@ def run_bench(
             scale_grid = SCALE_GRID
         if batch_grid is None:
             batch_grid = BATCH_GRID
+    # Before the first cell, so no cell's timers hold the import.
+    load_highs()
     entries: List[Dict[str, object]] = []
     for num_sensors, path_length in cells:
         for name in names:

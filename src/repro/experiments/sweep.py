@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.lp import load_highs
 from repro.obs import get_logger, get_registry, phase
 from repro.sim.batch import TourSpec, run_tours
 from repro.sim.scenario import ScenarioConfig
@@ -246,6 +247,9 @@ def run_sweep(
         for rep in range(repeats)
     ]
     result = SweepResult()
+    # Before any unit, so no record's wall_time holds the import; pool
+    # workers fork with it loaded.
+    load_highs()
     with phase("sweep.run"):
         if jobs in (0, 1):
             _log.info("sweep: %d units in-process", len(units))

@@ -11,7 +11,6 @@ from repro.network.path import SinkTrajectory
 from repro.network.radio import (
     CC2420_LIKE_TABLE,
     FixedPowerTable,
-    PathLossRateModel,
     RateLevel,
     RateTable,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "RateLevel",
     "RateTable",
     "FixedPowerTable",
-    "PathLossRateModel",
     "CC2420_LIKE_TABLE",
     "Sensor",
     "uniform_deployment",

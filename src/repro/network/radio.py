@@ -13,10 +13,9 @@ distance  rate          tx power
 120–200 m 4.8 kbit/s    330 mW
 ========  ============  ===========
 
-Beyond 200 m no communication is possible.  We also provide a parametric
-continuous model (:class:`PathLossRateModel`, rate ∝ P/d^α) for
-sensitivity studies, and :class:`FixedPowerTable` for the special-case
-problem of Section VI where every transmission uses one power ``P'``.
+Beyond 200 m no communication is possible.  :class:`FixedPowerTable`
+is the special-case problem of Section VI, where every transmission
+uses one power ``P'``.
 
 All lookups are vectorised: ``rate_at`` / ``power_at`` map an array of
 distances to arrays of rates / powers with a single ``searchsorted``.
@@ -36,7 +35,6 @@ __all__ = [
     "RateLevel",
     "RateTable",
     "FixedPowerTable",
-    "PathLossRateModel",
     "CC2420_LIKE_TABLE",
 ]
 
@@ -165,77 +163,6 @@ class FixedPowerTable(RateTable):
                 )
         super().__init__(levels)
         self.fixed_power = float(fixed_power)
-
-
-class PathLossRateModel:
-    """Continuous multi-rate model ``r(d) ∝ P / d^α`` (Section II.C).
-
-    The paper motivates the discrete table with the physics
-    ``r_{i,j} ∝ P_{v_i} / d_{i,j}^α`` with path-loss exponent ``α ≥ 2``.
-    This class exposes that continuous law directly, quantised onto
-    ``num_levels`` geometric distance bands so downstream code (which
-    expects a small discrete set of rates, as the paper assumes) still
-    sees a :class:`RateTable`.
-
-    Parameters
-    ----------
-    max_range:
-        Communication range ``R`` in metres.
-    reference_rate:
-        Rate at ``reference_distance``, bits/s.
-    reference_distance:
-        Distance anchoring the power law, metres.
-    alpha:
-        Path-loss exponent, must be ≥ 2 per the paper.
-    base_power / power_slope:
-        Affine model of transmission power vs distance band, watts.
-    """
-
-    def __init__(
-        self,
-        max_range: float = 200.0,
-        reference_rate: float = kbps_to_bps(250.0),
-        reference_distance: float = 10.0,
-        alpha: float = 2.0,
-        base_power: float = mw_to_w(150.0),
-        power_slope: float = mw_to_w(1.0),
-    ):
-        self.max_range = check_positive(max_range, "max_range")
-        self.reference_rate = check_positive(reference_rate, "reference_rate")
-        self.reference_distance = check_positive(reference_distance, "reference_distance")
-        if alpha < 2:
-            raise ValueError(f"alpha must be >= 2 (paper assumption), got {alpha}")
-        self.alpha = float(alpha)
-        self.base_power = check_positive(base_power, "base_power")
-        self.power_slope = float(power_slope)
-
-    def rate_at(self, distance: ArrayLike) -> np.ndarray:
-        """Continuous rate law, clipped to 0 outside ``max_range``."""
-        d = np.maximum(np.asarray(distance, dtype=np.float64), self.reference_distance)
-        rate = self.reference_rate * (self.reference_distance / d) ** self.alpha
-        return np.where(np.asarray(distance) <= self.max_range, rate, 0.0)
-
-    def quantise(self, num_levels: int = 4) -> RateTable:
-        """Build a discrete :class:`RateTable` from the continuous law.
-
-        Band edges are geometrically spaced between ``reference_distance``
-        and ``max_range``; each band uses the rate at its inner edge
-        (optimistic, like a radio that picks the modulation its SNR
-        affords) and an affine power.
-        """
-        if num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
-        edges = np.geomspace(self.reference_distance, self.max_range, num_levels + 1)[1:]
-        inner = np.concatenate([[self.reference_distance], edges[:-1]])
-        levels = [
-            RateLevel(
-                max_distance=float(edge),
-                rate=float(self.rate_at(inner_d)),
-                power=float(self.base_power + self.power_slope * edge),
-            )
-            for edge, inner_d in zip(edges, inner)
-        ]
-        return RateTable(levels)
 
 
 #: The exact 4-pairwise setting from the paper's experiments

@@ -141,8 +141,7 @@ def run_online(
         raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
     loss_rng = np.random.default_rng(loss_seed)
     t = instance.num_slots
-    n = instance.num_sensors
-    residual = np.array([instance.budget_of(i) for i in range(n)], dtype=np.float64)
+    residual = instance.budgets_array().copy()
     tour_owner = np.full(t, -1, dtype=np.int64)
     log = MessageLog()
     records: List[IntervalRecord] = []
@@ -185,25 +184,23 @@ def run_online(
         sub_allocation.check_feasible(sub_instance)
         log.record_broadcast(MessageType.SCHEDULE, registered)
         # --- Transmissions: merge into the tour allocation, debit energy.
-        bits = 0.0
-        assigned = 0
         owner = sub_allocation.slot_owner
-        for local_slot, local_sensor in enumerate(owner):
-            if local_sensor == -1:
-                continue
-            parent = parents[int(local_sensor)]
-            global_slot = interval.start + local_slot
-            cost = instance.cost(parent, global_slot)
-            profit = instance.profit(parent, global_slot)
-            residual[parent] -= cost
+        local_slots = np.flatnonzero(owner != -1)
+        sensors = np.asarray(parents, dtype=np.int64)[owner[local_slots]]
+        slots = interval.start + local_slots
+        taken = tour_owner[slots] != -1
+        if np.any(taken):  # pragma: no cover - intervals partition slots
+            raise AssertionError(f"slot {int(slots[np.argmax(taken)])} scheduled twice")
+        tour_owner[slots] = sensors
+        # Unbuffered, so a sensor's debits apply in slot order.
+        np.subtract.at(residual, sensors, instance.pair_costs(sensors, slots))
+        # A plain loop in slot order: sum() compensates on Python >= 3.12.
+        bits = 0.0
+        for profit in instance.pair_profits(sensors, slots).tolist():
             bits += profit
-            assigned += 1
-            if tour_owner[global_slot] != -1:  # pragma: no cover - intervals partition slots
-                raise AssertionError(f"slot {global_slot} scheduled twice")
-            tour_owner[global_slot] = parent
         # --- Finish.
         log.record_broadcast(MessageType.FINISH, registered)
-        records.append(IntervalRecord(j, interval, registered, assigned, bits))
+        records.append(IntervalRecord(j, interval, registered, int(slots.size), bits))
 
     registry.inc("online.messages", float(log.total_messages))
     tour_allocation = Allocation(tour_owner)

@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
+from repro.core.lp import load_highs
 from repro.obs import get_logger, phase
 from repro.obs.accesslog import log_access
 from repro.obs.context import annotate, current_request_id, request_context
@@ -160,6 +161,8 @@ class PlanningService:
         )
         self._started = time.monotonic()
         self.cache = ResultCache(cache_size, registry=registry)
+        # Workers fork from this process, so no request pays for the import.
+        load_highs()
         self.executor = JobExecutor(
             workers=workers,
             max_queue=max_queue,

@@ -1,7 +1,7 @@
 """Shared utilities: seeded randomness, validation, interval arithmetic."""
 
 from repro.utils.rng import RngStream, as_generator, spawn_generators
-from repro.utils.intervals import SlotInterval, intersect, union_length
+from repro.utils.intervals import SlotInterval
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -14,8 +14,6 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "SlotInterval",
-    "intersect",
-    "union_length",
     "check_finite",
     "check_in_range",
     "check_nonnegative",

@@ -10,19 +10,18 @@ with the usual inclusive-endpoint convention used in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["SlotInterval", "intersect", "union_length"]
+__all__ = ["SlotInterval"]
 
 
 @dataclass(frozen=True, order=True)
 class SlotInterval:
     """A closed interval ``[start, end]`` of integer slot indices.
 
-    ``start > end`` is disallowed; use :meth:`SlotInterval.empty` /
-    ``None`` to represent "no slots".  Slots are 0-indexed internally
+    ``start > end`` is disallowed; ``None`` represents "no slots".  Slots are 0-indexed internally
     (the paper uses 1-indexed slots; only the report layer converts).
     """
 
@@ -54,43 +53,6 @@ class SlotInterval:
             return None
         return SlotInterval(lo, hi)
 
-    def overlaps(self, other: "SlotInterval") -> bool:
-        """True when the two intervals share at least one slot."""
-        return self.start <= other.end and other.start <= self.end
-
-    def clip(self, lo: int, hi: int) -> Optional["SlotInterval"]:
-        """Clip to ``[lo, hi]``; ``None`` if the result is empty."""
-        return self.intersection(SlotInterval(lo, hi))
-
     def shift(self, offset: int) -> "SlotInterval":
         """Translate both endpoints by ``offset``."""
         return SlotInterval(self.start + offset, self.end + offset)
-
-
-def intersect(a: Optional[SlotInterval], b: Optional[SlotInterval]) -> Optional[SlotInterval]:
-    """``None``-propagating intersection."""
-    if a is None or b is None:
-        return None
-    return a.intersection(b)
-
-
-def union_length(intervals: Iterable[SlotInterval]) -> int:
-    """Number of distinct slots covered by a collection of intervals.
-
-    Runs in ``O(k log k)`` for ``k`` intervals via the standard sweep.
-    """
-    ordered: List[SlotInterval] = sorted(intervals)
-    total = 0
-    cur_start: Optional[int] = None
-    cur_end = -1
-    for iv in ordered:
-        if cur_start is None:
-            cur_start, cur_end = iv.start, iv.end
-        elif iv.start <= cur_end + 1:
-            cur_end = max(cur_end, iv.end)
-        else:
-            total += cur_end - cur_start + 1
-            cur_start, cur_end = iv.start, iv.end
-    if cur_start is not None:
-        total += cur_end - cur_start + 1
-    return total

@@ -37,6 +37,10 @@ as these.  Which of several tied optima it picks is pinned against
 list, which must return *equal* pairs.  :func:`fixed_power_of_reference`
 is the per-sensor scan the flat-pair power check replaced.
 
+:func:`run_online_reference` is the online framework with its
+per-slot merge loop: scalar ``cost``/``profit`` lookups, one debit and
+one ``+=`` per assigned slot.
+
 Keep these boring: single code path, plain Python floats, nested loops.
 Any cleverness added here defeats their purpose as references.
 """
@@ -60,7 +64,10 @@ from repro.core.instance import DataCollectionInstance
 from repro.core.matching import MatchingResult
 from repro.core.offline_maxmatch import _POWER_RTOL, fixed_power_of
 from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
+from repro.online.framework import IntervalRecord, IntervalScheduler, OnlineResult
+from repro.online.messages import MessageLog, MessageType
 from repro.sim.scenario import ScenarioConfig
+from repro.utils.intervals import SlotInterval
 from repro.utils.rng import RngStream
 
 __all__ = [
@@ -79,6 +86,7 @@ __all__ = [
     "lsa_b_matching",
     "linprog_b_matching",
     "fixed_power_of_reference",
+    "run_online_reference",
     "CopiesGraph",
     "build_copies_graph",
     "maxmatch_via_copies",
@@ -850,6 +858,71 @@ def fixed_power_of_reference(instance: DataCollectionInstance) -> float:
     if power is None:
         raise ValueError("instance has no transmittable (rate > 0) slot at all")
     return power
+
+
+# ----------------------------------------------------------------------
+# Online framework: the per-slot interval merge
+# ----------------------------------------------------------------------
+def run_online_reference(
+    instance: DataCollectionInstance,
+    gamma: int,
+    scheduler: IntervalScheduler,
+    loss_rate: float = 0.0,
+    loss_seed: int = 0,
+) -> OnlineResult:
+    """Reference for :func:`repro.online.framework.run_online` (without
+    its registry, phases and logging): each interval's schedule is
+    merged slot by slot."""
+    loss_rng = np.random.default_rng(loss_seed)
+    t = instance.num_slots
+    n = instance.num_sensors
+    residual = np.array([instance.budget_of(i) for i in range(n)], dtype=np.float64)
+    tour_owner = np.full(t, -1, dtype=np.int64)
+    log = MessageLog()
+    records: List[IntervalRecord] = []
+    for j in range(int(np.ceil(t / gamma))):
+        interval = SlotInterval(j * gamma, min((j + 1) * gamma, t) - 1)
+        in_range = [int(i) for i in instance.slot_competitors(interval.start)]
+        if loss_rate > 0.0 and in_range:
+            heard = loss_rng.random(len(in_range)) >= loss_rate
+            registered = [s for s, ok in zip(in_range, heard) if ok]
+        else:
+            registered = in_range
+        log.record_broadcast(MessageType.PROBE, registered)
+        if not registered:
+            records.append(IntervalRecord(j, interval, [], 0, 0.0))
+            continue
+        for sensor in registered:
+            log.record_ack(sensor)
+        sub_instance, parents = instance.restrict(
+            interval, budgets=residual, sensor_ids=registered
+        )
+        sub_allocation = scheduler.schedule(sub_instance)
+        sub_allocation.check_feasible(sub_instance)
+        log.record_broadcast(MessageType.SCHEDULE, registered)
+        bits = 0.0
+        assigned = 0
+        for local_slot, local_sensor in enumerate(sub_allocation.slot_owner):
+            if local_sensor == -1:
+                continue
+            parent = parents[int(local_sensor)]
+            global_slot = interval.start + local_slot
+            residual[parent] -= instance.cost(parent, global_slot)
+            bits += instance.profit(parent, global_slot)
+            assigned += 1
+            if tour_owner[global_slot] != -1:
+                raise AssertionError(f"slot {global_slot} scheduled twice")
+            tour_owner[global_slot] = parent
+        log.record_broadcast(MessageType.FINISH, registered)
+        records.append(IntervalRecord(j, interval, registered, assigned, bits))
+    allocation = Allocation(tour_owner)
+    return OnlineResult(
+        allocation=allocation,
+        collected_bits=allocation.collected_bits(instance),
+        messages=log,
+        intervals=records,
+        residual_budgets=residual,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Equivalence suite: vectorised solver core vs. scalar oracles.
 
 The array-native core (``knapsack_few_weights``, ``local_ratio_gap``,
-``Allocation`` accounting, ``run_tours``) promises *bit-identical*
-results to the scalar semantics it replaced.  This suite enforces that
-promise against the deliberately naive references in
-:mod:`tests.oracles` across fixed seed × size grids plus a Hypothesis
-sweep over :func:`repro.verify.gen.random_instance`.
+``Allocation`` accounting, ``run_tours``, the online interval merge)
+promises *bit-identical* results to the scalar semantics it replaced.
+This suite enforces that promise against the deliberately naive
+references in :mod:`tests.oracles` across fixed seed × size grids plus
+a Hypothesis sweep over :func:`repro.verify.gen.random_instance`.
 
 Exact ``==`` comparisons (and exact tuple equality on selections) are
 intentional throughout — any accumulation-order drift is a bug here,
@@ -25,7 +25,11 @@ from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.gap import GapBin, GapInstance, local_ratio_gap
 from repro.core.knapsack import knapsack_few_weights, solve_knapsack
 from repro.core.offline_appro import dcmp_to_gap, offline_appro
+from repro.core.offline_maxmatch import fixed_power_of
 from repro.obs import MetricsRegistry, use_registry
+from repro.online.framework import run_online
+from repro.online.online_appro import GapIntervalScheduler, online_appro
+from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxmatch
 from repro.sim import ScenarioConfig, TourSpec, run_tour, run_tours
 from repro.sim.algorithms import get_algorithm
 from tests.conftest import random_instance
@@ -33,6 +37,7 @@ from tests.oracles import (
     allocation_stats_oracle,
     knapsack_few_weights_oracle,
     local_ratio_gap_oracle,
+    run_online_reference,
 )
 
 SEEDS = st.integers(0, 100_000)
@@ -280,3 +285,74 @@ def test_run_tours_matches_sequential_run_tour():
         assert np.array_equal(
             got.allocation.slot_owner, expected.allocation.slot_owner
         )
+
+
+# ----------------------------------------------------------------------
+# Online framework: the interval merge
+# ----------------------------------------------------------------------
+def assert_same_online_result(got, want):
+    np.testing.assert_array_equal(got.allocation.slot_owner, want.allocation.slot_owner)
+    assert got.collected_bits == want.collected_bits
+    np.testing.assert_array_equal(got.residual_budgets, want.residual_budgets)
+    assert got.intervals == want.intervals
+    assert got.messages == want.messages
+
+
+class TestOnlineMergeEquivalence:
+    @pytest.mark.parametrize("maxmatch", [False, True], ids=["appro", "maxmatch"])
+    @pytest.mark.parametrize(
+        "num_sensors, path_length, seed",
+        [
+            # The quick bench grid, at its seed and one other.
+            (30, 1_500.0, 7),
+            (60, 1_500.0, 7),
+            (30, 1_500.0, 11),
+            (60, 1_500.0, 11),
+            # The 10 km n = 100 and 300 shapes of the MaxMatch sweep.
+            (100, 10_000.0, 1),
+            (100, 10_000.0, 2),
+            (300, 10_000.0, 1),
+            (300, 10_000.0, 2),
+        ],
+    )
+    def test_online_tours_match_per_slot_oracle(
+        self, maxmatch, num_sensors, path_length, seed
+    ):
+        scenario = ScenarioConfig(
+            num_sensors=num_sensors,
+            path_length=path_length,
+            fixed_power=0.3 if maxmatch else None,
+        ).build(seed=seed)
+        instance = scenario.instance()
+        if maxmatch:
+            got = online_maxmatch(instance, scenario.gamma)
+            scheduler = MatchingIntervalScheduler(fixed_power_of(instance))
+        else:
+            got = online_appro(instance, scenario.gamma)
+            scheduler = GapIntervalScheduler()
+        want = run_online_reference(instance, scenario.gamma, scheduler)
+        assert sum(rec.assigned_slots for rec in want.intervals) > 0
+        assert_same_online_result(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fractional_profits_match_per_slot_oracle(self, seed):
+        # The paper's rates make every profit a whole number of bits, so
+        # any summation order agrees; fractional rates pin the order.
+        instance = random_instance(
+            np.random.default_rng(seed),
+            num_slots=60,
+            num_sensors=15,
+            max_window=24,
+            rate_choices=(0.1, 0.7, 1.3, 2.9),
+        )
+        args = (instance, 12, GapIntervalScheduler())
+        want = run_online_reference(*args)
+        assert max(rec.assigned_slots for rec in want.intervals) >= 8
+        assert_same_online_result(run_online(*args), want)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_lossy_probes_match_per_slot_oracle(self, seed):
+        scenario = ScenarioConfig(num_sensors=60, path_length=1_500.0).build(seed=seed)
+        instance = scenario.instance()
+        args = (instance, scenario.gamma, GapIntervalScheduler(), 0.3, seed)
+        assert_same_online_result(run_online(*args), run_online_reference(*args))

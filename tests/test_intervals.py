@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.intervals import SlotInterval, intersect, union_length
+from repro.utils.intervals import SlotInterval
 
 
 def test_length():
@@ -45,40 +45,8 @@ def test_intersection_touching():
     assert SlotInterval(0, 3).intersection(SlotInterval(3, 5)) == SlotInterval(3, 3)
 
 
-def test_overlaps():
-    assert SlotInterval(0, 3).overlaps(SlotInterval(3, 5))
-    assert not SlotInterval(0, 2).overlaps(SlotInterval(3, 5))
-
-
-def test_clip():
-    assert SlotInterval(2, 10).clip(0, 6) == SlotInterval(2, 6)
-    assert SlotInterval(2, 10).clip(11, 20) is None
-
-
 def test_shift():
     assert SlotInterval(2, 4).shift(-2) == SlotInterval(0, 2)
-
-
-def test_intersect_none_propagates():
-    assert intersect(None, SlotInterval(0, 1)) is None
-    assert intersect(SlotInterval(0, 1), None) is None
-    assert intersect(SlotInterval(0, 3), SlotInterval(2, 5)) == SlotInterval(2, 3)
-
-
-def test_union_length_disjoint():
-    assert union_length([SlotInterval(0, 2), SlotInterval(5, 6)]) == 5
-
-
-def test_union_length_overlapping():
-    assert union_length([SlotInterval(0, 4), SlotInterval(3, 7)]) == 8
-
-
-def test_union_length_adjacent_merges():
-    assert union_length([SlotInterval(0, 2), SlotInterval(3, 4)]) == 5
-
-
-def test_union_length_empty():
-    assert union_length([]) == 0
 
 
 interval_st = st.tuples(
@@ -98,12 +66,6 @@ def test_intersection_subset(a, b):
         assert set(inter) == set(a) & set(b)
     else:
         assert not (set(a) & set(b))
-
-
-@given(st.lists(interval_st, max_size=8))
-def test_union_length_matches_set_semantics(intervals):
-    expected = len(set().union(*[set(iv) for iv in intervals])) if intervals else 0
-    assert union_length(intervals) == expected
 
 
 @given(interval_st, st.integers(-10, 10))

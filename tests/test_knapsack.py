@@ -83,6 +83,18 @@ class TestCommonBehaviour:
         with pytest.raises(ValueError):
             solver(np.ones(2), np.array([1.0, -1.0]), 1.0)
 
+    def test_totals_are_a_sequential_loop(self, solver):
+        # Left to right, ten 0.1s sum to 0.9999999999999999; sum() on
+        # Python >= 3.12 compensates and returns 1.0.
+        expected = 0.0
+        for _ in range(10):
+            expected += 0.1
+        assert expected == 0.9999999999999999
+        result = solver(np.full(10, 0.1), np.full(10, 0.1), 10.0)
+        assert result.selected == tuple(range(10))
+        assert result.profit == expected
+        assert result.weight == expected
+
     def test_result_consistency_random(self, solver):
         rng = np.random.default_rng(0)
         for _ in range(20):

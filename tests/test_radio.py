@@ -6,7 +6,6 @@ import pytest
 from repro.network.radio import (
     CC2420_LIKE_TABLE,
     FixedPowerTable,
-    PathLossRateModel,
     RateLevel,
     RateTable,
 )
@@ -97,39 +96,3 @@ class TestFixedPowerTable:
                 fixed_power=0.2,
             )
 
-
-class TestPathLossRateModel:
-    def test_alpha_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            PathLossRateModel(alpha=1.5)
-
-    def test_rate_decreases_with_distance(self):
-        model = PathLossRateModel(alpha=2.0)
-        d = np.array([10.0, 50.0, 100.0, 199.0])
-        rates = model.rate_at(d)
-        assert np.all(np.diff(rates) < 0)
-
-    def test_power_law_exponent(self):
-        model = PathLossRateModel(alpha=2.0, reference_distance=10.0)
-        r20 = float(model.rate_at(20.0))
-        r40 = float(model.rate_at(40.0))
-        assert r20 / r40 == pytest.approx(4.0)
-
-    def test_zero_beyond_range(self):
-        model = PathLossRateModel(max_range=200.0)
-        assert model.rate_at(201.0) == 0.0
-
-    def test_quantise_produces_table(self):
-        table = PathLossRateModel().quantise(4)
-        assert isinstance(table, RateTable)
-        assert table.num_levels == 4
-        assert table.max_range == pytest.approx(200.0)
-
-    def test_quantise_rates_decreasing(self):
-        table = PathLossRateModel().quantise(5)
-        rates = [lv.rate for lv in table.levels]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_quantise_rejects_zero_levels(self):
-        with pytest.raises(ValueError):
-            PathLossRateModel().quantise(0)

@@ -53,7 +53,9 @@ def test_restrict_keeps_exactly_overlapping_sensors(seed, data):
     expected = [
         i
         for i in range(inst.num_sensors)
-        if inst.window_of(i) is not None and inst.window_of(i).overlaps(interval)
+        if inst.window_of(i) is not None
+        and inst.window_of(i).start <= interval.end
+        and interval.start <= inst.window_of(i).end
     ]
     assert parents == expected
 
