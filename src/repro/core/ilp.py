@@ -4,9 +4,12 @@ The paper motivates its combinatorial algorithm by arguing that
 "traditional ILP methods take too much time and suffer poor scalability"
 (Section I.B).  To reproduce that *argument* and to provide exact optima
 on medium instances (far beyond the brute-force oracle's reach), this
-module formulates the integer program of Section II.D verbatim and
-hands the arrays of :func:`repro.core.lp.dcmp_model` (the model the LP
-bound relaxes) to HiGHS through :func:`scipy.optimize.milp`:
+module formulates the integer program of Section II.D verbatim, one
+variable per (sensor, slot) pair, and hands the arrays of
+:func:`repro.core.lp.dcmp_model` to HiGHS through
+:func:`scipy.optimize.milp`.  The LP bound solves this program's
+relaxation over runs of identical slots instead; the ILP cannot merge
+them, since it must pick individual slots:
 
     max  Σ r_{i,j}·τ·x_{i,j}
     s.t. Σ_i x_{i,j} ≤ 1                    ∀ slot j        (3)

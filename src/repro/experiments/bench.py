@@ -120,6 +120,16 @@ PERPETUAL_TOURS = 4
 PERPETUAL_START_S = 17 * 3600.0
 PERPETUAL_REST_S = 3 * 3600.0
 
+#: Certified cells: (algorithm, num_sensors, path_length), in both
+#: grids.  Each plays one ``certify=True`` tour, so the cell prices the
+#: DCMP LP bound the certificate checks (the ``lp_bound_s`` phase, from
+#: the ``lp.dcmp_bound`` timer) at the service's n = 100 and the
+#: paper's n = 600.
+CERTIFIED_GRID: Tuple[Tuple[str, int, float], ...] = (
+    ("Offline_Appro", 100, 10_000.0),
+    ("Offline_Appro", 600, 10_000.0),
+)
+
 
 def _git(*args: str) -> Optional[str]:
     """Output of one git command, or ``None`` when unavailable."""
@@ -288,6 +298,29 @@ def _bench_perpetual_cell(
     )
 
 
+def _bench_certified_cell(
+    name: str,
+    num_sensors: int,
+    path_length: float,
+    seed: int,
+    repeat: int,
+) -> Dict[str, object]:
+    """A ``Certified[<algorithm>]`` cell: one build and one ``mutate=False``
+    tour with ``certify=True``; the LP bound's solve is its
+    ``lp_bound_s`` phase (inside ``certify_s``)."""
+    config = ScenarioConfig(num_sensors=num_sensors, path_length=path_length)
+    return _measure_cell(
+        f"Certified[{name}]",
+        config,
+        seed,
+        repeat,
+        lambda: [
+            run_tour(config.build(seed=seed), get_algorithm(name), mutate=False, certify=True)
+        ],
+        {"lp_bound_s": "lp.dcmp_bound"},
+    )
+
+
 def run_bench(
     quick: bool = False,
     seed: int = 7,
@@ -320,7 +353,9 @@ def run_bench(
     these extra cells only run if their grid is given explicitly —
     shrunk test runs stay shrunk.  The ``Perpetual[...]`` cells
     (:data:`PERPETUAL_GRID`, several battery-writing tours of one
-    deployment) run only in the default grids.
+    deployment) and the ``Certified[...]`` cells
+    (:data:`CERTIFIED_GRID`, one certified tour that prices the LP
+    bound) run only in the default grids.
 
     Every cell's ``profile`` carries ``scenario_build_s``, the
     ``scenario.build`` timer, next to the tour phases, so the build is
@@ -378,6 +413,8 @@ def run_bench(
     if grid is None and algorithms is None:
         for name, num_sensors, path_length in PERPETUAL_GRID:
             entries.append(_bench_perpetual_cell(name, num_sensors, path_length, seed, repeat))
+        for name, num_sensors, path_length in CERTIFIED_GRID:
+            entries.append(_bench_certified_cell(name, num_sensors, path_length, seed, repeat))
     return {
         "format": BENCH_FORMAT,
         "version": BENCH_VERSION,

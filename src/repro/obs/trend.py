@@ -67,14 +67,16 @@ DEFAULT_HISTORY_DIR = "benchmarks/history"
 _BENCH_FORMAT = "repro.bench"
 
 #: Profile phases graded as wall-clock metrics next to ``wall_s``.
-#: ``plan_s`` only appears in planner cells; a phase a cell lacks is
-#: skipped.
+#: ``plan_s`` only appears in planner cells, ``certify_s`` and
+#: ``lp_bound_s`` in certified cells; a phase a cell lacks is skipped.
 WALL_PHASES: Tuple[str, ...] = (
     "scenario_build_s",
     "plan_s",
     "instance_build_s",
     "solve_s",
     "verify_s",
+    "certify_s",
+    "lp_bound_s",
     "energy_update_s",
     "total_s",
 )

@@ -24,6 +24,7 @@ from repro.obs import get_logger, get_registry, phase
 from repro.sim.algorithms import TourAlgorithm
 from repro.sim.results import SimulationResult, TourResult
 from repro.sim.scenario import Scenario
+from repro.verify.certificate import certify as _certify
 
 __all__ = ["run_tour", "simulate_tours"]
 
@@ -112,8 +113,6 @@ def run_tour(
             spent = allocation.energy_spent(instance)
 
         if certify:
-            from repro.verify.certificate import certify as _certify
-
             with phase("tour.certify", profile, deep=True, algorithm=algorithm.name):
                 certificate = _certify(instance, allocation, algorithm=algorithm.name)
 

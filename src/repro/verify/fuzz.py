@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.offline_maxmatch import fixed_power_of
 from repro.obs import get_logger, get_registry, phase
 from repro.verify.certificate import certify
 from repro.verify.gen import random_instance
@@ -229,28 +230,18 @@ _RELATIONS: Dict[str, Tuple[Callable[[DataCollectionInstance], DataCollectionIns
 
 
 # ----------------------------------------------------------------------
-def is_fixed_power(instance: DataCollectionInstance) -> bool:
-    """Whether every transmittable slot uses one identical power (the
-    Section VI special case the MaxMatch family requires)."""
-    power: Optional[float] = None
-    for data in instance.sensors:
-        if data.window is None:
-            continue
-        active = data.powers[data.rates > 0]
-        for p in np.unique(active):
-            if power is None:
-                power = float(p)
-            elif not np.isclose(p, power, rtol=1e-9, atol=0.0):
-                return False
-    return power is not None
-
-
 def default_algorithms(instance: DataCollectionInstance) -> Dict[str, Any]:
     """The registered algorithms applicable to ``instance``: everything,
-    minus the MaxMatch family on non-fixed-power instances."""
+    minus the MaxMatch family unless
+    :func:`~repro.core.offline_maxmatch.fixed_power_of` finds the one
+    power of the Section VI special case."""
     from repro.sim.algorithms import ALGORITHMS, requires_fixed_power
 
-    fixed = is_fixed_power(instance)
+    try:
+        fixed_power_of(instance)
+        fixed = True
+    except ValueError:
+        fixed = False
     return {
         name: factory()
         for name, factory in ALGORITHMS.items()

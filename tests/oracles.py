@@ -7,8 +7,9 @@ are *bit-identical* to the scalar semantics they replaced — same
 selections, same IEEE-754 accumulation order, same error behaviour —
 not merely "close".
 
-:func:`dcmp_lp_reference_bound` is the per-pair LP model the flat-pair
-bound replaced; both must reach the same optimum under ``==``.
+:func:`dcmp_lp_reference_bound` is the per-pair LP model; the bound
+solved over runs of identical slots must reach its optimum within the
+tolerance of ``certify``'s ``lp_upper_bound`` check.
 
 The path references are the two coverage models one exact
 segment–disc intersection replaced: :class:`LinearPathReference`, the
@@ -330,10 +331,12 @@ def dcmp_lp_reference_bound(instance: DataCollectionInstance) -> float:
 
     Assembles the DCMP LP relaxation one positive-rate (sensor, slot)
     pair at a time from the per-sensor views, with the scalar
-    ``budget_of`` accessor, and solves it with HiGHS.  Variables come in
-    the production model's order (sensor-major, slots ascending), so the
-    two models are the same LP and their optima compare with ``==``.
-    Never memoised and never recorded on a registry.
+    ``budget_of`` accessor, and solves it with HiGHS: one row per slot
+    and one variable per pair, sensor-major with slots ascending.  The
+    production bound solves the equivalent LP over runs of identical
+    slots, so the two optima agree up to HiGHS's rounding, within the
+    tolerance of ``certify``'s ``lp_upper_bound`` check.  Never memoised
+    and never recorded on a registry.
     """
     tau = instance.slot_duration
     profits: List[float] = []

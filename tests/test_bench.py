@@ -211,6 +211,21 @@ def test_default_quick_grid_includes_scale_and_batch_cells():
     assert all(n >= 600 for n, _ in BATCH_GRID)
 
 
+def test_certified_cells_price_the_lp_bound():
+    from repro.experiments.bench import CERTIFIED_GRID, _bench_certified_cell
+
+    assert sorted(n for _, n, _ in CERTIFIED_GRID) == [100, 600]
+    entry = _bench_certified_cell("Offline_Appro", 30, 1500.0, 3, 2)
+    assert entry["algorithm"] == "Certified[Offline_Appro]"
+    # One solve per repeat: each repeat builds its own instance.
+    assert entry["counters"]["lp.calls"] == 1
+    assert 0 < entry["profile"]["lp_bound_s"] <= entry["profile"]["certify_s"]
+    [plain] = run_bench(
+        quick=True, seed=3, grid=((30, 1500.0),), algorithms=("Offline_Appro",)
+    )["entries"]
+    assert entry["collected_megabits"] == plain["collected_megabits"]
+
+
 def test_cli_accepts_bench_flags(tmp_path):
     parser = build_parser()
     args = parser.parse_args(

@@ -1,9 +1,13 @@
 """LP relaxation bound."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.baselines import greedy_by_profit
 from repro.core.exact import brute_force_optimum
+from repro.core.instance import DataCollectionInstance, SensorSlotData
 from repro.core.lp import dcmp_lp_upper_bound
 from repro.core.offline_appro import offline_appro
 from repro.obs import MetricsRegistry, use_registry
@@ -70,22 +74,29 @@ def test_lp_bounds_all_algorithms(rng):
 
 
 # ----------------------------------------------------------------------
-# The flat-pair model equals the per-pair reference
+# The LP over runs of identical slots equals the per-pair reference
 # ----------------------------------------------------------------------
+def assert_same_bound(bound, reference):
+    """Equal within the tolerance of ``certify``'s ``lp_upper_bound``
+    check: HiGHS solves the merged LP, a different program with the same
+    optimum, so its rounding may move the last bits."""
+    assert abs(bound - reference) <= 1e-9 + 1e-9 * max(1.0, abs(reference))
+
+
 _STRAIGHT = [(n, seed) for n in (30, 100, 300, 600) for seed in (1, 3, 7)]
 
 
 @pytest.mark.parametrize("num_sensors, seed", _STRAIGHT)
 def test_flat_pair_bound_equals_reference_on_straight_line(num_sensors, seed):
     inst = ScenarioConfig(num_sensors=num_sensors).build(seed=seed).instance()
-    assert dcmp_lp_upper_bound(inst) == dcmp_lp_reference_bound(inst)
+    assert_same_bound(dcmp_lp_upper_bound(inst), dcmp_lp_reference_bound(inst))
 
 
 @pytest.mark.parametrize("num_sensors", [60, 300])
 def test_flat_pair_bound_equals_reference_at_fixed_power(num_sensors):
     config = ScenarioConfig(num_sensors=num_sensors, fixed_power=0.3)
     inst = config.build(seed=1).instance()
-    assert dcmp_lp_upper_bound(inst) == dcmp_lp_reference_bound(inst)
+    assert_same_bound(dcmp_lp_upper_bound(inst), dcmp_lp_reference_bound(inst))
 
 
 @pytest.mark.parametrize("kind", ["plane_sweep", "multi_sink"])
@@ -100,13 +111,102 @@ def test_flat_pair_bound_equals_reference_on_planned_tours(kind):
         }
     )
     inst = config.build(seed=3).instance()
-    assert dcmp_lp_upper_bound(inst) == dcmp_lp_reference_bound(inst)
+    assert_same_bound(dcmp_lp_upper_bound(inst), dcmp_lp_reference_bound(inst))
 
 
 def test_flat_pair_bound_equals_reference_on_random_instances(rng):
     for _ in range(20):
         inst = random_instance(rng, num_slots=12, num_sensors=5, max_window=6)
-        assert dcmp_lp_upper_bound(inst) == dcmp_lp_reference_bound(inst)
+        assert_same_bound(dcmp_lp_upper_bound(inst), dcmp_lp_reference_bound(inst))
+
+
+@st.composite
+def run_heavy_instances(draw):
+    """Random instances from one or two (rate, power) levels plus rate
+    ``0.0``, each level drawn up to eight times as often as ``0.0``, so
+    some runs of identical slots are long and some break on rate-0
+    slots (or on a power change at one rate); budgets from 0 to
+    non-binding, and an unreachable sensor inserted in some."""
+    levels = draw(
+        st.lists(
+            st.sampled_from(
+                [(4800.0, 0.17), (19200.0, 0.30), (19200.0, 0.22), (250000.0, 0.33)]
+            ),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        )
+    )
+    weight = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instance = random_instance(
+        rng,
+        num_slots=draw(st.integers(1, 24)),
+        num_sensors=draw(st.integers(1, 6)),
+        max_window=draw(st.integers(1, 16)),
+        rate_choices=[rate for rate, _ in levels] * weight + [0.0],
+        power_choices=[power for _, power in levels] * weight + [0.22],
+        fixed_power=draw(st.sampled_from([None, 0.3])),
+        budget_scale=draw(st.sampled_from([1.0, 0.0, 0.25, 0.5, 2.0, 4.0])),
+    )
+    sensors = list(instance.sensors)
+    if draw(st.booleans()):
+        empty = np.empty(0)
+        unreachable = SensorSlotData(None, empty, empty, 1.0)
+        sensors.insert(draw(st.integers(0, len(sensors))), unreachable)
+    return DataCollectionInstance(instance.num_slots, instance.slot_duration, sensors)
+
+
+@given(run_heavy_instances())
+def test_merged_bound_equals_reference_on_run_heavy_instances(inst):
+    assert_same_bound(dcmp_lp_upper_bound(inst), dcmp_lp_reference_bound(inst))
+
+
+def test_merged_bound_in_closed_form():
+    """Runs {0, 1, 2}, {3} (sensor 0 cannot send) and {4, 5, 6}; sensor
+    0's budget pays for 1.5 of its 10-bit slots, and sensor 2 (6 bits a
+    slot, ample budget) fills the other 5.5: LP = 15 + 33 = 48 bits
+    over five (sensor, run) columns.  Sensor 1 is unreachable."""
+    rates = [5.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0]
+    inst = make_instance(
+        7,
+        2.0,
+        [
+            {"window": (0, 6), "rates": rates, "powers": [1.5] * 7, "budget": 4.5},
+            {"window": None, "rates": [], "powers": [], "budget": 1.0},
+            {"window": (0, 6), "rates": [3.0] * 7, "powers": [1.0] * 7, "budget": 100.0},
+        ],
+    )
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        assert dcmp_lp_upper_bound(inst) == pytest.approx(48.0, rel=1e-12)
+    assert registry.snapshot()["gauges"]["lp.num_vars"] == 5
+
+
+def test_power_change_at_one_rate_splits_a_run():
+    """Slots 0–1 cost 1 J and slots 2–3 cost 3 J at one rate: two runs.
+    A budget of 3 J buys slots 0 and 1 and a third of a 3 J slot, so
+    LP = 10·(2 + 1/3); one merged run would read 30."""
+    inst = make_instance(
+        4,
+        1.0,
+        [{"window": (0, 3), "rates": [10.0] * 4, "powers": [1.0, 1.0, 3.0, 3.0], "budget": 3.0}],
+    )
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        assert dcmp_lp_upper_bound(inst) == pytest.approx(70.0 / 3.0, rel=1e-12)
+    assert registry.snapshot()["gauges"]["lp.num_vars"] == 2
+
+
+def test_paper_road_merges_to_under_a_third_of_the_pairs():
+    """At the service's shape, HiGHS gets fewer than a third of the live
+    pairs as columns: a fallback to one row per slot fails here."""
+    inst = ScenarioConfig(num_sensors=100).build(seed=1).instance()
+    live = int(np.count_nonzero(inst.flat_pairs().rates > 0))
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        dcmp_lp_upper_bound(inst)
+    assert registry.snapshot()["gauges"]["lp.num_vars"] < live / 3
 
 
 # ----------------------------------------------------------------------

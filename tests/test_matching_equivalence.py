@@ -10,7 +10,8 @@ equal ``MatchingResult``s (pairs and weight) on every whole-tour and
 interval matching of the quick bench grid and of the 10 km MaxMatch
 shapes, and on random tie-heavy b-matchings.  The flat-pair
 :func:`~repro.core.offline_maxmatch.fixed_power_of` must give the value,
-or raise the error, of the per-sensor scan it replaced.
+or raise the error, of the per-sensor scan it replaced, and the fuzzer
+must run the MaxMatch family exactly where that scan finds a power.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core.offline_maxmatch import (
 from repro.online.framework import run_online
 from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxmatch
 from repro.sim.scenario import ScenarioConfig
+from repro.verify.fuzz import default_algorithms
 from tests.conftest import make_instance, random_instance
 from tests.oracles import fixed_power_of_reference, linprog_b_matching
 
@@ -128,6 +130,16 @@ def power_check(fn, instance):
         return f"ValueError: {err}"
 
 
+def assert_matches_reference(instance):
+    """``fixed_power_of`` gives the reference's power or error, and the
+    fuzzer runs ``Offline_MaxMatch`` exactly when that is a power."""
+    want = power_check(fixed_power_of_reference, instance)
+    got = power_check(fixed_power_of, instance)
+    assert got == want
+    assert ("Offline_MaxMatch" in default_algorithms(instance)) == isinstance(want, float)
+    return got
+
+
 def sensor(window, rates, powers, budget=1.0):
     return {"window": window, "rates": rates, "powers": powers, "budget": budget}
 
@@ -143,9 +155,7 @@ class TestFixedPowerOf:
                 num_sensors=int(rng.integers(1, 8)),
                 fixed_power=fixed_power,
             )
-            assert power_check(fixed_power_of, instance) == power_check(
-                fixed_power_of_reference, instance
-            )
+            assert_matches_reference(instance)
 
     def test_powers_near_the_tolerance_match_reference(self):
         """Powers within and just beyond ``_POWER_RTOL`` of each other,
@@ -163,9 +173,7 @@ class TestFixedPowerOf:
                 num_sensors=int(rng.integers(1, 6)),
                 power_choices=rng.choice(choices, size=4).tolist(),
             )
-            got = power_check(fixed_power_of, instance)
-            assert got == power_check(fixed_power_of_reference, instance)
-            outcomes.add(type(got))
+            outcomes.add(type(assert_matches_reference(instance)))
         assert outcomes == {float, str}
 
     @pytest.mark.parametrize(
@@ -204,8 +212,5 @@ class TestFixedPowerOf:
         ],
     )
     def test_edge_cases_match_reference(self, sensors):
-        instance = make_instance(4, 1.0, sensors)
-        assert power_check(fixed_power_of, instance) == power_check(
-            fixed_power_of_reference, instance
-        )
+        assert_matches_reference(make_instance(4, 1.0, sensors))
 

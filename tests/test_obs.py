@@ -477,7 +477,8 @@ def test_tour_phases_sum_to_total_on_quick_bench_grid(monkeypatch):
     """Per quick-bench tour, the median over 5 repeats of ``total_s``
     minus the other tour phases (the time no phase covers) is in
     [0, 100 µs].  Batch cells count one tour per algorithm, perpetual
-    cells one per tour index."""
+    cells one per tour index, and a certified cell apart from the
+    uncertified cell of the same shape."""
     import statistics
     from collections import defaultdict
 
@@ -491,7 +492,13 @@ def test_tour_phases_sum_to_total_on_quick_bench_grid(monkeypatch):
             result = run_tour(scenario, algorithm, **kwargs)
             phases = dict(result.profile)
             total = phases.pop("total_s")
-            key = (source, scenario.config, algorithm.name, kwargs.get("tour_index", 0))
+            key = (
+                source,
+                scenario.config,
+                algorithm.name,
+                kwargs.get("tour_index", 0),
+                kwargs.get("certify", False),
+            )
             gaps[key].append(total - sum(phases.values()))
             return result
 
@@ -511,7 +518,7 @@ def test_tour_phases_sum_to_total_on_quick_bench_grid(monkeypatch):
         + perpetual * bench.PERPETUAL_TOURS
     )
     assert len(gaps) == cells
-    for (source, config, name, tour), values in gaps.items():
+    for (source, config, name, tour, certify), values in gaps.items():
         assert len(values) == 5
         gap = statistics.median(values)
-        assert 0.0 <= gap <= 100e-6, (source, name, config.num_sensors, tour, gap)
+        assert 0.0 <= gap <= 100e-6, (source, name, config.num_sensors, tour, certify, gap)
