@@ -36,7 +36,6 @@ def brute_force_optimum(
     handful of competitors per slot.
     """
     t = instance.num_slots
-    n = instance.num_sensors
 
     # Per-slot candidate (sensor, profit, cost) lists; drop zero-profit.
     candidates: List[List[Tuple[int, float, float]]] = []
@@ -53,7 +52,7 @@ def brute_force_optimum(
     best_per_slot = np.array([max((p for _, p, _ in row), default=0.0) for row in candidates])
     suffix_bound = np.concatenate([np.cumsum(best_per_slot[::-1])[::-1], [0.0]])
 
-    budgets = np.array([instance.budget_of(i) for i in range(n)])
+    budgets = instance.budgets_array().copy()
     owner = np.full(t, -1, dtype=np.int64)
     best_owner = owner.copy()
     best_profit = -1.0

@@ -18,10 +18,18 @@ for ``j`` (possibly going negative — such items are simply never
 selected later), and bin ``l`` leaves the game.  A final backward sweep
 resolves conflicts: ``S_l = S̄_l \\ ∪_{j>l} S_j``.
 
-The residual table lives in **one flat array** (all bins concatenated);
-each round's decomposition is a single fancy-indexed subtraction over
-the chosen items' occupancy ranges, so a round costs O(updates) array
-work instead of a nested Python loop.
+A :class:`GapInstance` stores one form only: flat arrays with bin ``l``'s
+candidate items, profits and weights at ``[offsets[l], offsets[l+1])``,
+one capacity per bin, and an occupancy index (item → its entries) built
+from those arrays.  ``dcmp_to_gap`` hands a DCMP instance's own flat
+pair arrays over unchanged; :class:`GapBin` is the per-bin record of
+textbook instances, concatenated once by the constructor and rebuilt as
+views by :attr:`GapInstance.bins`.
+
+The residual table is a copy of the flat profits; each round's
+decomposition is a single fancy-indexed subtraction over the chosen
+items' occupancy ranges, so a round costs O(updates) array work instead
+of a nested Python loop.
 
 The module is independent of the sensor-network semantics so it can be
 tested against textbook GAP instances directly.
@@ -36,7 +44,7 @@ import numpy as np
 
 from repro.core.knapsack import KnapsackResult, solve_knapsack
 from repro.obs import get_registry, phase
-from repro.utils.arrays import group_offsets, ragged_arange
+from repro.utils.arrays import group_offsets
 
 __all__ = ["GapBin", "GapInstance", "GapSolution", "local_ratio_gap"]
 
@@ -76,133 +84,128 @@ class GapBin:
         object.__setattr__(self, "profits", profits)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def _trusted(
-        cls,
-        capacity: float,
-        items: np.ndarray,
-        profits: np.ndarray,
-        weights: np.ndarray,
-        items_ascending: Optional[bool] = None,
-    ) -> "GapBin":
-        """Construct without validation — for bulk reductions whose
-        invariants (int64/float64 1-D arrays of equal length, distinct
-        items, capacity ≥ 0) hold by construction.  ``items_ascending``
-        pre-answers the "strictly ascending items" probe so
-        :meth:`GapInstance._items_sorted` can skip the per-bin scan."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "capacity", capacity)
-        object.__setattr__(b, "items", items)
-        object.__setattr__(b, "profits", profits)
-        object.__setattr__(b, "weights", weights)
-        if items_ascending is not None:
-            object.__setattr__(b, "_items_ascending", items_ascending)
-        return b
-
 
 class GapInstance:
-    """A GAP instance: bins with per-bin candidate items.
+    """A GAP instance, stored flat.
 
     Items are identified by arbitrary non-negative integers; an item may
     be a candidate of any subset of bins (in the DCMP reduction, item =
     time slot, candidates = sensors whose window covers it).
+
+    Bin ``l``'s candidates occupy ``[offsets[l], offsets[l+1])`` of the
+    aligned ``items``, ``profits`` and ``weights`` arrays; its capacity
+    is ``capacities[l]``.  The constructor takes one :class:`GapBin` per
+    bin, for textbook instances, and concatenates them once;
+    ``repro.core.offline_appro.dcmp_to_gap`` hands a DCMP instance's
+    flat pair arrays to the array initialiser without copying.
     """
 
     def __init__(self, bins: Sequence[GapBin]):
-        self.bins: Tuple[GapBin, ...] = tuple(bins)
-        sizes = np.fromiter(
-            (b.items.size for b in self.bins), np.int64, count=len(self.bins)
+        bins = tuple(bins)
+        sizes = np.fromiter((b.items.size for b in bins), np.int64, count=len(bins))
+        self._set_arrays(
+            group_offsets(sizes),
+            np.concatenate([np.zeros(0, dtype=np.int64), *(b.items for b in bins)]),
+            np.concatenate([np.zeros(0), *(b.profits for b in bins)]),
+            np.concatenate([np.zeros(0), *(b.weights for b in bins)]),
+            np.fromiter((b.capacity for b in bins), np.float64, count=len(bins)),
         )
-        self._bin_offsets = group_offsets(sizes)
-        total = int(self._bin_offsets[-1])
-        if total:
-            all_items = np.concatenate([b.items for b in self.bins])
-        else:
-            all_items = np.zeros(0, dtype=np.int64)
-        self.num_items = int(all_items.max()) + 1 if total else 0
-        # Reverse index, flat: occupancy entry k says item _occ_item[k]
-        # appears in bin _occ_bin[k] at position _occ_pos[k].  Stable
-        # sort by item keeps entries (bin, pos)-ascending within an
-        # item, exactly the old list-of-lists iteration order.
-        all_bins = np.repeat(np.arange(len(self.bins), dtype=np.int64), sizes)
-        all_pos = ragged_arange(sizes)
-        order = np.argsort(all_items, kind="stable")
-        self._occ_item = all_items[order]
-        self._occ_bin = all_bins[order]
-        self._occ_pos = all_pos[order]
+
+    def _set_arrays(
+        self,
+        offsets: np.ndarray,
+        items: np.ndarray,
+        profits: np.ndarray,
+        weights: np.ndarray,
+        capacities: np.ndarray,
+    ) -> "GapInstance":
+        """The one initialiser: store the flat form as given.  The caller
+        guarantees what :class:`GapBin` checks (int64 items distinct
+        within a bin, aligned float64 arrays, capacities ≥ 0)."""
+        self.offsets = offsets
+        self.items = items
+        self.profits = profits
+        self.weights = weights
+        self.capacities = capacities
+        self.num_items = int(items.max()) + 1 if items.size else 0
+        self._bins: Optional[Tuple[GapBin, ...]] = None
+        self._occ_keys: Optional[np.ndarray] = None
+        # Reverse index, flat: occupancy entry k is the flat position
+        # _occ_flat[k] of an item's candidate entry in bin _occ_bin[k];
+        # item j's entries span [_occ_bounds[j], _occ_bounds[j+1]).  The
+        # stable sort keeps them bin-ascending within an item.
+        self._occ_flat = np.argsort(items, kind="stable")
+        bin_of = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+        self._occ_bin = bin_of[self._occ_flat]
         self._occ_bounds = np.searchsorted(
-            self._occ_item, np.arange(self.num_items + 1, dtype=np.int64)
+            items[self._occ_flat], np.arange(self.num_items + 1, dtype=np.int64)
         )
-        self._occ_counts = self._occ_bounds[1:] - self._occ_bounds[:-1]
-        # Flat index of each occupancy entry into a bins-concatenated
-        # residual array (what local_ratio_gap iterates over).
-        self._occ_flat = self._bin_offsets[self._occ_bin] + self._occ_pos
-        # Per-bin "items sorted strictly ascending" flags let
-        # profit_of_assignment use searchsorted lookups (lazy).
-        self._sorted_items: Optional[np.ndarray] = None
+        self._occ_counts = np.diff(self._occ_bounds)
+        return self
 
     @property
     def num_bins(self) -> int:
         """Number of bins."""
-        return len(self.bins)
+        return self.capacities.size
+
+    @property
+    def bins(self) -> Tuple[GapBin, ...]:
+        """One :class:`GapBin` per bin, views of the flat arrays built on
+        first access (for tests and oracles; the solver reads the flat
+        arrays)."""
+        if self._bins is None:
+            edges = self.offsets.tolist()
+            self._bins = tuple(
+                GapBin(
+                    capacity,
+                    self.items[edges[l] : edges[l + 1]],
+                    self.profits[edges[l] : edges[l + 1]],
+                    self.weights[edges[l] : edges[l + 1]],
+                )
+                for l, capacity in enumerate(self.capacities.tolist())
+            )
+        return self._bins
 
     def bins_containing(self, item: int) -> List[Tuple[int, int]]:
         """``[(bin, position)]`` pairs whose candidate set includes
         ``item``."""
         lo, hi = self._occ_bounds[item], self._occ_bounds[item + 1]
-        return list(
-            zip(self._occ_bin[lo:hi].tolist(), self._occ_pos[lo:hi].tolist())
-        )
-
-    def _items_sorted(self, bi: int) -> bool:
-        if self._sorted_items is None:
-            self._sorted_items = np.fromiter(
-                (
-                    hinted
-                    if (hinted := getattr(b, "_items_ascending", None)) is not None
-                    else bool(np.all(np.diff(b.items) > 0))
-                    for b in self.bins
-                ),
-                np.bool_,
-                count=len(self.bins),
-            )
-        return bool(self._sorted_items[bi])
+        bins = self._occ_bin[lo:hi]
+        positions = self._occ_flat[lo:hi] - self.offsets[bins]
+        return list(zip(bins.tolist(), positions.tolist()))
 
     def profit_of_assignment(self, assignment: Dict[int, Sequence[int]]) -> float:
         """Total profit of ``{bin: [items...]}`` (raises on non-candidate
         pairs)."""
+        bins = np.fromiter(
+            (bi for bi, items in assignment.items() for _ in items), np.int64
+        )
+        wanted = np.fromiter(
+            (item for items in assignment.values() for item in items),
+            np.int64,
+            count=bins.size,
+        )
+        if not bins.size:
+            return 0.0
+        outside = (bins < 0) | (bins >= self.num_bins)
+        if np.any(outside):
+            raise IndexError(f"bin {int(bins[np.argmax(outside)])} out of range")
+        if self._occ_keys is None:
+            # One (item, bin) key per occupancy entry, ascending.
+            self._occ_keys = self.items[self._occ_flat] * self.num_bins + self._occ_bin
+        keys = wanted * self.num_bins + bins
+        pos = np.searchsorted(self._occ_keys, keys)
+        # An item outside [0, num_items) has no entry (and its key may
+        # have wrapped around).
+        found = (wanted >= 0) & (wanted < self.num_items) & (pos < self._occ_keys.size)
+        found[found] = self._occ_keys[pos[found]] == keys[found]
+        if not found.all():
+            raise KeyError(int(wanted[int(np.argmin(found))]))
+        # Sequential accumulation in request order (bit-identical to the
+        # scalar reference).
         total = 0.0
-        for bi, items in assignment.items():
-            b = self.bins[bi]
-            items = list(items)
-            if not items:
-                continue
-            if b.items.size == 0:
-                raise KeyError(int(items[0]))
-            if self._items_sorted(bi):
-                wanted = np.asarray(items, dtype=np.int64)
-                pos = np.searchsorted(b.items, wanted)
-                try:
-                    hit = b.items[pos]
-                except IndexError:
-                    # Some position fell past the end: at least one item
-                    # is not a candidate here.  Re-derive the first bad
-                    # entry (mismatch or overflow, whichever comes
-                    # first) so the error matches the clipped lookup.
-                    pos_clipped = np.minimum(pos, b.items.size - 1)
-                    bad = (pos >= b.items.size) | (b.items[pos_clipped] != wanted)
-                    raise KeyError(int(wanted[int(np.argmax(bad))])) from None
-                bad = hit != wanted
-                if np.any(bad):
-                    raise KeyError(int(wanted[int(np.argmax(bad))]))
-                values = b.profits[pos].tolist()
-            else:
-                lookup = {int(item): k for k, item in enumerate(b.items)}
-                values = [float(b.profits[lookup[int(item)]]) for item in items]
-            # Sequential accumulation in item order (bit-identical to the
-            # scalar reference).
-            for v in values:
-                total += v
+        for v in self.profits[self._occ_flat[pos]].tolist():
+            total += v
         return total
 
 
@@ -266,28 +269,23 @@ def local_ratio_gap(
     registry = get_registry()
     with phase("gap.local_ratio"):
         # Residual profit over all (bin, position) entries, flat; bin l
-        # occupies [bin_offsets[l], bin_offsets[l+1]).
-        offsets = instance._bin_offsets
-        total = int(offsets[-1])
-        if total:
-            residual = np.concatenate(
-                [b.profits for b in instance.bins]
-            ).astype(np.float64)
-        else:
-            residual = np.zeros(0, dtype=np.float64)
+        # occupies [offsets[l], offsets[l+1]).
+        residual = instance.profits.astype(np.float64)
+        items = instance.items
+        weights = instance.weights
+        capacities = instance.capacities.tolist()
         occ_bin = instance._occ_bin
         occ_bounds = instance._occ_bounds
         occ_counts_all = instance._occ_counts
         occ_flat = instance._occ_flat
-        offsets_list = offsets.tolist()
+        offsets_list = instance.offsets.tolist()
 
         tentative: Dict[int, List[int]] = {}
         residual_updates = 0
 
         for l in order:
-            b = instance.bins[l]
             lo, hi = offsets_list[l], offsets_list[l + 1]
-            result = knapsack_solver(residual[lo:hi], b.weights, b.capacity)
+            result = knapsack_solver(residual[lo:hi], weights[lo:hi], capacities[l])
             chosen = result.selected
             # Decompose: subtract bin l's residual profit of each chosen
             # item from every other bin containing that item (equation
@@ -295,17 +293,16 @@ def local_ratio_gap(
             # once per round, so one fancy-indexed subtraction is
             # arithmetically identical to the scalar loop.
             if chosen:
-                items_list = b.items.tolist()
-                tentative[l] = [items_list[k] for k in chosen]
-                chosen_positions = np.fromiter(chosen, np.int64, count=len(chosen))
-                deltas = residual[lo + chosen_positions]
+                chosen_flat = lo + np.fromiter(chosen, np.int64, count=len(chosen))
+                tentative[l] = items[chosen_flat].tolist()
+                deltas = residual[chosen_flat]
                 positive = deltas > 0.0
                 if positive.all():
                     # The default solver only selects positive-residual
                     # items, so this is the near-universal path.
-                    items_chosen = b.items[chosen_positions]
+                    items_chosen = items[chosen_flat]
                 elif positive.any():
-                    items_chosen = b.items[chosen_positions[positive]]
+                    items_chosen = items[chosen_flat[positive]]
                     deltas = deltas[positive]
                 else:
                     items_chosen = None

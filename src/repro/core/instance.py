@@ -14,22 +14,28 @@ to sensor ``i`` is ``r_{i,j} · tau`` bits, and its **cost** against the
 sensor's budget is ``P_{i,j} · tau`` joules — exactly the objective and
 constraint (4) of the paper's integer program.
 
-Construction from the physical layers happens in
-:meth:`DataCollectionInstance.from_network`, which derives windows from
-geometry and rates/powers from the radio table in one vectorised pass
-over every (sensor, slot) pair at once.
+The instance stores one form only: the window bounds (two ``(n,)``
+arrays), the budgets (one ``(n,)`` array) and the :class:`FlatPairs` —
+one entry per in-window (sensor, slot) pair, sensor-major, with its
+rate, power, profit and cost.  Solvers, baselines and the allocation
+accounting index these arrays directly.  All of them are immutable
+(``writeable`` cleared).
 
-The instance also caches its **flat pair arrays** (one entry per
-in-window (sensor, slot) pair, sensor-major); solvers, baselines and the
-allocation accounting consume these instead of re-deriving per-sensor
-views in Python loops.  All cached arrays are immutable (``writeable``
-cleared).
+Three ways in share one array initialiser:
+:meth:`DataCollectionInstance.from_network` derives windows from
+geometry and rates/powers from the radio table in one vectorised pass
+over every pair; :meth:`DataCollectionInstance.restrict` gathers a probe
+interval's pairs from its parent's arrays; and the public constructor
+concatenates one :class:`SensorSlotData` record per sensor, for
+hand-built, generated and deserialised instances.  The per-sensor
+records come back out as :attr:`DataCollectionInstance.sensors`, views
+built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,27 +81,6 @@ class SensorSlotData:
         self.rates.flags.writeable = False
         self.powers.flags.writeable = False
 
-    @classmethod
-    def _trusted(
-        cls,
-        window: Optional[SlotInterval],
-        rates: np.ndarray,
-        powers: np.ndarray,
-        budget: float,
-    ) -> "SensorSlotData":
-        """Construct without per-object validation.
-
-        For internal bulk construction only: the caller has already
-        validated the data in one vectorised pass and guarantees the
-        arrays are float64, correctly sized and **non-writeable**.
-        """
-        data = object.__new__(cls)
-        object.__setattr__(data, "window", window)
-        object.__setattr__(data, "rates", rates)
-        object.__setattr__(data, "powers", powers)
-        object.__setattr__(data, "budget", budget)
-        return data
-
     @property
     def num_slots(self) -> int:
         """``|A(v_i)|``."""
@@ -106,12 +91,6 @@ class SensorSlotData:
         if self.window is None:
             return np.zeros(0, dtype=np.int64)
         return self.window.slots()
-
-    def local_index(self, slot: int) -> int:
-        """Map a global slot index into this sensor's arrays."""
-        if self.window is None or slot not in self.window:
-            raise KeyError(f"slot {slot} not in window {self.window}")
-        return slot - self.window.start
 
 
 class FlatPairs(NamedTuple):
@@ -134,6 +113,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _pair_layout(
+    starts: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, sensor, slot)`` of the flat pairs of windows
+    ``[starts[i], ends[i]]``: sensor-major, slots ascending within a
+    sensor.  An empty window ``(0, -1)`` contributes no pair."""
+    counts = ends - starts + 1
+    sensor = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
+    slot = np.repeat(starts, counts) + ragged_arange(counts)
+    return group_offsets(counts), sensor, slot
+
+
 class DataCollectionInstance:
     """An instance of the data collection maximization problem.
 
@@ -144,7 +135,8 @@ class DataCollectionInstance:
     slot_duration:
         ``tau`` in seconds.
     sensors:
-        One :class:`SensorSlotData` per sensor, index = sensor id.
+        One :class:`SensorSlotData` per sensor, index = sensor id.  The
+        records are concatenated into the flat arrays once; none is kept.
     """
 
     def __init__(
@@ -156,25 +148,70 @@ class DataCollectionInstance:
         if num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {num_slots}")
         check_positive(slot_duration, "slot_duration")
+        sensors = tuple(sensors)
+        starts = np.zeros(len(sensors), dtype=np.int64)
+        ends = np.full(len(sensors), -1, dtype=np.int64)
         for i, s in enumerate(sensors):
-            if s.window is not None and (s.window.start < 0 or s.window.end >= num_slots):
+            if s.window is None:
+                continue
+            if s.window.start < 0 or s.window.end >= num_slots:
                 raise ValueError(
                     f"sensor {i} window {s.window} outside [0, {num_slots - 1}]"
                 )
+            starts[i], ends[i] = s.window.start, s.window.end
+        self._set_arrays(
+            num_slots,
+            slot_duration,
+            starts,
+            ends,
+            _pair_layout(starts, ends),
+            # The leading empty float64 array makes the result float64
+            # and covers n = 0.
+            np.concatenate([_EMPTY_F, *(s.rates for s in sensors)]),
+            np.concatenate([_EMPTY_F, *(s.powers for s in sensors)]),
+            np.fromiter((s.budget for s in sensors), np.float64, count=len(sensors)),
+        )
+
+    def _set_arrays(
+        self,
+        num_slots: int,
+        slot_duration: float,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        layout: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        rates: np.ndarray,
+        powers: np.ndarray,
+        budgets: np.ndarray,
+    ) -> "DataCollectionInstance":
+        """The one initialiser behind every way in: store the window
+        bounds, the flat pairs (``layout`` is :func:`_pair_layout` of the
+        windows, ``rates``/``powers`` are aligned with it) and the
+        budgets, all frozen.  The caller has validated the data."""
+        offsets, sensor, slot = layout
         self.num_slots = int(num_slots)
         self.slot_duration = float(slot_duration)
-        self.sensors: Tuple[SensorSlotData, ...] = tuple(sensors)
+        tau = self.slot_duration
+        self._window_bounds = (_freeze(starts), _freeze(ends))
+        self._flat = FlatPairs(
+            sensor=_freeze(sensor),
+            slot=_freeze(slot),
+            rates=_freeze(rates),
+            powers=_freeze(powers),
+            profits=_freeze(rates * tau),
+            costs=_freeze(powers * tau),
+            offsets=_freeze(offsets),
+        )
+        self._budgets = _freeze(budgets)
         # Lazily built caches (see the corresponding accessors).
+        self._sensors: Optional[Tuple[SensorSlotData, ...]] = None
         self._competitors: Optional[List[np.ndarray]] = None
-        self._flat: Optional[FlatPairs] = None
-        self._window_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._budgets: Optional[np.ndarray] = None
         self._order: Optional[List[int]] = None
         self._slot_groups: Optional[Tuple[np.ndarray, ...]] = None
         # Memoised DCMP→GAP reduction (owned by repro.core.offline_appro).
         self._dcmp_gap = None
         # Memoised DCMP LP bound in bits (owned by repro.core.lp).
         self._lp_bound: Optional[float] = None
+        return self
 
     # ------------------------------------------------------------------
     # Construction from the physical layers
@@ -196,8 +233,7 @@ class DataCollectionInstance:
 
         The whole derivation is one vectorised pass over the flat
         (sensor, slot) pair set: anchor arcs, anchor points, distances
-        and the rate/power lookups each happen in a single array op, and
-        the per-sensor views are zero-copy slices of the flat arrays.
+        and the rate/power lookups each happen in a single array op.
 
         Notes
         -----
@@ -214,62 +250,33 @@ class DataCollectionInstance:
             raise ValueError(
                 f"budgets must have shape ({network.num_sensors},), got {budgets.shape}"
             )
-        n = network.num_sensors
         positions = np.atleast_2d(np.asarray(network.positions, dtype=np.float64))
-        windows = trajectory.availability(network.positions, rate_table.max_range)
-        starts = np.fromiter(
-            (0 if w is None else w.start for w in windows), np.int64, count=n
-        )
-        counts = np.fromiter(
-            (0 if w is None else len(w) for w in windows), np.int64, count=n
-        )
-        offsets = group_offsets(counts)
-
-        # One flat entry per in-window (sensor, slot) pair, sensor-major.
-        sensor_rep = np.repeat(np.arange(n, dtype=np.int64), counts)
-        slots_flat = np.repeat(starts, counts) + ragged_arange(counts)
-        arcs = trajectory.arc_at_slot(slots_flat)
-        pts = np.atleast_2d(trajectory.path.point_at(arcs))
+        starts, ends = trajectory.availability(positions, rate_table.max_range)
+        layout = _pair_layout(starts, ends)
+        _, sensor, slot = layout
+        pts = np.atleast_2d(trajectory.path.point_at(trajectory.arc_at_slot(slot)))
         dists = np.hypot(
-            positions[sensor_rep, 0] - pts[:, 0],
-            positions[sensor_rep, 1] - pts[:, 1],
+            positions[sensor, 0] - pts[:, 0],
+            positions[sensor, 1] - pts[:, 1],
         )
-        rates_flat = np.asarray(rate_table.rate_at(dists), dtype=np.float64)
-        powers_flat = np.asarray(rate_table.power_at(dists), dtype=np.float64)
+        rates = np.asarray(rate_table.rate_at(dists), dtype=np.float64)
+        powers = np.asarray(rate_table.power_at(dists), dtype=np.float64)
 
-        # Bulk validation replacing the per-sensor __post_init__ checks.
-        check_finite(rates_flat, "rates")
-        check_finite(powers_flat, "powers")
-        if np.any(rates_flat < 0) or np.any(powers_flat < 0):
+        # Bulk validation in place of the per-record SensorSlotData checks.
+        check_finite(rates, "rates")
+        check_finite(powers, "powers")
+        if np.any(rates < 0) or np.any(powers < 0):
             raise ValueError("rates and powers must be non-negative")
-        _freeze(rates_flat)
-        _freeze(powers_flat)
-        budgets = np.maximum(budgets, 0.0)
-        budget_list = budgets.tolist()
-
-        bounds = offsets.tolist()
-        sensors = [
-            SensorSlotData._trusted(
-                w,
-                rates_flat[bounds[i] : bounds[i + 1]],
-                powers_flat[bounds[i] : bounds[i + 1]],
-                budget_list[i],
-            )
-            for i, w in enumerate(windows)
-        ]
-        instance = cls(trajectory.num_slots, trajectory.slot_duration, sensors)
-        tau = instance.slot_duration
-        instance._flat = FlatPairs(
-            sensor=_freeze(sensor_rep),
-            slot=_freeze(slots_flat),
-            rates=rates_flat,
-            powers=powers_flat,
-            profits=_freeze(rates_flat * tau),
-            costs=_freeze(powers_flat * tau),
-            offsets=_freeze(offsets),
+        return cls.__new__(cls)._set_arrays(
+            trajectory.num_slots,
+            trajectory.slot_duration,
+            starts,
+            ends,
+            layout,
+            rates,
+            powers,
+            np.maximum(budgets, 0.0),
         )
-        instance._budgets = _freeze(budgets)
-        return instance
 
     # ------------------------------------------------------------------
     # Core quantities
@@ -277,113 +284,87 @@ class DataCollectionInstance:
     @property
     def num_sensors(self) -> int:
         """``n``."""
-        return len(self.sensors)
+        return int(self._budgets.size)
+
+    @property
+    def sensors(self) -> Tuple[SensorSlotData, ...]:
+        """One :class:`SensorSlotData` per sensor, built on first access.
+
+        The records are views of the flat arrays, for the tools that
+        edit an instance sensor by sensor (the fuzzer, the shrinker, the
+        serializer); no solver reads them.
+        """
+        if self._sensors is None:
+            flat = self._flat
+            edges = flat.offsets.tolist()
+            starts, ends = (bounds.tolist() for bounds in self._window_bounds)
+            self._sensors = tuple(
+                SensorSlotData(
+                    SlotInterval(start, end) if start <= end else None,
+                    flat.rates[edges[i] : edges[i + 1]],
+                    flat.powers[edges[i] : edges[i + 1]],
+                    budget,
+                )
+                for i, (start, end, budget) in enumerate(
+                    zip(starts, ends, self._budgets.tolist())
+                )
+            )
+        return self._sensors
+
+    def _pair_index(self, sensor: int, slot: int) -> int:
+        """Flat index of the pair ``(sensor, slot)``; ``KeyError`` when
+        ``slot`` is outside the sensor's window."""
+        # Index like a sequence of sensors: negative ids count from the
+        # end, and an id out of range raises IndexError.
+        sensor = range(self.num_sensors)[sensor]
+        starts, ends = self._window_bounds
+        start = int(starts[sensor])
+        if not start <= slot <= int(ends[sensor]):
+            raise KeyError(f"slot {slot} not in window {self.window_of(sensor)}")
+        return int(self._flat.offsets[sensor]) + slot - start
 
     def profit(self, sensor: int, slot: int) -> float:
         """``r_{i,j} · tau`` bits for assigning ``slot`` to ``sensor``."""
-        data = self.sensors[sensor]
-        return float(data.rates[data.local_index(slot)]) * self.slot_duration
+        return float(self._flat.profits[self._pair_index(sensor, slot)])
 
     def cost(self, sensor: int, slot: int) -> float:
         """``P_{i,j} · tau`` joules the assignment charges the budget."""
-        data = self.sensors[sensor]
-        return float(data.powers[data.local_index(slot)]) * self.slot_duration
-
-    def profits_of(self, sensor: int) -> np.ndarray:
-        """Profit array aligned with the sensor's window (bits)."""
-        if self._flat is not None:
-            lo, hi = self._flat.offsets[sensor], self._flat.offsets[sensor + 1]
-            return self._flat.profits[lo:hi]
-        return self.sensors[sensor].rates * self.slot_duration
-
-    def costs_of(self, sensor: int) -> np.ndarray:
-        """Cost array aligned with the sensor's window (joules)."""
-        if self._flat is not None:
-            lo, hi = self._flat.offsets[sensor], self._flat.offsets[sensor + 1]
-            return self._flat.costs[lo:hi]
-        return self.sensors[sensor].powers * self.slot_duration
+        return float(self._flat.costs[self._pair_index(sensor, slot)])
 
     def budget_of(self, sensor: int) -> float:
         """``P(v_i)`` joules."""
-        return self.sensors[sensor].budget
+        return float(self._budgets[sensor])
 
     def window_of(self, sensor: int) -> Optional[SlotInterval]:
         """``A(v_i)`` as a slot interval (``None`` if unreachable)."""
-        return self.sensors[sensor].window
+        starts, ends = self._window_bounds
+        start, end = int(starts[sensor]), int(ends[sensor])
+        return SlotInterval(start, end) if start <= end else None
 
     # ------------------------------------------------------------------
-    # Cached array views
+    # The stored arrays
     # ------------------------------------------------------------------
     def flat_pairs(self) -> FlatPairs:
-        """The instance's flat (sensor, slot) pair arrays (cached).
+        """The instance's flat (sensor, slot) pair arrays.
 
         Sensor-major, slots ascending within each sensor — the layout
         every vectorised consumer (GAP reduction, baselines, copies
         graph, allocation accounting) indexes into.
         """
-        if self._flat is None:
-            counts = np.fromiter(
-                (s.num_slots for s in self.sensors), np.int64, count=self.num_sensors
-            )
-            offsets = group_offsets(counts)
-            sensor_rep = np.repeat(np.arange(self.num_sensors, dtype=np.int64), counts)
-            starts = np.fromiter(
-                (0 if s.window is None else s.window.start for s in self.sensors),
-                np.int64,
-                count=self.num_sensors,
-            )
-            slots_flat = np.repeat(starts, counts) + ragged_arange(counts)
-            if self.num_sensors:
-                rates_flat = np.concatenate([s.rates for s in self.sensors])
-                powers_flat = np.concatenate([s.powers for s in self.sensors])
-            else:
-                rates_flat = _EMPTY_F
-                powers_flat = _EMPTY_F
-            tau = self.slot_duration
-            self._flat = FlatPairs(
-                sensor=_freeze(sensor_rep),
-                slot=_freeze(slots_flat),
-                rates=_freeze(np.asarray(rates_flat, dtype=np.float64)),
-                powers=_freeze(np.asarray(powers_flat, dtype=np.float64)),
-                profits=_freeze(rates_flat * tau),
-                costs=_freeze(powers_flat * tau),
-                offsets=_freeze(offsets),
-            )
         return self._flat
 
     def budgets_array(self) -> np.ndarray:
-        """``(n,)`` budgets ``P(v_i)`` in joules (cached, immutable)."""
-        if self._budgets is None:
-            self._budgets = _freeze(
-                np.fromiter(
-                    (s.budget for s in self.sensors),
-                    np.float64,
-                    count=self.num_sensors,
-                )
-            )
+        """``(n,)`` budgets ``P(v_i)`` in joules (immutable)."""
         return self._budgets
 
     def window_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` int64 arrays of the windows (cached).
+        """``(starts, ends)`` int64 arrays of the windows (immutable).
 
         Unreachable sensors get the empty convention ``start = 0``,
         ``end = -1`` so containment tests (``start <= j <= end``) are
         vacuously false.
         """
-        if self._window_bounds is None:
-            starts = np.fromiter(
-                (0 if s.window is None else s.window.start for s in self.sensors),
-                np.int64,
-                count=self.num_sensors,
-            )
-            ends = np.fromiter(
-                (-1 if s.window is None else s.window.end for s in self.sensors),
-                np.int64,
-                count=self.num_sensors,
-            )
-            self._window_bounds = (_freeze(starts), _freeze(ends))
         return self._window_bounds
-
     def pair_profits(self, sensors: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Vectorised ``profit(sensor, slot)`` lookup over pair arrays.
 
@@ -482,10 +463,10 @@ class DataCollectionInstance:
         budgets:
             Optional replacement budgets (length ``n`` over the *parent*
             ids) — used online with residual energy; defaults to the
-            parent budgets.
+            parent budgets.  Negative budgets are clipped at 0.
         sensor_ids:
-            Restrict to these parent sensors (e.g. the registered set);
-            default all.
+            Restrict to these parent sensors (e.g. the registered set),
+            kept in the given order; default all.
 
         Returns
         -------
@@ -494,37 +475,38 @@ class DataCollectionInstance:
         """
         if interval.start < 0 or interval.end >= self.num_slots:
             raise ValueError(f"interval {interval} outside instance horizon")
-        candidates = range(self.num_sensors) if sensor_ids is None else sensor_ids
-        subs: List[SensorSlotData] = []
-        parents: List[int] = []
-        for i in candidates:
-            data = self.sensors[i]
-            if data.window is None:
-                continue
-            inter = data.window.intersection(interval)
-            if inter is None:
-                continue
-            lo = inter.start - data.window.start
-            hi = inter.end - data.window.start
-            budget = float(budgets[i]) if budgets is not None else data.budget
-            # Parent arrays are immutable, so the slices are safe
-            # zero-copy (and themselves non-writeable) views.
-            subs.append(
-                SensorSlotData._trusted(
-                    inter.shift(-interval.start),
-                    data.rates[lo : hi + 1],
-                    data.powers[lo : hi + 1],
-                    max(budget, 0.0),
-                )
-            )
-            parents.append(i)
-        return (
-            DataCollectionInstance(len(interval), self.slot_duration, subs),
-            parents,
+        starts, ends = self._window_bounds
+        if sensor_ids is None:
+            candidates = np.arange(self.num_sensors, dtype=np.int64)
+        else:
+            candidates = np.asarray(sensor_ids, dtype=np.int64)
+        first = np.maximum(starts[candidates], interval.start)
+        last = np.minimum(ends[candidates], interval.end)
+        keep = first <= last
+        parents = candidates[keep]
+        sub_starts = first[keep] - interval.start
+        sub_ends = last[keep] - interval.start
+        layout = _pair_layout(sub_starts, sub_ends)
+        _, sensor, slot = layout
+        # Sub-pair (k, j) is the parent's pair (parents[k], interval.start + j).
+        flat = self._flat
+        source = (flat.offsets[parents] - starts[parents] + interval.start)[sensor] + slot
+        parent_budgets = self._budgets if budgets is None else np.asarray(budgets, dtype=np.float64)
+        sub = DataCollectionInstance.__new__(DataCollectionInstance)._set_arrays(
+            len(interval),
+            self.slot_duration,
+            sub_starts,
+            sub_ends,
+            layout,
+            flat.rates[source],
+            flat.powers[source],
+            np.maximum(parent_budgets[parents], 0.0),
         )
+        return sub, parents.tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        reachable = sum(1 for s in self.sensors if s.window is not None)
+        starts, ends = self._window_bounds
+        reachable = int(np.count_nonzero(starts <= ends))
         return (
             f"DataCollectionInstance(n={self.num_sensors} ({reachable} reachable), "
             f"T={self.num_slots}, tau={self.slot_duration})"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.core.allocation import Allocation
-from repro.core.gap import GapBin, GapInstance, local_ratio_gap
+from repro.core.gap import GapInstance, local_ratio_gap
 from repro.core.instance import DataCollectionInstance
 from repro.core.knapsack import solve_knapsack
 from repro.obs import phase
@@ -33,28 +33,18 @@ def dcmp_to_gap(instance: DataCollectionInstance) -> GapInstance:
     weight ``P_{i,j}·τ``.
 
     The reduction is memoised on the (immutable) instance: repeated
-    solves over the same instance reuse the bins and occupancy index.
+    solves over the same instance reuse its occupancy index.
     """
     cached = getattr(instance, "_dcmp_gap", None)
     if cached is not None:
         return cached
     flat = instance.flat_pairs()
-    edges = flat.offsets.tolist()
-    # Zero-copy views of the instance's flat pair arrays; the invariants
-    # GapBin validates (distinct int64 items, aligned float64 arrays,
-    # capacity >= 0) hold by construction, so the trusted constructor
-    # skips the per-bin validation pass.
-    bins = [
-        GapBin._trusted(
-            data.budget,
-            flat.slot[edges[i] : edges[i + 1]],
-            flat.profits[edges[i] : edges[i + 1]],
-            flat.costs[edges[i] : edges[i + 1]],
-            items_ascending=True,  # window slots are consecutive
-        )
-        for i, data in enumerate(instance.sensors)
-    ]
-    gap = GapInstance(bins)
+    # The instance's own immutable arrays, shared: bins are its sensors
+    # and each bin's items are its window's slots, distinct by
+    # construction, so nothing is validated or copied.
+    gap = GapInstance.__new__(GapInstance)._set_arrays(
+        flat.offsets, flat.slot, flat.profits, flat.costs, instance.budgets_array()
+    )
     instance._dcmp_gap = gap
     return gap
 

@@ -15,8 +15,7 @@ constructor flag so sensitivity to it can be measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, Tuple, Union
 
 import numpy as np
 
@@ -118,7 +117,9 @@ class SinkTrajectory:
     # ------------------------------------------------------------------
     # Availability windows A(v)
     # ------------------------------------------------------------------
-    def availability(self, xy: np.ndarray, transmission_range: float):
+    def availability(
+        self, xy: np.ndarray, transmission_range: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Compute ``A(v)`` for each sensor position.
 
         ``A(v)`` is the consecutive slot window whose anchors fall inside
@@ -133,9 +134,10 @@ class SinkTrajectory:
 
         Returns
         -------
-        list[SlotInterval | None]
-            One window per sensor (``None`` when the sensor can never
-            reach the sink).
+        (starts, ends):
+            ``int64`` arrays, one closed window ``[starts[i], ends[i]]``
+            per sensor.  A sensor that can never reach the sink gets
+            ``(0, -1)``, so ``start <= j <= end`` holds for no slot.
         """
         lo, hi = self.path.coverage_window(np.atleast_2d(xy), transmission_range)
         offset = _ANCHOR_OFFSET[self.anchor]
@@ -146,12 +148,9 @@ class SinkTrajectory:
         np.maximum(first, 0, out=first)
         np.minimum(last, self._num_slots - 1, out=last)
         empty = (lo > hi) | (first > last)
-        return [
-            None if empty_i else SlotInterval(int(first_i), int(last_i))
-            for empty_i, first_i, last_i in zip(
-                empty.tolist(), first.tolist(), last.tolist()
-            )
-        ]
+        first[empty] = 0
+        last[empty] = -1
+        return first, last
 
     def probe_interval(self, index: int, transmission_range: float) -> SlotInterval:
         """Slot window ``[a_j, b_j]`` of the ``index``-th probe interval.

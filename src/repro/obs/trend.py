@@ -67,10 +67,12 @@ DEFAULT_HISTORY_DIR = "benchmarks/history"
 _BENCH_FORMAT = "repro.bench"
 
 #: Profile phases graded as wall-clock metrics next to ``wall_s``.
-#: ``plan_s`` only appears in planner cells, ``certify_s`` and
-#: ``lp_bound_s`` in certified cells; a phase a cell lacks is skipped.
+#: ``prepare_s`` only appears in ``Batch[mixed]`` (its shared build),
+#: ``plan_s`` in planner cells, ``certify_s`` and ``lp_bound_s`` in
+#: certified cells; a phase a cell lacks is skipped.
 WALL_PHASES: Tuple[str, ...] = (
     "scenario_build_s",
+    "prepare_s",
     "plan_s",
     "instance_build_s",
     "solve_s",

@@ -52,8 +52,7 @@ def energy_utilisation(
     allocation: Allocation, instance: DataCollectionInstance
 ) -> float:
     """Fraction of the summed budgets spent on transmissions, in [0, 1]."""
-    budgets = np.array([instance.budget_of(i) for i in range(instance.num_sensors)])
-    total_budget = float(budgets.sum())
+    total_budget = float(instance.budgets_array().sum())
     if total_budget == 0:
         return 0.0
     return float(allocation.energy_spent(instance).sum() / total_budget)

@@ -277,27 +277,29 @@ def _constraint_checks(
 
     id_violations: List[Dict[str, Any]] = []
     window_violations: List[Dict[str, Any]] = []
+    starts, ends = (bounds.tolist() for bounds in instance.window_bounds())
+    flat = instance.flat_pairs()
+    offsets = flat.offsets.tolist()
     spent = np.zeros(n)
     objective = 0.0
-    for j, owner in enumerate(allocation.slot_owner):
-        if owner == UNASSIGNED:
+    for j, s in enumerate(allocation.slot_owner.tolist()):
+        if s == UNASSIGNED:
             continue
-        s = int(owner)
         if not 0 <= s < n:
             id_violations.append({"slot": j, "sensor": s, "num_sensors": n})
             continue
-        window = instance.window_of(s)
-        if window is None or j not in window:
+        if not starts[s] <= j <= ends[s]:
             window_violations.append(
                 {
                     "slot": j,
                     "sensor": s,
-                    "window": None if window is None else [window.start, window.end],
+                    "window": [starts[s], ends[s]] if starts[s] <= ends[s] else None,
                 }
             )
             continue
-        spent[s] += instance.cost(s, j)
-        objective += instance.profit(s, j)
+        pair = offsets[s] + j - starts[s]
+        spent[s] += float(flat.costs[pair])
+        objective += float(flat.profits[pair])
 
     checks.append(
         CheckResult(
@@ -336,8 +338,7 @@ def _constraint_checks(
 
     budget_violations: List[Dict[str, Any]] = []
     min_slack: Optional[float] = None
-    for i in range(n):
-        budget = instance.budget_of(i)
+    for i, budget in enumerate(instance.budgets_array().tolist()):
         slack = budget - float(spent[i])
         if min_slack is None or slack < min_slack:
             min_slack = slack

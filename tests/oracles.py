@@ -38,9 +38,17 @@ as these.  Which of several tied optima it picks is pinned against
 list, which must return *equal* pairs.  :func:`fixed_power_of_reference`
 is the per-sensor scan the flat-pair power check replaced.
 
+:func:`instance_reference`, :func:`restrict_reference` and
+:func:`gap_reference` are the per-object forms the flat pair table
+replaced: one ``SlotInterval`` and one ``SensorSlotData`` per sensor
+with flat pairs concatenated from those, the per-sensor restriction
+loop, and one ``GapBin`` per sensor with an occupancy index built item
+by item.
+
 :func:`run_online_reference` is the online framework with its
 per-slot merge loop: scalar ``cost``/``profit`` lookups, one debit and
-one ``+=`` per assigned slot.
+one ``+=`` per assigned slot, and :func:`restrict_reference` for each
+interval's sub-instance.
 
 Keep these boring: single code path, plain Python floats, nested loops.
 Any cleverness added here defeats their purpose as references.
@@ -60,8 +68,8 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
-from repro.core.gap import GapInstance, KnapsackSolver
-from repro.core.instance import DataCollectionInstance
+from repro.core.gap import GapBin, GapInstance, KnapsackSolver
+from repro.core.instance import DataCollectionInstance, FlatPairs, SensorSlotData
 from repro.core.matching import MatchingResult
 from repro.core.offline_maxmatch import _POWER_RTOL, fixed_power_of
 from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
@@ -87,6 +95,11 @@ __all__ = [
     "lsa_b_matching",
     "linprog_b_matching",
     "fixed_power_of_reference",
+    "InstanceReference",
+    "instance_reference",
+    "restrict_reference",
+    "GapReference",
+    "gap_reference",
     "run_online_reference",
     "CopiesGraph",
     "build_copies_graph",
@@ -864,6 +877,204 @@ def fixed_power_of_reference(instance: DataCollectionInstance) -> float:
 
 
 # ----------------------------------------------------------------------
+# Instance, restriction and GAP reduction: one object per sensor
+# ----------------------------------------------------------------------
+_ANCHOR_OFFSETS = {"midpoint": 0.5, "start": 0.0, "end": 1.0}
+
+
+@dataclass
+class InstanceReference:
+    """An instance held as one window and one :class:`SensorSlotData`
+    per sensor, with the accessors of
+    :class:`~repro.core.instance.DataCollectionInstance` the equivalence
+    tests compare."""
+
+    num_slots: int
+    slot_duration: float
+    windows: List[Optional[SlotInterval]]
+    sensors: List[SensorSlotData]
+
+    @property
+    def num_sensors(self) -> int:
+        return len(self.sensors)
+
+    def window_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        starts = [0 if w is None else w.start for w in self.windows]
+        ends = [-1 if w is None else w.end for w in self.windows]
+        return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+    def budgets_array(self) -> np.ndarray:
+        return np.array([s.budget for s in self.sensors], dtype=np.float64)
+
+    def flat_pairs(self) -> FlatPairs:
+        """Flat pairs concatenated from the per-sensor records."""
+        sensor: List[int] = []
+        slot: List[int] = []
+        offsets = [0]
+        for i, data in enumerate(self.sensors):
+            for j in ([] if data.window is None else data.window):
+                sensor.append(i)
+                slot.append(j)
+            offsets.append(offsets[-1] + data.num_slots)
+        rates = np.concatenate([np.zeros(0), *(s.rates for s in self.sensors)])
+        powers = np.concatenate([np.zeros(0), *(s.powers for s in self.sensors)])
+        return FlatPairs(
+            sensor=np.array(sensor, dtype=np.int64),
+            slot=np.array(slot, dtype=np.int64),
+            rates=rates,
+            powers=powers,
+            profits=rates * self.slot_duration,
+            costs=powers * self.slot_duration,
+            offsets=np.array(offsets, dtype=np.int64),
+        )
+
+    def sensor_order(self) -> List[int]:
+        """Ascending (start, end, id); unreachable sensors last."""
+        last = self.num_slots + 1
+        return sorted(
+            range(self.num_sensors),
+            key=lambda i: (last, last, i)
+            if self.windows[i] is None
+            else (self.windows[i].start, self.windows[i].end, i),
+        )
+
+    def slot_competitors(self, slot: int) -> List[int]:
+        return [i for i, w in enumerate(self.windows) if w is not None and slot in w]
+
+
+def instance_reference(network, trajectory, rate_table, budgets) -> InstanceReference:
+    """Reference for
+    :meth:`~repro.core.instance.DataCollectionInstance.from_network`:
+    each sensor's window ``A(v)`` as a :class:`SlotInterval` (or
+    ``None``), then its rates and powers over that window, one sensor at
+    a time."""
+    positions = np.atleast_2d(np.asarray(network.positions, dtype=np.float64))
+    budgets = np.maximum(np.asarray(budgets, dtype=np.float64), 0.0).tolist()
+    lo, hi = trajectory.path.coverage_window(positions, rate_table.max_range)
+    offset = _ANCHOR_OFFSETS[trajectory.anchor]
+    step = trajectory.slot_length_m
+    windows: List[Optional[SlotInterval]] = []
+    sensors: List[SensorSlotData] = []
+    for i, (lo_i, hi_i) in enumerate(zip(lo.tolist(), hi.tolist())):
+        window = None
+        if lo_i <= hi_i:
+            # The anchor arc of slot j is (j + offset) * step.
+            first = max(math.ceil(lo_i / step - offset - 1e-12), 0)
+            last = min(math.floor(hi_i / step - offset + 1e-12), trajectory.num_slots - 1)
+            if first <= last:
+                window = SlotInterval(first, last)
+        windows.append(window)
+        if window is None:
+            sensors.append(SensorSlotData(None, np.zeros(0), np.zeros(0), budgets[i]))
+            continue
+        points = np.atleast_2d(trajectory.path.point_at(trajectory.arc_at_slot(window.slots())))
+        dists = np.hypot(positions[i, 0] - points[:, 0], positions[i, 1] - points[:, 1])
+        sensors.append(
+            SensorSlotData(
+                window,
+                np.asarray(rate_table.rate_at(dists), dtype=np.float64),
+                np.asarray(rate_table.power_at(dists), dtype=np.float64),
+                budgets[i],
+            )
+        )
+    return InstanceReference(
+        trajectory.num_slots, float(trajectory.slot_duration), windows, sensors
+    )
+
+
+def restrict_reference(
+    instance,
+    interval: SlotInterval,
+    budgets: Optional[np.ndarray] = None,
+    sensor_ids: Optional[Sequence[int]] = None,
+) -> Tuple[DataCollectionInstance, List[int]]:
+    """Reference for
+    :meth:`~repro.core.instance.DataCollectionInstance.restrict`: one
+    clipped :class:`SensorSlotData` per surviving sensor, handed to the
+    public constructor."""
+    if interval.start < 0 or interval.end >= instance.num_slots:
+        raise ValueError(f"interval {interval} outside instance horizon")
+    candidates = range(instance.num_sensors) if sensor_ids is None else sensor_ids
+    subs: List[SensorSlotData] = []
+    parents: List[int] = []
+    for i in candidates:
+        data = instance.sensors[i]
+        if data.window is None:
+            continue
+        inter = data.window.intersection(interval)
+        if inter is None:
+            continue
+        lo = inter.start - data.window.start
+        hi = inter.end - data.window.start
+        budget = float(budgets[i]) if budgets is not None else data.budget
+        subs.append(
+            SensorSlotData(
+                inter.shift(-interval.start),
+                data.rates[lo : hi + 1],
+                data.powers[lo : hi + 1],
+                max(budget, 0.0),
+            )
+        )
+        parents.append(i)
+    return DataCollectionInstance(len(interval), instance.slot_duration, subs), parents
+
+
+@dataclass
+class GapReference:
+    """One :class:`GapBin` per sensor and the occupancy index of the
+    flat GAP form: entry ``k`` is item ``occ_item[k]`` at position
+    ``occ_pos[k]`` of bin ``occ_bin[k]``, flat index ``occ_flat[k]``;
+    item ``j``'s entries span ``[occ_bounds[j], occ_bounds[j+1])``."""
+
+    bins: List[GapBin]
+    offsets: np.ndarray
+    occ_item: np.ndarray
+    occ_bin: np.ndarray
+    occ_pos: np.ndarray
+    occ_flat: np.ndarray
+    occ_bounds: np.ndarray
+    num_items: int
+
+
+def gap_reference(instance) -> GapReference:
+    """Reference for :func:`repro.core.offline_appro.dcmp_to_gap` on any
+    instance with per-sensor records (``sensors``, ``slot_duration``):
+    bin ``i`` holds sensor ``i``'s window slots, profits ``r·τ``,
+    weights ``P·τ`` and capacity ``P(v_i)``; the occupancy index is
+    built item by item, bins and positions ascending."""
+    tau = instance.slot_duration
+    bins = [
+        GapBin(data.budget, data.slot_indices(), data.rates * tau, data.powers * tau)
+        for data in instance.sensors
+    ]
+    offsets = [0]
+    entries: Dict[int, List[Tuple[int, int, int]]] = {}
+    for b, gap_bin in enumerate(bins):
+        for pos, item in enumerate(gap_bin.items.tolist()):
+            entries.setdefault(item, []).append((b, pos, offsets[-1] + pos))
+        offsets.append(offsets[-1] + gap_bin.items.size)
+    num_items = max(entries) + 1 if entries else 0
+    occ = [(item, *entry) for item in range(num_items) for entry in entries.get(item, [])]
+    bounds = [0]
+    for item in range(num_items):
+        bounds.append(bounds[-1] + len(entries.get(item, [])))
+
+    def column(k: int) -> np.ndarray:
+        return np.array([row[k] for row in occ], dtype=np.int64)
+
+    return GapReference(
+        bins=bins,
+        offsets=np.array(offsets, dtype=np.int64),
+        occ_item=column(0),
+        occ_bin=column(1),
+        occ_pos=column(2),
+        occ_flat=column(3),
+        occ_bounds=np.array(bounds, dtype=np.int64),
+        num_items=num_items,
+    )
+
+
+# ----------------------------------------------------------------------
 # Online framework: the per-slot interval merge
 # ----------------------------------------------------------------------
 def run_online_reference(
@@ -897,8 +1108,8 @@ def run_online_reference(
             continue
         for sensor in registered:
             log.record_ack(sensor)
-        sub_instance, parents = instance.restrict(
-            interval, budgets=residual, sensor_ids=registered
+        sub_instance, parents = restrict_reference(
+            instance, interval, budgets=residual, sensor_ids=registered
         )
         sub_allocation = scheduler.schedule(sub_instance)
         sub_allocation.check_feasible(sub_instance)

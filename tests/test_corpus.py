@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.serialize import instance_to_dict
 from repro.verify import discover_corpus, load_corpus_file, replay_file
-from repro.verify.corpus import CORPUS_FORMAT, CORPUS_VERSION, corpus_instance
+from repro.verify.corpus import CORPUS_FORMAT, CORPUS_VERSION, _canonical_json, corpus_instance
 
 CORPUS_FILES = discover_corpus(Path(__file__).parent / "data" / "corpus")
 
@@ -41,3 +42,12 @@ def test_corpus_replays_clean(path):
         f"{path.name}: historical failure reproduces again: "
         + "; ".join(f"{f.kind}/{f.algorithm}/{f.check}" for f in surviving)
     )
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.name)
+def test_corpus_instance_round_trips_byte_identically(path):
+    """Loading a reproducer into the flat instance and writing it back
+    through the per-sensor views gives the committed bytes."""
+    doc = load_corpus_file(path)
+    doc["instance"] = instance_to_dict(corpus_instance(doc))
+    assert _canonical_json(doc) == path.read_text(encoding="utf-8")

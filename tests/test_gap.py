@@ -104,6 +104,25 @@ class TestGapInstance:
         )
         assert inst.profit_of_assignment({0: [0, 1]}) == pytest.approx(5.0)
 
+    def test_profit_of_assignment_unsorted_bins_and_bad_pairs(self):
+        inst = GapInstance(
+            [
+                GapBin(5.0, np.array([4, 0, 2]), np.array([1.0, 2.0, 4.0]), np.ones(3)),
+                GapBin(5.0, np.array([2]), np.array([8.0]), np.ones(1)),
+                GapBin(5.0, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)),
+            ]
+        )
+        assert inst.profit_of_assignment({1: [2], 0: [4, 0]}) == 11.0
+        assert inst.profit_of_assignment({2: []}) == 0.0
+        for item in (3, 1, 5, -1, 2**62):
+            with pytest.raises(KeyError) as raised:
+                inst.profit_of_assignment({0: [0, item]})
+            assert raised.value.args == (item,)
+        with pytest.raises(KeyError):
+            inst.profit_of_assignment({2: [0]})
+        with pytest.raises(IndexError):
+            inst.profit_of_assignment({3: [0]})
+
 
 class TestLocalRatio:
     def test_single_bin_is_knapsack(self):

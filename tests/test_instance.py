@@ -55,13 +55,6 @@ class TestSensorSlotData:
         with pytest.raises(ValueError):
             data.rates[0] = 5.0
 
-    def test_local_index(self):
-        data = SensorSlotData(SlotInterval(3, 6), np.ones(4), np.ones(4), 1.0)
-        assert data.local_index(3) == 0
-        assert data.local_index(6) == 3
-        with pytest.raises(KeyError):
-            data.local_index(7)
-
     def test_unreachable_sensor(self):
         data = SensorSlotData(None, np.zeros(0), np.zeros(0), 1.0)
         assert data.num_slots == 0

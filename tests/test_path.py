@@ -85,18 +85,19 @@ def test_gamma_minimum_one():
 def test_availability_centered_sensor(traj):
     # Sensor on the axis at x=500 with R=50: window arcs [450, 550],
     # anchors (j+0.5)*5 in that range -> slots 90..109.
-    windows = traj.availability(np.array([[500.0, 0.0]]), 50.0)
-    assert windows[0] == SlotInterval(90, 109)
+    starts, ends = traj.availability(np.array([[500.0, 0.0]]), 50.0)
+    assert starts.dtype == ends.dtype == np.int64
+    assert (starts.tolist(), ends.tolist()) == ([90], [109])
 
 
 def test_availability_unreachable(traj):
-    windows = traj.availability(np.array([[500.0, 80.0]]), 50.0)
-    assert windows[0] is None
+    starts, ends = traj.availability(np.array([[500.0, 80.0]]), 50.0)
+    assert (starts.tolist(), ends.tolist()) == ([0], [-1])
 
 
 def test_availability_clipped_at_path_start(traj):
-    windows = traj.availability(np.array([[0.0, 0.0]]), 50.0)
-    assert windows[0].start == 0
+    starts, ends = traj.availability(np.array([[0.0, 0.0]]), 50.0)
+    assert starts[0] == 0 and ends[0] >= 0
 
 
 def test_availability_anchor_distances_within_range(traj):
@@ -105,11 +106,9 @@ def test_availability_anchor_distances_within_range(traj):
     xy = np.column_stack(
         [rng.uniform(0, 1000, 30), rng.uniform(-180, 180, 30)]
     )
-    windows = traj.availability(xy, 200.0)
-    for pos, window in zip(xy, windows):
-        if window is None:
-            continue
-        d = traj.distances_to(pos, window.slots())
+    starts, ends = traj.availability(xy, 200.0)
+    for pos, start, end in zip(xy, starts.tolist(), ends.tolist()):
+        d = traj.distances_to(pos, np.arange(start, end + 1))
         assert np.all(d <= 200.0 + 1e-9)
 
 
@@ -119,11 +118,11 @@ def test_availability_maximal(traj):
     xy = np.column_stack(
         [rng.uniform(100, 900, 30), rng.uniform(-180, 180, 30)]
     )
-    windows = traj.availability(xy, 200.0)
-    for pos, window in zip(xy, windows):
-        if window is None:
+    starts, ends = traj.availability(xy, 200.0)
+    for pos, start, end in zip(xy, starts.tolist(), ends.tolist()):
+        if start > end:
             continue
-        for outside in (window.start - 1, window.end + 1):
+        for outside in (start - 1, end + 1):
             if 0 <= outside < traj.num_slots:
                 d = traj.distances_to(pos, np.array([outside]))
                 assert d[0] > 200.0 - 1e-9

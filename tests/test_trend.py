@@ -432,3 +432,28 @@ class TestCommittedLedger:
         assert f"! [warning] {finding}" in out
         assert "gate over the last 2 points: 0 regressions, 1 warnings" in out
         assert out.rstrip().endswith("verdict: OK")
+
+    def test_doctored_batch_prepare_is_graded(self, tmp_path, capsys):
+        """``Batch[mixed]``'s shared build (``prepare_s``) is a graded
+        wall phase like ``scenario_build_s``."""
+        from repro.cli import main
+        from repro.obs.trend import WALL_NOISE_FLOOR_S, WALL_TOLERANCE
+
+        _, newest = load_history(str(COMMITTED_HISTORY))[-1]
+        doctored = copy.deepcopy(newest)
+        entry = next(e for e in doctored["entries"] if e["algorithm"] == "Batch[mixed]")
+        before = entry["profile"]["prepare_s"]
+        # Past the relative tolerance and the absolute floor, both.
+        entry["profile"]["prepare_s"] = before * (1 + WALL_TOLERANCE) + WALL_NOISE_FLOOR_S + 0.001
+        paths = []
+        for name, document in (("newest", newest), ("doctored", doctored)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(document), encoding="utf-8")
+        code = main(["bench", "--compare", *map(str, paths)])
+        out = capsys.readouterr().out
+        finding = (
+            f"Batch[mixed] @ n={entry['num_sensors']}, L={entry['path_length']:g} prepare_s"
+        )
+        assert code == 1
+        assert f"✗ [regression] {finding}" in out
+        assert "gate over the last 2 points: 1 regressions, 0 warnings" in out
