@@ -118,10 +118,12 @@ class GapInstance:
         profits: np.ndarray,
         weights: np.ndarray,
         capacities: np.ndarray,
+        item_order: Optional[np.ndarray] = None,
     ) -> "GapInstance":
         """The one initialiser: store the flat form as given.  The caller
         guarantees what :class:`GapBin` checks (int64 items distinct
-        within a bin, aligned float64 arrays, capacities ≥ 0)."""
+        within a bin, aligned float64 arrays, capacities ≥ 0) and that
+        ``item_order`` is ``np.argsort(items, kind="stable")`` if given."""
         self.offsets = offsets
         self.items = items
         self.profits = profits
@@ -134,7 +136,7 @@ class GapInstance:
         # _occ_flat[k] of an item's candidate entry in bin _occ_bin[k];
         # item j's entries span [_occ_bounds[j], _occ_bounds[j+1]).  The
         # stable sort keeps them bin-ascending within an item.
-        self._occ_flat = np.argsort(items, kind="stable")
+        self._occ_flat = np.argsort(items, kind="stable") if item_order is None else item_order
         bin_of = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
         self._occ_bin = bin_of[self._occ_flat]
         self._occ_bounds = np.searchsorted(

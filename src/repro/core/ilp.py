@@ -3,13 +3,11 @@
 The paper motivates its combinatorial algorithm by arguing that
 "traditional ILP methods take too much time and suffer poor scalability"
 (Section I.B).  To reproduce that *argument* and to provide exact optima
-on medium instances (far beyond the brute-force oracle's reach), this
-module formulates the integer program of Section II.D verbatim, one
-variable per (sensor, slot) pair, and hands the arrays of
-:func:`repro.core.lp.dcmp_model` to HiGHS through
-:func:`scipy.optimize.milp`.  The LP bound solves this program's
-relaxation over runs of identical slots instead; the ILP cannot merge
-them, since it must pick individual slots:
+on paper-scale instances (far beyond the brute-force oracle's reach),
+this module formulates the integer program of Section II.D and hands it
+to HiGHS through :func:`scipy.optimize.milp` over the runs of identical
+slots of :func:`repro.core.lp.slot_run_model`, as integers
+``z_{i,G} ∈ {0, …, |G|}``, which is exact:
 
     max  Σ r_{i,j}·τ·x_{i,j}
     s.t. Σ_i x_{i,j} ≤ 1                    ∀ slot j        (3)
@@ -29,7 +27,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.core.lp import dcmp_model, load_highs
+from repro.core.lp import load_highs, slot_run_model
 from repro.obs import get_registry, phase
 
 __all__ = ["IlpSolution", "solve_dcmp_ilp"]
@@ -46,7 +44,8 @@ class IlpSolution:
     objective_bits:
         Its objective value.
     optimal:
-        True when HiGHS proved optimality within the time limit.
+        True when HiGHS proved optimality, at a zero gap, within the time
+        limit.
     """
 
     allocation: Allocation
@@ -58,7 +57,8 @@ def solve_dcmp_ilp(
     instance: DataCollectionInstance,
     time_limit: Optional[float] = None,
 ) -> IlpSolution:
-    """Solve the DCMP integer program exactly with HiGHS.
+    """Solve the DCMP integer program exactly with HiGHS, to a zero
+    relative gap (``mip_rel_gap=0``; HiGHS's default stops at 1e-4).
 
     Parameters
     ----------
@@ -74,14 +74,14 @@ def solve_dcmp_ilp(
     -------
     IlpSolution
     """
-    model = dcmp_model(instance)
+    model = slot_run_model(instance)
     num_vars = model.profits.size
     if num_vars == 0:
         return IlpSolution(Allocation.empty(instance.num_slots), 0.0, True)
+    matrix, upper = model.constraints(model.costs, instance.budgets_array())
     optimize, _ = load_highs()
-    constraint = optimize.LinearConstraint(model.matrix.tocsc(), -np.inf, model.upper)
 
-    options = {}
+    options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     registry = get_registry()
@@ -90,9 +90,9 @@ def solve_dcmp_ilp(
     with phase("ilp.solve"):
         result = optimize.milp(
             c=-model.profits,
-            constraints=[constraint],
+            constraints=optimize.LinearConstraint(matrix, -np.inf, upper),
             integrality=np.ones(num_vars),
-            bounds=(0, 1),
+            bounds=optimize.Bounds(0.0, model.width),
             options=options,
         )
     registry.set_gauge("ilp.status", int(result.status))
@@ -100,10 +100,7 @@ def solve_dcmp_ilp(
     if result.x is None:
         return IlpSolution(Allocation.empty(instance.num_slots), 0.0, False)
 
-    chosen = result.x > 0.5
-    owner = np.full(instance.num_slots, -1, dtype=np.int64)
-    owner[model.slot[chosen]] = model.sensor[chosen]
-    allocation = Allocation(owner)
+    allocation = model.allocation(result.x)
     allocation.check_feasible(instance)
     # status 0 = optimal; 1 = iteration/time limit with incumbent.
     return IlpSolution(

@@ -206,6 +206,7 @@ class DataCollectionInstance:
         self._sensors: Optional[Tuple[SensorSlotData, ...]] = None
         self._competitors: Optional[List[np.ndarray]] = None
         self._order: Optional[List[int]] = None
+        self._slot_sort: Optional[np.ndarray] = None
         self._slot_groups: Optional[Tuple[np.ndarray, ...]] = None
         # Memoised DCMP→GAP reduction (owned by repro.core.offline_appro).
         self._dcmp_gap = None
@@ -399,15 +400,19 @@ class DataCollectionInstance:
         """Sensor ids whose window contains ``slot`` (ascending)."""
         return self._competitor_table()[slot]
 
+    def _slot_order(self) -> np.ndarray:
+        """Stable ``argsort`` of the pair slots, cached (``dcmp_to_gap`` shares it)."""
+        if self._slot_sort is None:
+            self._slot_sort = _freeze(np.argsort(self._flat.slot, kind="stable"))
+        return self._slot_sort
+
     def _slot_grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pair data regrouped slot-major: ``(bounds, sensors, profits,
         costs)`` where slot ``j``'s competitors (ascending sensor id)
         occupy ``[bounds[j], bounds[j+1])`` of the flat arrays."""
         if self._slot_groups is None:
             flat = self.flat_pairs()
-            # Stable sort by slot keeps sensors ascending within a slot
-            # (the flat layout is sensor-major).
-            order = np.argsort(flat.slot, kind="stable")
+            order = self._slot_order()
             sorted_slots = flat.slot[order]
             bounds = np.searchsorted(
                 sorted_slots, np.arange(self.num_slots + 1, dtype=np.int64)

@@ -360,10 +360,10 @@ def knapsack_branch_and_bound(
 ) -> KnapsackResult:
     """Exact depth-first branch-and-bound with the fractional bound.
 
-    Items are explored in density order; a node is pruned when the LP
-    (fractional-knapsack) bound over the remaining suffix cannot beat the
-    incumbent.  ``max_nodes`` caps the search as a safety valve (raises
-    on overflow rather than silently returning a sub-optimal answer).
+    Items are explored in density order and fit within the other exact
+    solvers' 1e-12 capacity slack; a node is pruned when the LP bound over
+    the remaining suffix cannot beat the incumbent.  ``max_nodes`` caps
+    the search (raising rather than returning a sub-optimal answer).
     """
     idx, p, w = _clean(profits, weights, capacity)
     n = idx.size
@@ -402,9 +402,9 @@ def knapsack_branch_and_bound(
             best_set = current.copy()
         if k == n:
             return
-        if profit_acc + fractional_bound(k, remaining) <= best_profit + 1e-12:
+        if profit_acc + fractional_bound(k, remaining + 1e-12) <= best_profit + 1e-12:
             return
-        if w_ord[k] <= remaining:
+        if w_ord[k] <= remaining + 1e-12:
             current.append(k)
             dfs(k + 1, remaining - w_ord[k], profit_acc + p_ord[k])
             current.pop()

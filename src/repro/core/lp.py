@@ -1,23 +1,23 @@
-"""The DCMP program and its LP relaxation bound.
+"""The DCMP over runs of identical slots, and its LP relaxation bound.
 
-:func:`dcmp_model` assembles the paper's integer program (Section II.D)
-once, as arrays, and :func:`repro.core.ilp.solve_dcmp_ilp` solves it.
-:func:`dcmp_lp_upper_bound` solves its LP relaxation.  The LP optimum
-upper-bounds the true optimum, so reporting ``algorithm / LP`` gives a
-certified lower bound on the fraction of optimum achieved ("the
-solutions are fractional of the optimum" is the paper's closing claim;
-this makes it quantitative).  The b-matching LP of ``Offline_MaxMatch``
-lives in :mod:`repro.core.matching`.
+The paper's integer program (Section II.D, written out in
+:mod:`repro.core.ilp`) has one variable ``x_{i,j}`` per (sensor, slot)
+pair.  A pair's rate and power change only where the sink crosses a
+range ring or a window edge, so long runs of consecutive slots offer the
+same (sensor, profit, cost) columns.  :func:`slot_run_model` merges
+them: a run ``G`` becomes one row ``Σ_i z_{i,G} ≤ |G|`` and each of its
+sensors one column ``z_{i,G} ∈ [0, |G|]``, the number of ``G``'s slots
+sensor ``i`` gets.  ``z_{i,G} = Σ_{j∈G} x_{i,j}`` maps every feasible
+``x`` to a feasible ``z`` of the same objective.  The way back is
+``x_{i,j} = z_{i,G}/|G|`` for the LP relaxation
+(:func:`dcmp_lp_upper_bound`) and, for the ILP and ``Offline_MaxMatch``'s
+b-matching, whose ``z`` is integral, :meth:`SlotRunModel.allocation`:
+slots within a run are interchangeable.
 
-The relaxation is solved over runs of identical slots, not over slots.
-A pair's rate and power change only where the sink crosses a range ring
-or a window edge, so long runs of consecutive slots offer the same
-(sensor, profit, cost) columns.  A run ``G`` becomes one row
-``Σ_i z_{i,G} ≤ |G|`` and each of its sensors one column
-``z_{i,G} ∈ [0, |G|]``.  That LP has the relaxation's optimum:
-``z_{i,G} = Σ_{j∈G} x_{i,j}`` maps every feasible ``x`` to a feasible
-``z`` of the same objective, and ``x_{i,j} = z_{i,G}/|G|`` maps back.
-The ILP keeps one variable per pair, since it must pick slots.
+The LP optimum upper-bounds the true optimum, so reporting
+``algorithm / LP`` gives a certified lower bound on the fraction of
+optimum achieved ("the solutions are fractional of the optimum" is the
+paper's closing claim; this makes it quantitative).
 
 HiGHS, the LP solver, is reached through :mod:`scipy.optimize`, whose
 import takes about twice as long as all of ``import repro``.  The
@@ -33,13 +33,15 @@ from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 import numpy as np
 
+from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
 from repro.obs import get_registry, phase
+from repro.utils.arrays import group_offsets, ragged_arange
 
 if TYPE_CHECKING:
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
 
-__all__ = ["DcmpModel", "dcmp_model", "dcmp_lp_upper_bound", "load_highs"]
+__all__ = ["SlotRunModel", "slot_run_model", "dcmp_lp_upper_bound", "load_highs"]
 
 
 @functools.cache
@@ -57,51 +59,66 @@ def load_highs() -> Tuple[ModuleType, ModuleType]:
     return scipy.optimize, scipy.sparse
 
 
-class DcmpModel(NamedTuple):
-    """The DCMP program over its positive-rate (sensor, slot) pairs.
+class SlotRunModel(NamedTuple):
+    """The DCMP over runs of identical slots (module docstring).
 
-    One variable ``x_{i,j}`` per pair of
-    :meth:`~DataCollectionInstance.flat_pairs` with ``r_{i,j} > 0``, in
-    the same sensor-major order.  ``matrix`` holds constraint (3) in its
-    first ``T`` rows (one per slot) and constraint (4) in the next ``n``
-    (one per sensor); ``upper`` is their right-hand side.
+    One column per (sensor, run) with a positive rate, sensor-major with
+    runs ascending; run ``g`` covers slots ``[bounds[g], bounds[g+1])``.
     """
 
-    sensor: np.ndarray  # (k,) sensor of each variable
-    slot: np.ndarray  # (k,) slot of each variable
-    profits: np.ndarray  # (k,) r_{i,j}·τ bits
-    matrix: coo_matrix  # (T + n, k)
-    upper: np.ndarray  # (T + n,): 1 per slot, then P(v_i) per sensor
+    sensor: np.ndarray  # (k,) sensor of each column
+    run: np.ndarray  # (k,) run of each column
+    profits: np.ndarray  # (k,) r_{i,j}·τ bits per slot
+    costs: np.ndarray  # (k,) P_{i,j}·τ joules per slot
+    bounds: np.ndarray  # (R + 1,) slot boundaries of the runs
+
+    @property
+    def width(self) -> np.ndarray:
+        """``(k,)`` float64 upper bound of each column: its run's length."""
+        return np.diff(self.bounds).astype(np.float64)[self.run]
+
+    def constraints(self, row: np.ndarray, upper: np.ndarray) -> Tuple[csr_matrix, np.ndarray]:
+        """``(matrix, rhs)``: one row ``Σ_i z_{i,G} ≤ |G|`` per run, then
+        one row ``Σ_G row·z_{i,G} ≤ upper[i]`` per sensor (``row`` is
+        aligned with the columns, ``upper`` with the sensors)."""
+        num_vars = self.sensor.size
+        num_runs = self.bounds.size - 1
+        rows = np.concatenate([self.run, num_runs + self.sensor])
+        cols = np.tile(np.arange(num_vars), 2)
+        data = np.concatenate([np.ones(num_vars), row])
+        _, sparse = load_highs()
+        shape = (num_runs + upper.size, num_vars)
+        matrix = sparse.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+        return matrix, np.concatenate([np.diff(self.bounds), upper])
+
+    def linprog(self, row: np.ndarray, upper: np.ndarray, timer: str):
+        """Maximise profit over :meth:`constraints` and ``z_{i,G} ∈ [0, |G|]``
+        with ``linprog(method="highs")``, timed as ``timer``."""
+        matrix, rhs = self.constraints(row, upper)
+        bounds = np.column_stack([np.zeros(self.run.size), self.width])
+        optimize, _ = load_highs()
+        with phase(timer):
+            return optimize.linprog(-self.profits, matrix, rhs, bounds=bounds, method="highs")
+
+    def allocation(self, counts: np.ndarray) -> Allocation:
+        """Expand per-column slot counts (rounded) into an allocation: each
+        run's slots go to its columns in ascending sensor order."""
+        # Run-major, sensors still ascending within a run.
+        order = np.argsort(self.run, kind="stable")
+        counts = np.rint(counts[order]).astype(np.int64)
+        run = self.run[order]
+        before = group_offsets(counts)[:-1]
+        start = self.bounds[run] + before - before[np.searchsorted(run, run)]
+        if np.any(start + counts > self.bounds[run + 1]):
+            raise ValueError("slot counts overfill a run")
+        slots = np.repeat(start, counts) + ragged_arange(counts)
+        owner = np.full(self.bounds[-1], -1, dtype=np.int64)
+        owner[slots] = np.repeat(self.sensor[order], counts)
+        return Allocation(owner)
 
 
-def dcmp_model(instance: DataCollectionInstance) -> DcmpModel:
-    """Assemble the DCMP program of ``instance`` (see :class:`DcmpModel`)."""
-    flat = instance.flat_pairs()
-    live = flat.rates > 0
-    sensor = flat.sensor[live]
-    slot = flat.slot[live]
-    num_vars = sensor.size
-    t = instance.num_slots
-    rows = np.concatenate([slot, t + sensor])
-    cols = np.tile(np.arange(num_vars), 2)
-    data = np.concatenate([np.ones(num_vars), flat.costs[live]])
-    _, sparse = load_highs()
-    matrix = sparse.coo_matrix((data, (rows, cols)), shape=(t + instance.num_sensors, num_vars))
-    upper = np.concatenate([np.ones(t), instance.budgets_array()])
-    return DcmpModel(sensor, slot, flat.profits[live], matrix, upper)
-
-
-def _slot_run_model(
-    instance: DataCollectionInstance,
-) -> Tuple[np.ndarray, coo_matrix, np.ndarray, np.ndarray]:
-    """The LP relaxation over runs of identical slots (module docstring).
-
-    Returns ``(profits, matrix, upper, width)``: one column per
-    (sensor, run) in sensor-major order, with profit ``r_{i,j}·τ`` and
-    upper bound ``width``, the run's length; ``matrix`` holds one row
-    per run (right-hand side its length), then one per sensor
-    (``P(v_i)``).
-    """
+def slot_run_model(instance: DataCollectionInstance) -> SlotRunModel:
+    """The :class:`SlotRunModel` of ``instance``'s positive-rate pairs."""
     flat = instance.flat_pairs()
     live = flat.rates > 0
     sensor = flat.sensor[live]
@@ -121,30 +138,20 @@ def _slot_run_model(
     # Slot j + 1 repeats slot j when every column of each is carried over.
     repeats = (columns[:-1] == carried) & (columns[1:] == carried)
     run_of_slot = np.concatenate([[0], np.cumsum(~repeats)])
-    run_length = np.bincount(run_of_slot).astype(np.float64)
     run = run_of_slot[slot]
     head = np.ones(sensor.size, dtype=bool)
     head[1:] = (sensor[1:] != sensor[:-1]) | (run[1:] != run[:-1])
-    num_vars = int(head.sum())
-    num_runs = run_length.size
-    rows = np.concatenate([run[head], num_runs + sensor[head]])
-    cols = np.tile(np.arange(num_vars), 2)
-    data = np.concatenate([np.ones(num_vars), costs[head]])
-    _, sparse = load_highs()
-    shape = (num_runs + instance.num_sensors, num_vars)
-    matrix = sparse.coo_matrix((data, (rows, cols)), shape=shape)
-    upper = np.concatenate([run_length, instance.budgets_array()])
-    return profits[head], matrix, upper, run_length[run[head]]
+    bounds = group_offsets(np.bincount(run_of_slot))
+    return SlotRunModel(sensor[head], run[head], profits[head], costs[head], bounds)
 
 
 def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     """Optimal value of the DCMP LP relaxation, in bits.
 
-    The program of :func:`dcmp_model` with ``x_{i,j} ∈ [0, 1]``, solved
-    with HiGHS over runs of identical slots: one row per run and one
-    column per (sensor, run), which is exact (module docstring) and
-    moves the value only by HiGHS's rounding.  The ``lp.num_vars``
-    gauge counts those merged columns.
+    The DCMP program with ``x_{i,j} ∈ [0, 1]``, solved with HiGHS over
+    :func:`slot_run_model`: one row per run and one column per (sensor,
+    run), which is exact and moves the value only by HiGHS's rounding.
+    The ``lp.num_vars`` gauge counts those merged columns.
     Returns 0 for instances with no transmittable pair.
 
     The bound depends on the instance alone, so it is memoised on the
@@ -154,23 +161,15 @@ def dcmp_lp_upper_bound(instance: DataCollectionInstance) -> float:
     """
     if instance._lp_bound is not None:
         return instance._lp_bound
-    profits, matrix, upper, width = _slot_run_model(instance)
-    if profits.size == 0:
+    model = slot_run_model(instance)
+    if model.profits.size == 0:
         instance._lp_bound = 0.0
         return 0.0
 
-    optimize, _ = load_highs()
     registry = get_registry()
     registry.inc("lp.calls")
-    registry.set_gauge("lp.num_vars", profits.size)
-    with phase("lp.dcmp_bound"):
-        res = optimize.linprog(
-            c=-profits,
-            A_ub=matrix.tocsr(),
-            b_ub=upper,
-            bounds=np.column_stack([np.zeros_like(width), width]),
-            method="highs",
-        )
+    registry.set_gauge("lp.num_vars", model.profits.size)
+    res = model.linprog(model.costs, instance.budgets_array(), "lp.dcmp_bound")
     registry.set_gauge("lp.status", int(res.status))
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"DCMP LP relaxation failed: {res.message}")

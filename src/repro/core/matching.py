@@ -1,36 +1,27 @@
 """Maximum-weight bipartite b-matching.
 
-The special-case algorithms of Section VI reduce time-slot allocation to
-a maximum-weight matching in a bipartite graph whose left nodes are
-*copies* of registered sensors (``n_i'`` copies each) and whose right
-nodes are time slots.  Copies of one sensor are interchangeable, so the
-problem is really a **b-matching**: left node ``i`` may be matched to up
-to ``c_i`` right nodes, every right node to at most one left node,
-maximising total edge weight.
+``Online_MaxMatch`` (Section VI) matches each probe interval's slots to
+*copies* of its registered sensors (``n_i'`` copies each).  Copies of
+one sensor are interchangeable, so this is a **b-matching**: left node
+``i`` may be matched to up to ``c_i`` right nodes, every right node to
+at most one left node, maximising total edge weight.
 
-One exact engine solves every b-matching: the b-matching LP, handed to
-HiGHS through :func:`scipy.optimize.milp` with no integrality (so HiGHS
-runs its LP path: presolve, then dual simplex).  The constraint matrix
-is the incidence matrix of a bipartite graph, hence totally unimodular,
-so the vertex optimum is integral; the solver still checks integrality
-and raises on a fractional vertex.  The test suite cross-checks it
-against a min-cost-flow oracle and a brute-force matcher.
-
-Edges arrive as one ``(E, 3)`` float64 array of ``(left, right,
-weight)`` rows (any sequence of triples is accepted and converted), and
-the LP's constraint matrix is built directly in the compressed-column
-form HiGHS takes.
+The engine is the b-matching LP, handed to HiGHS through
+:func:`scipy.optimize.milp` with no integrality (so HiGHS runs its LP
+path: presolve, then dual simplex).  The constraint matrix is the
+incidence matrix of a bipartite graph, hence totally unimodular, so the
+vertex optimum is integral; the solver still checks integrality and
+raises on a fractional vertex.  The test suite cross-checks it against
+a min-cost-flow oracle and a brute-force matcher.
 
 Tie-break.  Optimal matchings often tie (equal-weight slots in one
 window), and which optimum a solver returns depends on the order it
-sees the columns.  The order is pinned by construction: edges are
-deduplicated (the heaviest parallel edge survives) and sorted by
-``(left, right)`` before the LP is built, so the same edge *set* always
-yields the same LP and, with HiGHS's deterministic dual simplex after
-presolve, the same pairs, whatever order the caller listed the edges
-in.  Pairs come back sorted by ``(left, right)``.  The same LP through
-``linprog(method="highs-ds")`` is kept in ``tests/oracles.py``, and the
-tests require both to return equal pairs on tied instances.
+sees the columns.  Edges are deduplicated (the heaviest parallel edge
+survives) and sorted by ``(left, right)`` before the LP is built, so the
+same edge *set* yields the same LP and, with HiGHS's deterministic dual
+simplex after presolve, the same pairs, sorted by ``(left, right)``.
+``tests/oracles.py`` keeps the same LP through
+``linprog(method="highs-ds")``, which must return equal pairs.
 """
 
 from __future__ import annotations

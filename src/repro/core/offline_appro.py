@@ -41,9 +41,10 @@ def dcmp_to_gap(instance: DataCollectionInstance) -> GapInstance:
     flat = instance.flat_pairs()
     # The instance's own immutable arrays, shared: bins are its sensors
     # and each bin's items are its window's slots, distinct by
-    # construction, so nothing is validated or copied.
+    # construction, so nothing is validated, copied or sorted again.
     gap = GapInstance.__new__(GapInstance)._set_arrays(
-        flat.offsets, flat.slot, flat.profits, flat.costs, instance.budgets_array()
+        flat.offsets, flat.slot, flat.profits, flat.costs, instance.budgets_array(),
+        instance._slot_order(),
     )
     instance._dcmp_gap = gap
     return gap

@@ -1,19 +1,15 @@
 """``Offline_MaxMatch`` — exact algorithm for the fixed-power special case.
 
 Section VI: when every transmission uses one identical power ``P'``, a
-sensor's energy constraint degenerates into a *cardinality* bound — it
-can afford at most ``⌊P(v_i)/(P'·τ)⌋`` slots — and the DCMP becomes a
-maximum-weight bipartite b-matching:
-
-* left nodes: sensors, with capacity
-  ``c_i = min(|A(v_i)|, ⌊P(v_i)/(P'·τ)⌋)`` (the paper additionally caps
-  by ``Γ`` in the per-interval online variant);
-* right nodes: time slots;
-* edge ``(i, j)`` for ``j ∈ A(v_i)`` with weight ``r_{i,j}·τ``.
-
+sensor's energy constraint degenerates into a *cardinality* bound, and
+the DCMP becomes a maximum-weight bipartite b-matching of sensors, with
+capacities ``c_i = min(|A(v_i)|, ⌊P(v_i)/(P'·τ)⌋)``, to the slots of
+their windows, with weights ``r_{i,j}·τ`` (:func:`build_matching_edges`).
 With global knowledge this "can deliver an exact solution in polynomial
-time" (paper, end of Section VI) — our implementation is exact because
-the b-matching solver (:mod:`repro.core.matching`) is.
+time" (paper, end of Section VI).  It is solved over the runs of
+identical slots of :func:`repro.core.lp.slot_run_model` with the sensor
+row ``Σ_G z_{i,G} ≤ c_i``, the incidence matrix of a bipartite
+run–sensor graph, so HiGHS's vertex optimum is integral.
 """
 
 from __future__ import annotations
@@ -24,7 +20,8 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.core.matching import max_weight_b_matching
+from repro.core.lp import slot_run_model
+from repro.obs import get_registry
 
 __all__ = ["offline_maxmatch", "fixed_power_of", "build_matching_edges"]
 
@@ -59,6 +56,13 @@ def fixed_power_of(instance: DataCollectionInstance) -> float:
     return power
 
 
+def _capacities(instance: DataCollectionInstance, fixed_power: float) -> np.ndarray:
+    """``c_i = min(|A(v_i)|, ⌊P(v_i)/(P'·τ)⌋)`` per sensor, at least 0."""
+    per_slot_energy = fixed_power * instance.slot_duration
+    affordable = np.floor(instance.budgets_array() / per_slot_energy + 1e-12).astype(np.int64)
+    return np.maximum(np.minimum(np.diff(instance.flat_pairs().offsets), affordable), 0)
+
+
 def build_matching_edges(
     instance: DataCollectionInstance,
     fixed_power: Optional[float] = None,
@@ -72,19 +76,10 @@ def build_matching_edges(
     """
     if fixed_power is None:
         fixed_power = fixed_power_of(instance)
-    tau = instance.slot_duration
-    per_slot_energy = fixed_power * tau
+    caps = _capacities(instance, fixed_power)
     flat = instance.flat_pairs()
-    window_sizes = flat.offsets[1:] - flat.offsets[:-1]
-    affordable = np.floor(
-        instance.budgets_array() / per_slot_energy + 1e-12
-    ).astype(np.int64)
-    caps = np.minimum(window_sizes, affordable)
-    np.maximum(caps, 0, out=caps)
     keep = (flat.rates > 0) & (caps[flat.sensor] > 0)
-    edges = np.column_stack(
-        (flat.sensor[keep], flat.slot[keep], flat.rates[keep] * tau)
-    )
+    edges = np.column_stack((flat.sensor[keep], flat.slot[keep], flat.profits[keep]))
     return edges, caps
 
 
@@ -110,12 +105,22 @@ def offline_maxmatch(
     Allocation
         The optimal allocation for the special case.
     """
+    model = slot_run_model(instance)
+    num_vars = model.profits.size
+    if num_vars == 0:
+        return Allocation.empty(instance.num_slots)
     if fixed_power is None:
-        if not np.any(instance.flat_pairs().rates > 0):
-            return Allocation(np.full(instance.num_slots, -1, dtype=np.int64))
         fixed_power = fixed_power_of(instance)
-    edges, caps = build_matching_edges(instance, fixed_power)
-    result = max_weight_b_matching(edges, caps, instance.num_slots)
-    allocation = Allocation(result.right_of(instance.num_slots))
+    registry = get_registry()
+    registry.inc("matching.calls")
+    registry.inc("matching.edges", float(num_vars))
+    res = model.linprog(np.ones(num_vars), _capacities(instance, fixed_power), "matching.lp")
+    if not res.success:  # pragma: no cover - defensive
+        raise RuntimeError(f"b-matching LP failed: {res.message}")
+    # A totally unimodular polytope has integral vertices; verify anyway.
+    frac = np.abs(res.x - np.round(res.x)).max()
+    if frac > 1e-6:  # pragma: no cover - defensive
+        raise RuntimeError(f"LP returned a fractional vertex (max frac {frac:.2e})")
+    allocation = model.allocation(res.x)
     allocation.check_feasible(instance)
     return allocation

@@ -9,7 +9,7 @@ cheaper), each with an edge of weight ``r_{i,j}·τ`` to every slot of its
 clipped window.  A maximum-weight matching then *is* the optimal
 interval schedule.  Theorem 4: ``O(n^{1.5})`` time, ``O(n)`` messages.
 
-The interval graph is the offline one built on the interval's
+The interval graph is the Section-VI graph of the interval's
 sub-instance (:func:`repro.core.offline_maxmatch.build_matching_edges`):
 a sub-instance spans at most ``Γ`` slots, so its window term already
 carries the ``Γ`` cap.

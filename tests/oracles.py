@@ -10,6 +10,9 @@ not merely "close".
 :func:`dcmp_lp_reference_bound` is the per-pair LP model; the bound
 solved over runs of identical slots must reach its optimum within the
 tolerance of ``certify``'s ``lp_upper_bound`` check.
+:func:`dcmp_model` is the per-pair integer program, one variable per
+positive-rate (sensor, slot) pair, and :func:`dcmp_ilp_reference` solves
+it to a zero gap: the ILP over runs must reach the same optimum.
 
 The path references are the two coverage models one exact
 segment–disc intersection replaced: :class:`LinearPathReference`, the
@@ -61,10 +64,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import LinearConstraint, linprog, milp
 from scipy.sparse import coo_matrix
 
 from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
@@ -84,6 +87,9 @@ __all__ = [
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
     "dcmp_lp_reference_bound",
+    "DcmpModel",
+    "dcmp_model",
+    "dcmp_ilp_reference",
     "LinearPathReference",
     "sampled_coverage_window",
     "sampling_step",
@@ -386,6 +392,67 @@ def dcmp_lp_reference_bound(instance: DataCollectionInstance) -> float:
     )
     assert res.success, res.message
     return float(-res.fun)
+
+
+# ----------------------------------------------------------------------
+# ILP: the per-pair program
+# ----------------------------------------------------------------------
+class DcmpModel(NamedTuple):
+    """The DCMP program over its positive-rate (sensor, slot) pairs.
+
+    One variable ``x_{i,j}`` per pair of
+    :meth:`~DataCollectionInstance.flat_pairs` with ``r_{i,j} > 0``, in
+    the same sensor-major order.  ``matrix`` holds constraint (3) in its
+    first ``T`` rows (one per slot) and constraint (4) in the next ``n``
+    (one per sensor); ``upper`` is their right-hand side.
+    """
+
+    sensor: np.ndarray  # (k,) sensor of each variable
+    slot: np.ndarray  # (k,) slot of each variable
+    profits: np.ndarray  # (k,) r_{i,j}·τ bits
+    matrix: coo_matrix  # (T + n, k)
+    upper: np.ndarray  # (T + n,): 1 per slot, then P(v_i) per sensor
+
+
+def dcmp_model(instance: DataCollectionInstance) -> DcmpModel:
+    """The per-pair DCMP program of ``instance`` (see :class:`DcmpModel`)."""
+    flat = instance.flat_pairs()
+    live = flat.rates > 0
+    sensor = flat.sensor[live]
+    slot = flat.slot[live]
+    num_vars = sensor.size
+    t = instance.num_slots
+    rows = np.concatenate([slot, t + sensor])
+    cols = np.tile(np.arange(num_vars), 2)
+    data = np.concatenate([np.ones(num_vars), flat.costs[live]])
+    matrix = coo_matrix((data, (rows, cols)), shape=(t + instance.num_sensors, num_vars))
+    upper = np.concatenate([np.ones(t), instance.budgets_array()])
+    return DcmpModel(sensor, slot, flat.profits[live], matrix, upper)
+
+
+def dcmp_ilp_reference(instance: DataCollectionInstance) -> Allocation:
+    """Reference for :func:`repro.core.ilp.solve_dcmp_ilp`.
+
+    The per-pair program of :func:`dcmp_model` through ``milp`` with
+    ``x_{i,j} ∈ {0, 1}`` and ``mip_rel_gap=0``; returns the optimal
+    allocation, checked feasible.  Never recorded on a registry.
+    """
+    model = dcmp_model(instance)
+    owner = np.full(instance.num_slots, UNASSIGNED, dtype=np.int64)
+    if model.profits.size:
+        res = milp(
+            c=-model.profits,
+            constraints=LinearConstraint(model.matrix.tocsc(), -np.inf, model.upper),
+            integrality=np.ones(model.profits.size),
+            bounds=(0, 1),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert res.status == 0, res.message
+        chosen = res.x > 0.5
+        owner[model.slot[chosen]] = model.sensor[chosen]
+    allocation = Allocation(owner)
+    allocation.check_feasible(instance)
+    return allocation
 
 
 # ----------------------------------------------------------------------

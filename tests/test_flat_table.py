@@ -107,6 +107,9 @@ def assert_same_gap(instance: DataCollectionInstance, reference_source) -> None:
     assert_bit_identical(gap.profits, np.concatenate([np.zeros(0), *(b.profits for b in want.bins)]))
     assert_bit_identical(gap.weights, np.concatenate([np.zeros(0), *(b.weights for b in want.bins)]))
     assert gap.capacities.tolist() == [b.capacity for b in want.bins]
+    # The reduction sorts nothing itself: its occupancy order is the
+    # instance's cached slot order, which ``_slot_grouped`` shares.
+    assert gap._occ_flat is instance._slot_order()
     assert_bit_identical(gap._occ_flat, want.occ_flat)
     assert_bit_identical(gap._occ_bin, want.occ_bin)
     assert_bit_identical(gap._occ_bounds, want.occ_bounds)

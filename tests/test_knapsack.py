@@ -248,3 +248,22 @@ def test_exact_solvers_agree_hypothesis(data):
     a = knapsack_few_weights(profits, weights, capacity).profit
     b = knapsack_branch_and_bound(profits, weights, capacity).profit
     assert a == pytest.approx(b)
+
+
+@pytest.mark.parametrize(
+    "weight, packed",
+    [
+        # Ten weights sum in order to the capacity, but nine sequential
+        # subtractions leave 0.09999999999999999 < 0.10000000000000002.
+        (0.10000000000000002, 10),
+        # Ten weights exceed the capacity by 1e-10, beyond the slack.
+        (0.1 + 1e-11, 9),
+    ],
+)
+def test_exact_solvers_agree_at_the_capacity_boundary(weight, packed):
+    profits = np.ones(10)
+    weights = np.full(10, weight)
+    for solver in (knapsack_few_weights, knapsack_branch_and_bound):
+        result = solver(profits, weights, 1.0)
+        assert len(result.selected) == packed, solver.__name__
+        assert result.profit == float(packed)

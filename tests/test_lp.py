@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from repro.core.baselines import greedy_by_profit
 from repro.core.exact import brute_force_optimum
+from repro.core.ilp import solve_dcmp_ilp
 from repro.core.instance import DataCollectionInstance, SensorSlotData
-from repro.core.lp import dcmp_lp_upper_bound
+from repro.core.lp import dcmp_lp_upper_bound, slot_run_model
+from repro.core.matching import max_weight_b_matching
 from repro.core.offline_appro import offline_appro
+from repro.core.offline_maxmatch import build_matching_edges, offline_maxmatch
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.intervals import SlotInterval
 from tests.conftest import make_instance, random_instance
-from tests.oracles import dcmp_lp_reference_bound
+from tests.oracles import dcmp_ilp_reference, dcmp_lp_reference_bound
 
 
 def test_lp_upper_bounds_brute_force(rng):
@@ -121,12 +124,13 @@ def test_flat_pair_bound_equals_reference_on_random_instances(rng):
 
 
 @st.composite
-def run_heavy_instances(draw):
+def run_heavy_instances(draw, fixed_power=st.sampled_from([None, 0.3])):
     """Random instances from one or two (rate, power) levels plus rate
     ``0.0``, each level drawn up to eight times as often as ``0.0``, so
     some runs of identical slots are long and some break on rate-0
-    slots (or on a power change at one rate); budgets from 0 to
-    non-binding, and an unreachable sensor inserted in some."""
+    slots (or on a power change at one rate); every power is the one
+    drawn from ``fixed_power`` unless that is ``None``; budgets from 0
+    to non-binding, and an unreachable sensor inserted in some."""
     levels = draw(
         st.lists(
             st.sampled_from(
@@ -146,7 +150,7 @@ def run_heavy_instances(draw):
         max_window=draw(st.integers(1, 16)),
         rate_choices=[rate for rate, _ in levels] * weight + [0.0],
         power_choices=[power for _, power in levels] * weight + [0.22],
-        fixed_power=draw(st.sampled_from([None, 0.3])),
+        fixed_power=draw(fixed_power),
         budget_scale=draw(st.sampled_from([1.0, 0.0, 0.25, 0.5, 2.0, 4.0])),
     )
     sensors = list(instance.sensors)
@@ -199,14 +203,88 @@ def test_power_change_at_one_rate_splits_a_run():
 
 
 def test_paper_road_merges_to_under_a_third_of_the_pairs():
-    """At the service's shape, HiGHS gets fewer than a third of the live
-    pairs as columns: a fallback to one row per slot fails here."""
+    """At the service's shape, the LP bound and the ILP hand HiGHS fewer
+    than a third of the live pairs as columns, and on the 0.3 W road
+    ``Offline_MaxMatch`` fewer than a third of the per-slot matching
+    edges (1,373 of 6,411 at seed 1): a fallback to one column per pair
+    fails here."""
     inst = ScenarioConfig(num_sensors=100).build(seed=1).instance()
     live = int(np.count_nonzero(inst.flat_pairs().rates > 0))
     registry = MetricsRegistry()
     with use_registry(registry):
         dcmp_lp_upper_bound(inst)
-    assert registry.snapshot()["gauges"]["lp.num_vars"] < live / 3
+        solve_dcmp_ilp(inst)
+    gauges = registry.snapshot()["gauges"]
+    assert gauges["lp.num_vars"] < live / 3
+    assert gauges["ilp.num_vars"] < live / 3
+
+    fixed = ScenarioConfig(num_sensors=100, fixed_power=0.3).build(seed=1).instance()
+    edges, _ = build_matching_edges(fixed)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        offline_maxmatch(fixed)
+    assert registry.counter("matching.calls") == 1
+    assert registry.counter("matching.edges") < len(edges) / 3
+
+
+# ----------------------------------------------------------------------
+# One run model: the ILP and Offline_MaxMatch solve over it too
+# ----------------------------------------------------------------------
+def assert_fills_runs_in_sensor_order(allocation, inst):
+    """``allocation`` is feasible, and within each run of
+    :func:`slot_run_model` its assigned slots come first, owned by
+    sensors in ascending order: the model's expansion."""
+    allocation.check_feasible(inst)
+    owner = allocation.slot_owner
+    bounds = slot_run_model(inst).bounds.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        run = owner[lo:hi]
+        assigned = run[run >= 0]
+        np.testing.assert_array_equal(run[: assigned.size], assigned)
+        assert np.all(np.diff(assigned) >= 0)
+
+
+@given(run_heavy_instances())
+def test_ilp_equals_per_pair_oracle_on_run_heavy_instances(inst):
+    sol = solve_dcmp_ilp(inst)
+    assert sol.optimal
+    reference = dcmp_ilp_reference(inst)
+    assert_same_bound(sol.objective_bits, reference.collected_bits(inst))
+    assert_fills_runs_in_sensor_order(sol.allocation, inst)
+
+
+@given(run_heavy_instances(fixed_power=st.just(0.3)))
+def test_offline_maxmatch_equals_per_slot_matching_on_run_heavy_instances(inst):
+    allocation = offline_maxmatch(inst, 0.3)
+    edges, caps = build_matching_edges(inst, 0.3)
+    matching = max_weight_b_matching(edges, caps, inst.num_slots)
+    assert_same_bound(allocation.collected_bits(inst), matching.weight)
+    assert_fills_runs_in_sensor_order(allocation, inst)
+
+
+def test_model_expands_counts_run_by_run_in_sensor_order():
+    """The closed-form instance's runs {0, 1, 2}, {3}, {4, 5, 6}:
+    sensor 0 takes one slot of each long run and sensor 2 two, so each
+    run opens with sensor 0; a count that overfills a run raises."""
+    rates = [5.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0]
+    inst = make_instance(
+        7,
+        2.0,
+        [
+            {"window": (0, 6), "rates": rates, "powers": [1.5] * 7, "budget": 4.5},
+            {"window": None, "rates": [], "powers": [], "budget": 1.0},
+            {"window": (0, 6), "rates": [3.0] * 7, "powers": [1.0] * 7, "budget": 100.0},
+        ],
+    )
+    model = slot_run_model(inst)
+    np.testing.assert_array_equal(model.bounds, [0, 3, 4, 7])
+    np.testing.assert_array_equal(model.sensor, [0, 0, 2, 2, 2])
+    np.testing.assert_array_equal(model.run, [0, 2, 0, 1, 2])
+    np.testing.assert_array_equal(model.width, [3, 3, 3, 1, 3])
+    allocation = model.allocation(np.array([1.0, 1.0, 2.0, 0.0, 1.9999999]))
+    np.testing.assert_array_equal(allocation.slot_owner, [0, 2, 2, -1, 0, 2, 2])
+    with pytest.raises(ValueError, match="overfill"):
+        model.allocation(np.array([2.0, 0.0, 2.0, 0.0, 0.0]))
 
 
 # ----------------------------------------------------------------------

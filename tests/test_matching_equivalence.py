@@ -6,9 +6,12 @@ which sensors keep budget for later intervals and tours.
 :func:`repro.core.matching.max_weight_b_matching` hands HiGHS the LP
 through ``scipy.optimize.milp``; :func:`tests.oracles.linprog_b_matching`
 is the same LP through ``linprog(method="highs-ds")``.  Both must return
-equal ``MatchingResult``s (pairs and weight) on every whole-tour and
-interval matching of the quick bench grid and of the 10 km MaxMatch
-shapes, and on random tie-heavy b-matchings.  The flat-pair
+equal ``MatchingResult``s (pairs and weight) on every interval matching
+of ``Online_MaxMatch`` tours on the quick bench grid and the 10 km
+MaxMatch shapes, on each tour's whole-tour graph, and on random
+tie-heavy b-matchings.  The whole-tour graphs are engine cases only:
+``Offline_MaxMatch`` solves the tour over runs of identical slots
+(``tests/test_lp.py`` holds its weight to this engine's).  The flat-pair
 :func:`~repro.core.offline_maxmatch.fixed_power_of` must give the value,
 or raise the error, of the per-sensor scan it replaced, and the fuzzer
 must run the MaxMatch family exactly where that scan finds a power.
@@ -36,9 +39,9 @@ FIXED_POWER = 0.3
 
 
 def captured_matchings(num_sensors, path_length, seed):
-    """Every b-matching one tour of each MaxMatch algorithm solves: the
-    whole-tour graph, then each probe interval's, recorded by wrapping
-    the interval scheduler."""
+    """The whole-tour graph, then every b-matching one
+    ``Online_MaxMatch`` tour solves, one per probe interval, recorded by
+    wrapping the interval scheduler."""
     scenario = ScenarioConfig(
         num_sensors=num_sensors, path_length=path_length, fixed_power=FIXED_POWER
     ).build(seed=seed)

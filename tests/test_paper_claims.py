@@ -104,15 +104,26 @@ def test_round_robin_fairest_and_maxmatch_dominates_throughput():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [100, 200, 300])
+#: The exact optimum of each instance in bits, from the per-pair program
+#: (``tests/oracles.py::dcmp_ilp_reference``, zero gap).
+ILP_OPTIMUM_BITS = {
+    100: 29_772_000.0,
+    200: 39_978_000.0,
+    300: 76_449_600.0,
+    600: 113_883_200.0,
+}
+
+
+@pytest.mark.parametrize("n", sorted(ILP_OPTIMUM_BITS))
 def test_offline_appro_near_ilp_optimum(n):
     instance = ScenarioConfig(num_sensors=n).build(seed=31).instance()
     appro_bits = offline_appro(instance).collected_bits(instance)
     sol = solve_dcmp_ilp(instance, time_limit=120.0)
+    assert sol.optimal
+    assert sol.objective_bits == pytest.approx(ILP_OPTIMUM_BITS[n], rel=1e-9)
     # Theorem 2's guarantee, and near-exact quality in practice.
     assert appro_bits >= sol.objective_bits / 2.0 - 1e-6
-    if sol.optimal and sol.objective_bits:
-        assert appro_bits / sol.objective_bits >= 0.9
+    assert appro_bits / sol.objective_bits >= 0.9
 
 
 # ---------------------------------------------------------------------------
