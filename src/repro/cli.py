@@ -69,15 +69,6 @@ Subcommands:
       python -m repro trend
       python -m repro trend --dir bench-history --json - --gate
 
-* ``loadtest`` — drive a live ``repro serve`` instance with a
-  configurable concurrency/duration/scenario mix, report client-side
-  latency histograms plus server-side counter deltas (scraped from
-  ``/metrics?format=prometheus``), and assert SLOs; exits 1 on a
-  violation::
-
-      python -m repro loadtest --url http://127.0.0.1:8080 \\
-          --concurrency 8 --duration 30 --slo-p95-ms 500 --slo-error-rate 0.01
-
 * ``verify`` — certify one algorithm's solution on one topology
   (constraints (1)-(4) with slack values, LP bound, ratio guarantee),
   or replay a fuzz-corpus file; exits 1 on a failed certificate::
@@ -488,88 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 when the verdict over the last three points is "
         "REGRESSION",
-    )
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="drive a live planning service and assert p95/error-rate SLOs",
-    )
-    loadtest.add_argument(
-        "--url",
-        type=str,
-        default="http://127.0.0.1:8080",
-        help="base URL of the repro serve instance under test",
-    )
-    loadtest.add_argument(
-        "--concurrency", type=int, default=4, help="concurrent client workers"
-    )
-    loadtest.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="wall-clock budget of the run (stops issuing at the deadline)",
-    )
-    loadtest.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N total requests instead of running out the clock",
-    )
-    loadtest.add_argument(
-        "--mix",
-        type=str,
-        default="solve=2,cached=2,jobs=1",
-        help="scenario mix weights, e.g. solve=2,cached=2,jobs=1 "
-        "(solve: cache-busting sync solves; cached: fixed-seed replays; "
-        "jobs: async submit+poll)",
-    )
-    loadtest.add_argument(
-        "--sensors",
-        type=int,
-        default=30,
-        help="num_sensors of the generated scenarios (keep small: the "
-        "point is request plumbing, not solver scale)",
-    )
-    loadtest.add_argument(
-        "--path-length",
-        type=float,
-        default=1500.0,
-        help="path length of the generated scenarios (metres)",
-    )
-    loadtest.add_argument(
-        "--algorithm",
-        type=str,
-        default="Offline_Appro",
-        help="algorithm requested of the service (default: Offline_Appro)",
-    )
-    loadtest.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request client timeout in seconds",
-    )
-    loadtest.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="fail (exit 1) when overall client-side p95 exceeds this",
-    )
-    loadtest.add_argument(
-        "--slo-error-rate",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail (exit 1) when the error fraction exceeds this",
-    )
-    loadtest.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the machine-readable report here",
     )
 
     return parser
@@ -1003,34 +912,6 @@ def _run_trend(args: argparse.Namespace) -> int:
     return 1 if args.gate and not ok else 0
 
 
-def _run_loadtest(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.loadtest import LoadTestConfig, parse_mix, render_report, run_loadtest
-
-    config = LoadTestConfig(
-        base_url=args.url,
-        concurrency=args.concurrency,
-        duration_s=args.duration,
-        total_requests=args.requests,
-        mix=parse_mix(args.mix),
-        num_sensors=args.sensors,
-        path_length=args.path_length,
-        algorithm=args.algorithm,
-        request_timeout=args.timeout,
-        slo_p95_ms=args.slo_p95_ms,
-        slo_error_rate=args.slo_error_rate,
-    )
-    report = run_loadtest(config)
-    print(render_report(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"[loadtest report written to {args.json}]")
-    return 0 if report["slo"]["passed"] else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -1052,8 +933,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_bench(args)
     if args.command == "trend":
         return _run_trend(args)
-    if args.command == "loadtest":
-        return _run_loadtest(args)
     if args.command == "verify":
         return _run_verify(args)
     if args.command == "fuzz":

@@ -77,8 +77,6 @@ class ResultCache:
         self._registry = registry
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
 
     # ------------------------------------------------------------------
     @property
@@ -94,16 +92,11 @@ class ResultCache:
 
         A hit refreshes the entry's recency and increments
         ``service.cache.hit``; a miss increments ``service.cache.miss``.
-        Cumulative totals are also kept on the cache itself, surfaced
-        by :meth:`stats` (and thence ``GET /healthz``).
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
-            else:
-                self._misses += 1
         if entry is None:
             self._metrics().inc("service.cache.miss")
             return None
@@ -130,19 +123,11 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def stats(self) -> Dict[str, object]:
-        """Occupancy + effectiveness snapshot.
+    def stats(self) -> Dict[str, int]:
+        """Occupancy snapshot: ``entries`` held and ``max_entries``.
 
-        ``entries`` / ``max_entries`` report occupancy; ``hits`` /
-        ``misses`` are cumulative lookup totals since construction and
-        ``hit_rate`` their ratio (0.0 before the first lookup).
+        Lookup effectiveness lives in the registry's
+        ``service.cache.hit`` / ``service.cache.miss`` counters.
         """
         with self._lock:
-            lookups = self._hits + self._misses
-            return {
-                "entries": len(self._entries),
-                "max_entries": self._max_entries,
-                "hits": self._hits,
-                "misses": self._misses,
-                "hit_rate": self._hits / lookups if lookups else 0.0,
-            }
+            return {"entries": len(self._entries), "max_entries": self._max_entries}

@@ -16,6 +16,10 @@ model the HTTP layer can expose:
   cancelled if still queued (a job already running on a worker process
   cannot be killed — it finishes and only then frees its slot);
 * **cancellation** — :meth:`JobExecutor.cancel` revokes queued jobs;
+* **bounded retention** — the newest :data:`MAX_FINISHED_JOBS`
+  finished jobs stay pollable; older finished ids are forgotten and
+  look up as unknown (the server's 404).  Unfinished jobs are never
+  forgotten;
 * **graceful drain** — :meth:`JobExecutor.shutdown` with ``drain=True``
   (what SIGTERM triggers) stops admissions and blocks until in-flight
   jobs finish; ``drain=False`` additionally cancels queued ones;
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from enum import Enum
@@ -50,6 +55,10 @@ __all__ = [
     "QueueFullError",
     "JobTimeoutError",
 ]
+
+#: Finished jobs kept for polling; each holds its full result (about
+#: 16 KB for an n = 100 solve), so the table stays near 16 MB.
+MAX_FINISHED_JOBS = 1024
 
 
 class QueueFullError(RuntimeError):
@@ -181,6 +190,7 @@ class JobExecutor:
         self._pool = ProcessPoolExecutor(max_workers=workers)
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
+        self._finished: "deque[str]" = deque()
         self._by_key: Dict[str, Job] = {}
         self._active = 0
         self._ids = itertools.count(1)
@@ -204,6 +214,13 @@ class JobExecutor:
         if isinstance(dump, Mapping):
             self._metrics().merge(dump)
 
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished and forget the oldest finished
+        jobs beyond :data:`MAX_FINISHED_JOBS`; call under the lock."""
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
+
     def _on_finish(self, job: Job) -> Callable[[Future], None]:
         def callback(future: Future) -> None:
             try:
@@ -214,6 +231,7 @@ class JobExecutor:
                     depth = self._active
                     if job.key is not None and self._by_key.get(job.key) is job:
                         del self._by_key[job.key]
+                    self._retire(job)
                 self._metrics().set_gauge("service.queue.depth", depth)
             finally:
                 job.settled.set()
@@ -280,6 +298,7 @@ class JobExecutor:
             job.finished_at = time.monotonic()
             job.settled.set()
             self._jobs[job.id] = job
+            self._retire(job)
         return job
 
     # ------------------------------------------------------------------
@@ -311,7 +330,7 @@ class JobExecutor:
             raise JobTimeoutError(f"job {job.id} was cancelled") from None
 
     def get(self, job_id: str) -> Optional[Job]:
-        """Look up a job by id (``None`` when unknown)."""
+        """Look up a job by id (``None`` when unknown or forgotten)."""
         with self._lock:
             return self._jobs.get(job_id)
 
@@ -325,7 +344,8 @@ class JobExecutor:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Queue occupancy: unfinished jobs, capacity, total tracked."""
+        """Queue occupancy: unfinished jobs, capacity, jobs still
+        pollable (unfinished plus retained finished ones)."""
         with self._lock:
             return {
                 "active": self._active,

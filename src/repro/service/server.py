@@ -349,14 +349,11 @@ class PlanningService:
         }
 
     def health(self) -> dict:
-        """Liveness document: uptime, queue depth/occupancy, cache
-        occupancy plus cumulative hit/miss totals and hit-rate."""
-        queue = self.executor.stats()
+        """Liveness document: uptime, queue occupancy, cache occupancy."""
         return {
             "status": "ok",
             "uptime_s": time.monotonic() - self._started,
-            "queue_depth": queue["active"],
-            "queue": queue,
+            "queue": self.executor.stats(),
             "cache": self.cache.stats(),
         }
 

@@ -10,6 +10,7 @@ work.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro.obs import MetricsRegistry, configure_access_log
 from repro.obs.promexpo import PROMETHEUS_CONTENT_TYPE
 from repro.service import (
@@ -99,20 +101,27 @@ def _sleep_echo(payload):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def served():
-    """One live server + its service/registry, shared by the fast tests."""
-    registry = MetricsRegistry()
-    service = PlanningService(
-        workers=2, cache_size=64, request_timeout=120.0, registry=registry
-    )
+@contextlib.contextmanager
+def _serving(**service_kwargs):
+    """A live server on an ephemeral port around a new service with its
+    own registry; yields ``(port, service)``, then drains the service."""
+    service = PlanningService(registry=MetricsRegistry(), **service_kwargs)
     server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield server.server_address[1], service
-    server.shutdown()
-    service.shutdown()
-    thread.join(timeout=10)
+    try:
+        yield server.server_address[1], service
+    finally:
+        server.shutdown()
+        service.shutdown()
+        thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def served():
+    """One live server + its service/registry, shared by the fast tests."""
+    with _serving(workers=2, cache_size=64, request_timeout=120.0) as live:
+        yield live
 
 
 class TestEndpoints:
@@ -121,11 +130,12 @@ class TestEndpoints:
         status, doc = _request(port, "/healthz")
         assert status == 200
         assert doc["status"] == "ok"
+        assert set(doc) == {"status", "uptime_s", "queue", "cache"}
+        assert set(doc["queue"]) == {"active", "max_queue", "tracked"}
         assert doc["queue"]["max_queue"] >= 1
+        # Hit/miss totals live in the registry counters, not here.
+        assert set(doc["cache"]) == {"entries", "max_entries"}
         assert doc["cache"]["max_entries"] == 64
-        # Cache effectiveness is part of the liveness document.
-        for field in ("hits", "misses", "hit_rate"):
-            assert field in doc["cache"]
 
     def test_algorithms_catalogue(self, served):
         port, _ = served
@@ -365,26 +375,64 @@ class TestAsyncJobs:
         assert _request(port, "/v1/jobs/job-999999")[0] == 404
         assert _request(port, "/v1/jobs/job-999999", method="DELETE")[0] == 404
 
+    @pytest.fixture()
+    def one_worker_server(self):
+        with _serving(workers=1, cache_size=16, request_timeout=120.0) as live:
+            yield live
+
+    def test_concurrent_jobs_against_one_worker(self, one_worker_server):
+        port, service = one_worker_server
+        bodies = [_solve_body(seed=seed) for seed in range(80, 88)]
+        outcomes = [None] * len(bodies)
+
+        def submit_and_poll(position):
+            submitted = _request(port, "/v1/jobs", "POST", bodies[position])
+            doc = submitted[1]
+            deadline = time.monotonic() + 120
+            while submitted[0] == 202 and time.monotonic() < deadline:
+                doc = _request(port, f"/v1/jobs/{submitted[1]['job_id']}")[1]
+                if doc["state"] not in ("pending", "running"):
+                    break
+                time.sleep(0.02)
+            outcomes[position] = (submitted, doc)
+
+        threads = [
+            threading.Thread(target=submit_and_poll, args=(position,))
+            for position in range(len(bodies))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=150)
+        assert not any(t.is_alive() for t in threads)
+        assert [submitted[0] for submitted, _ in outcomes] == [202] * len(bodies)
+        assert [doc["state"] for _, doc in outcomes] == ["done"] * len(bodies)
+        assert service.registry.counter("service.jobs.submitted") == len(bodies)
+        # A poll reads "done" from the future before the executor's finish
+        # bookkeeping (cache store, queue slot release) has run.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            health = _request(port, "/healthz")[1]
+            if health["queue"]["active"] == 0:
+                break
+            time.sleep(0.02)
+        assert health["queue"]["active"] == 0
+        for body, (_, doc) in zip(bodies, outcomes):
+            status, replay = _request(port, "/v1/solve", "POST", body)
+            assert status == 200
+            assert replay["cached"] is True
+            assert replay["collected_bits"] == doc["result"]["collected_bits"]
+
 
 class TestBackpressure:
     @pytest.fixture()
     def tiny_server(self):
         """workers=1, queue bound 1, 50 ms deadline — saturates easily."""
-        registry = MetricsRegistry()
-        service = PlanningService(
-            workers=1,
-            cache_size=8,
-            request_timeout=0.05,
-            max_queue=1,
-            registry=registry,
-        )
-        server = create_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server.server_address[1], service
-        server.shutdown()
-        service.shutdown()  # drains the straggler solve
-        thread.join(timeout=10)
+        # Leaving the block drains the straggler solve.
+        with _serving(
+            workers=1, cache_size=8, request_timeout=0.05, max_queue=1
+        ) as live:
+            yield live
 
     def test_timeout_504_then_queue_full_429(self, tiny_server):
         port, service = tiny_server
@@ -459,6 +507,61 @@ class TestExecutor:
             assert registry.counter("service.rejected") == 1
         finally:
             executor.shutdown()
+
+    def test_forgets_oldest_finished_jobs_beyond_the_bound(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_FINISHED_JOBS", 2)
+        executor = JobExecutor(workers=1, max_queue=4)
+        try:
+            finished = []
+            for _ in range(3):
+                job, _ = executor.submit(_sleep_echo, {"sleep": 0.0})
+                executor.wait(job, timeout=30)
+                finished.append(job)
+            finished.append(executor.submit_completed({"cached": True}))
+            running, _ = executor.submit(_sleep_echo, {"sleep": 0.5})
+            assert [executor.get(job.id) for job in finished] == [
+                None,
+                None,
+                finished[2],
+                finished[3],
+            ]
+            # The unfinished job is kept beyond the bound.
+            assert executor.get(running.id) is running
+            assert executor.stats()["tracked"] == 3
+            executor.wait(running, timeout=30)
+            assert executor.get(finished[2].id) is None
+            assert executor.get(running.id) is running
+            assert executor.stats()["tracked"] == 2
+        finally:
+            executor.shutdown()
+
+    def test_retention_bound_holds_under_concurrent_completions(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_FINISHED_JOBS", 16)
+        executor = JobExecutor(workers=1)
+        jobs = []
+
+        def complete_many():
+            for _ in range(200):
+                jobs.append(executor.submit_completed({}))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=complete_many) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            executor.shutdown()
+        # Ids are issued and retired under one lock, so the newest ids stay.
+        jobs.sort(key=lambda job: job.id)
+        assert len(jobs) == 1600
+        assert executor.stats()["tracked"] == 16
+        assert [executor.get(job.id) for job in jobs[-16:]] == jobs[-16:]
+        assert all(executor.get(job.id) is None for job in jobs[:-16])
 
     def test_shutdown_refuses_new_jobs(self):
         executor = JobExecutor(workers=1)
@@ -645,7 +748,7 @@ class TestTelemetry:
         status, doc = _request(port, "/healthz")
         assert status == 200
         assert doc["uptime_s"] >= 0.0
-        assert doc["queue_depth"] == doc["queue"]["active"]
+        assert doc["queue"]["active"] == 0
         # All solves above have drained by now; the gauge tracks that.
         assert service.registry.gauge("service.queue.depth") == 0.0
 
@@ -661,22 +764,14 @@ class TestTraceCapture:
     @pytest.fixture()
     def traced_server(self, tmp_path):
         """A server persisting a trace for *every* request (threshold 0)."""
-        registry = MetricsRegistry()
-        service = PlanningService(
+        with _serving(
             workers=1,
             cache_size=8,
             request_timeout=120.0,
-            registry=registry,
             trace_threshold=0.0,
             trace_dir=str(tmp_path / "traces"),
-        )
-        server = create_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server.server_address[1], service, tmp_path / "traces"
-        server.shutdown()
-        service.shutdown()
-        thread.join(timeout=10)
+        ) as (port, service):
+            yield port, service, tmp_path / "traces"
 
     def test_slow_request_writes_chrome_trace(self, traced_server):
         port, service, trace_dir = traced_server
@@ -824,25 +919,6 @@ class TestCache:
         cache = ResultCache(max_entries=0, registry=MetricsRegistry())
         cache.put("x", {"v": 1})
         assert cache.get("x") is None
-
-    def test_stats_report_cumulative_hits_misses_and_rate(self):
-        cache = ResultCache(max_entries=4, registry=MetricsRegistry())
-        assert cache.stats() == {
-            "entries": 0,
-            "max_entries": 4,
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-        }
-        cache.get("x")  # miss
-        cache.put("x", {"v": 1})
-        cache.get("x")  # hit
-        cache.get("x")  # hit
-        cache.get("y")  # miss
-        stats = cache.stats()
-        assert stats["hits"] == 2
-        assert stats["misses"] == 2
-        assert stats["hit_rate"] == pytest.approx(0.5)
 
     def test_key_is_field_order_independent(self):
         a = solve_cache_key({"num_sensors": 10, "sink_speed": 5.0}, "A", 1)

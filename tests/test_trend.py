@@ -99,7 +99,7 @@ class TestRecordBench:
 
     def test_rejects_non_bench_documents(self, tmp_path):
         with pytest.raises(ValueError, match="not a bench document"):
-            record_bench({"format": "repro.loadtest"}, str(tmp_path))
+            record_bench({"format": "repro.profile_report"}, str(tmp_path))
 
     def test_creates_directory(self, tmp_path):
         target = tmp_path / "nested" / "history"
