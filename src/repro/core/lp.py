@@ -21,8 +21,9 @@ paper's closing claim; this makes it quantitative).
 
 HiGHS, the LP solver, is reached through :mod:`scipy.optimize`, whose
 import takes about twice as long as all of ``import repro``.  The
-paper's own algorithms solve no LP, so every HiGHS caller imports it
-through :func:`load_highs` on first use instead of at module import.
+paper's own algorithms solve no LP, so every HiGHS caller, and the
+MaxMatch b-matching's sparse assignment, imports scipy through
+:func:`load_highs` on first use instead of at module import.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ __all__ = ["SlotRunModel", "slot_run_model", "dcmp_lp_upper_bound", "load_highs"
 def load_highs() -> Tuple[ModuleType, ModuleType]:
     """``(scipy.optimize, scipy.sparse)``, imported on the first call.
 
-    The first call is timed as the ``highs.load`` phase; later calls
+    ``scipy.sparse.csgraph``, the b-matching's assignment solver, is
+    imported with them and reached as ``scipy.sparse.csgraph``.  The
+    first call is timed as the ``highs.load`` phase; later calls
     return the cached modules.  Entry points that time or fork solves
     (the service, ``run_bench``, ``repro profile``, ``run_sweep``)
     call it first, so no timed solve absorbs the import.
@@ -56,6 +59,7 @@ def load_highs() -> Tuple[ModuleType, ModuleType]:
     with phase("highs.load"):
         import scipy.optimize
         import scipy.sparse
+        import scipy.sparse.csgraph
     return scipy.optimize, scipy.sparse
 
 

@@ -6,22 +6,24 @@ one sensor are interchangeable, so this is a **b-matching**: left node
 ``i`` may be matched to up to ``c_i`` right nodes, every right node to
 at most one left node, maximising total edge weight.
 
-The engine is the b-matching LP, handed to HiGHS through
-:func:`scipy.optimize.milp` with no integrality (so HiGHS runs its LP
-path: presolve, then dual simplex).  The constraint matrix is the
-incidence matrix of a bipartite graph, hence totally unimodular, so the
-vertex optimum is integral; the solver still checks integrality and
-raises on a fractional vertex.  The test suite cross-checks it against
-a min-cost-flow oracle and a brute-force matcher.
+The engine is the paper's node-copies graph solved as a sparse
+assignment: left node ``i`` becomes ``k_i = min(c_i, distinct
+neighbours)`` unit copies, each carrying ``i``'s edges, and scipy's
+sparse Jonker–Volgenant solver
+(:func:`scipy.sparse.csgraph.min_weight_full_bipartite_matching`, with
+``maximize=True``) assigns every right node a copy or its own dummy
+column.  A dummy weighs the smallest normal double, so leaving a right
+node unmatched costs nothing measurable, while small kept weights still
+count (tested down to 1e-9 beside 2.5e5).  The test suite cross-checks
+the optimum against a min-cost-flow oracle, a dense assignment, the
+b-matching LP and a brute-force matcher.
 
 Tie-break.  Optimal matchings often tie (equal-weight slots in one
 window), and which optimum a solver returns depends on the order it
-sees the columns.  Edges are deduplicated (the heaviest parallel edge
-survives) and sorted by ``(left, right)`` before the LP is built, so the
-same edge *set* yields the same LP and, with HiGHS's deterministic dual
-simplex after presolve, the same pairs, sorted by ``(left, right)``.
-``tests/oracles.py`` keeps the same LP through
-``linprog(method="highs-ds")``, which must return equal pairs.
+sees the edges.  Edges are deduplicated (the heaviest parallel edge
+survives) and sorted by ``(left, right)`` before the assignment graph is
+built, so the same edge *set* yields the same graph and, with the
+deterministic solver, the same pairs, sorted by ``(left, right)``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,18 @@ import numpy as np
 
 from repro.core.lp import load_highs
 from repro.obs import get_registry, phase
+from repro.utils.arrays import group_offsets, ragged_arange
 
 __all__ = ["MatchingResult", "max_weight_b_matching"]
 
 #: Edges below this weight are dropped (they cannot improve the matching).
 _WEIGHT_EPS = 1e-12
+
+#: Weight of each right node's dummy column.  csgraph drops explicit
+#: zeros, and the smallest normal double vanishes beside any kept edge
+#: weight, so it cannot change which matching is heaviest (an additive
+#: offset on every weight would round away the low bits of small ones).
+_DUMMY_WEIGHT = np.finfo(np.float64).tiny
 
 #: ``(E, 3)`` rows of ``(left, right, weight)``, or any sequence of triples.
 Edges = Union[np.ndarray, Sequence[Tuple[int, int, float]]]
@@ -118,7 +127,8 @@ def max_weight_b_matching(
     Notes
     -----
     Records ``matching.calls`` / ``matching.edges`` counters and a
-    ``matching.lp`` timer to the :mod:`repro.obs` registry.
+    ``matching.lp`` timer (the solve, named for the LP engine it
+    replaced) to the :mod:`repro.obs` registry.
     """
     u, v, w, caps = _check_inputs(edges, left_capacities, num_right)
     keep = w > _WEIGHT_EPS
@@ -127,7 +137,7 @@ def max_weight_b_matching(
         return MatchingResult((), 0.0)
 
     # Deduplicate parallel edges, keeping the heaviest; the survivors
-    # come out sorted by (left, right), which pins the LP column order.
+    # come out sorted by (left, right), which pins the assignment graph.
     key = u * np.int64(num_right) + v
     order = np.lexsort((-w, key))
     key_sorted = key[order]
@@ -140,40 +150,45 @@ def max_weight_b_matching(
     registry.inc("matching.calls")
     registry.inc("matching.edges", float(u.size))
     with phase("matching.lp"):
-        return _solve_lp(u, v, w, caps, num_right)
+        return _solve_assignment(u, v, w, caps, num_right)
 
 
-def _solve_lp(
+def _solve_assignment(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
 ) -> MatchingResult:
-    """HiGHS dual simplex on the (totally unimodular) b-matching LP."""
-    optimize, sparse = load_highs()
-    num_edges = u.size
-    # Constraints: per-right <= 1 (rows 0..T-1), per-left <= c_i (rows
-    # T + i).  Column k holds a 1 in slot row v[k] and one in sensor row
-    # T + u[k]; v[k] < T, so each column's row indices are ascending.
-    indices = np.empty(2 * num_edges, dtype=np.int64)
-    indices[0::2] = v
-    indices[1::2] = num_right + u
-    a_ub = sparse.csc_array(
-        (np.ones(2 * num_edges), indices, np.arange(0, 2 * num_edges + 1, 2)),
-        shape=(num_right + caps.size, num_edges),
+    """Sparse Jonker–Volgenant assignment of right nodes to left-node copies.
+
+    ``u, v, w`` are the deduplicated edges sorted by ``(left, right)``.
+    """
+    _, sparse = load_highs()
+    # Left node i becomes min(c_i, distinct neighbours) unit copies, the
+    # columns offsets[i] .. offsets[i + 1] - 1.
+    copies = np.minimum(caps, np.bincount(u, minlength=caps.size))
+    offsets = group_offsets(copies)
+    num_copies = int(offsets[-1])
+    # Row j holds every copy of each neighbour of j, left ascending,
+    # then j's dummy column num_copies + j.
+    by_right = np.argsort(v, kind="stable")
+    fan = copies[u[by_right]]
+    entry = np.repeat(by_right, fan)
+    indptr = group_offsets(np.bincount(v[entry], minlength=num_right) + 1)
+    dummy = np.zeros(indptr[-1], dtype=bool)
+    dummy[indptr[1:] - 1] = True
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[~dummy] = offsets[u[entry]] + ragged_arange(fan)
+    indices[dummy] = num_copies + np.arange(num_right)
+    data = np.empty(indptr[-1])
+    data[~dummy] = w[entry]
+    data[dummy] = _DUMMY_WEIGHT
+    graph = sparse.csr_array(
+        (data, indices, indptr), shape=(num_right, num_copies + num_right)
     )
-    b_ub = np.concatenate([np.ones(num_right), caps.astype(np.float64)])
-    res = optimize.milp(
-        c=-w,
-        constraints=optimize.LinearConstraint(a_ub, -np.inf, b_ub),
-        bounds=optimize.Bounds(0.0, 1.0),
-    )
-    if not res.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"b-matching LP failed: {res.message}")
-    x = res.x
-    chosen = x > 0.5
-    # Vertex solutions of a TU polytope are integral; verify anyway.
-    frac = np.abs(x - np.round(x)).max() if x.size else 0.0
-    if frac > 1e-6:  # pragma: no cover - defensive
-        raise RuntimeError(f"LP returned a fractional vertex (max frac {frac:.2e})")
-    # u, v are (left, right)-sorted, so the pairs already are too.
+    _, col = sparse.csgraph.min_weight_full_bipartite_matching(graph, maximize=True)
+    matched = col < num_copies
+    left = np.searchsorted(offsets, col[matched], side="right") - 1
+    # Map each matched (left, right) back to its edge; the codes are sorted.
+    key = u * np.int64(num_right) + v
+    chosen = np.zeros(u.size, dtype=bool)
+    chosen[np.searchsorted(key, left * np.int64(num_right) + np.flatnonzero(matched))] = True
     pairs = tuple(zip(u[chosen].tolist(), v[chosen].tolist()))
-    weight = float(w[chosen].sum())
-    return MatchingResult(pairs, weight)
+    return MatchingResult(pairs, float(w[chosen].sum()))

@@ -3,10 +3,11 @@
 For the fixed-power special case the interval scheduler builds the
 bipartite graph ``G' = ({x_i^{(k)}} ∪ Y, E')`` of the paper: each
 registered sensor contributes
-``n_i' = min(Γ, |[i'_s, i'_e]|, ⌊P(v_i)/(P'·τ)⌋)`` node copies (we keep
-sensors as single capacity-``n_i'`` nodes — a b-matching, equivalent and
-cheaper), each with an edge of weight ``r_{i,j}·τ`` to every slot of its
-clipped window.  A maximum-weight matching then *is* the optimal
+``n_i' = min(Γ, |[i'_s, i'_e]|, ⌊P(v_i)/(P'·τ)⌋)`` node copies (the
+scheduler passes sensors as capacity-``n_i'`` nodes, a b-matching, and
+:func:`~repro.core.matching.max_weight_b_matching` makes the copies for
+its assignment), each with an edge of weight ``r_{i,j}·τ`` to every slot
+of its clipped window.  A maximum-weight matching then *is* the optimal
 interval schedule.  Theorem 4: ``O(n^{1.5})`` time, ``O(n)`` messages.
 
 The interval graph is the Section-VI graph of the interval's

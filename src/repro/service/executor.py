@@ -28,7 +28,8 @@ model the HTTP layer can expose:
   it is folded into the parent registry as real counter increments and
   timer observations, so solver-phase costs measured inside worker
   processes surface in ``GET /metrics``; the ``service.queue.depth``
-  gauge tracks unfinished jobs on every submit/finish.
+  gauge tracks unfinished jobs from construction (0) and on every
+  submit/finish.
 
 Jobs carry monotonically increasing ids (``job-000001``, …) and expose
 a JSON-ready :meth:`Job.snapshot` for the polling endpoint.
@@ -195,6 +196,9 @@ class JobExecutor:
         self._active = 0
         self._ids = itertools.count(1)
         self._shutdown = False
+        # Publish the empty queue, so /metrics carries the series (at 0)
+        # before the first submit.
+        self._metrics().set_gauge("service.queue.depth", 0)
 
     # ------------------------------------------------------------------
     def _metrics(self) -> MetricsRegistry:

@@ -33,13 +33,13 @@ The matching oracles are independent solvers rather than re-traced
 loops: a successive-shortest-path min-cost flow (:class:`MinCostFlow`,
 :func:`mcmf_b_matching`), a dense assignment over left-node copies
 (:func:`lsa_b_matching`) and the paper's literal Section-VI node-copies
-graph G′ (:func:`build_copies_graph`, :func:`maxmatch_via_copies`).
-The production b-matching LP must reach the same optimal *weight*
-as these.  Which of several tied optima it picks is pinned against
-:func:`linprog_b_matching`, the same LP handed to HiGHS through
-``linprog(method="highs-ds")`` from a COO matrix and a per-edge tuple
-list, which must return *equal* pairs.  :func:`fixed_power_of_reference`
-is the per-sensor scan the flat-pair power check replaced.
+graph G′ (:func:`build_copies_graph`, :func:`maxmatch_via_copies`),
+plus :func:`linprog_b_matching`, the b-matching LP handed to HiGHS
+through ``linprog(method="highs-ds")`` from a COO matrix and a per-edge
+tuple list.  The production sparse assignment must reach the same
+optimal *weight* as these; which of several tied optima it picks is its
+own.  :func:`fixed_power_of_reference` is the per-sensor scan the
+flat-pair power check replaced.
 
 :func:`instance_reference`, :func:`restrict_reference` and
 :func:`gap_reference` are the per-object forms the flat pair table
@@ -820,19 +820,18 @@ def lsa_b_matching(
     for u, v, w in edges:
         key = (int(u), int(v))
         heaviest[key] = max(heaviest.get(key, 0.0), float(w))
-    degree = [0] * len(left_capacities)
-    for u, _ in heaviest:
-        degree[u] += 1
+    neighbours: Dict[int, List[Tuple[int, float]]] = {}
+    for (u, v), w in heaviest.items():
+        neighbours.setdefault(u, []).append((v, w))
     copy_owner: List[int] = []
     for i, cap in enumerate(left_capacities):
-        copy_owner.extend([i] * min(int(cap), degree[i]))
+        copy_owner.extend([i] * min(int(cap), len(neighbours.get(i, []))))
     if not copy_owner:
         return MatchingResult((), 0.0)
     dense = np.zeros((len(copy_owner), num_right))
     for row, owner in enumerate(copy_owner):
-        for (u, v), w in heaviest.items():
-            if u == owner:
-                dense[row, v] = w
+        for v, w in neighbours[owner]:
+            dense[row, v] = w
     rows, cols = linear_sum_assignment(dense, maximize=True)
     pairs = []
     weight = 0.0
@@ -844,17 +843,17 @@ def lsa_b_matching(
 
 
 # ----------------------------------------------------------------------
-# Matching: the same LP through linprog (tie-break reference)
+# Matching: the b-matching LP through linprog
 # ----------------------------------------------------------------------
 def linprog_b_matching(
     edges: Sequence[Tuple[int, int, float]],
     left_capacities: Sequence[int],
     num_right: int,
 ) -> MatchingResult:
-    """Tie-break reference for :func:`repro.core.matching.max_weight_b_matching`.
+    """LP reference for :func:`repro.core.matching.max_weight_b_matching`.
 
-    The b-matching LP exactly as HiGHS received it through
-    ``linprog(method="highs-ds")``: the edges read one tuple at a time,
+    The b-matching LP through ``linprog(method="highs-ds")``, the engine
+    before the sparse assignment: the edges read one tuple at a time,
     deduplicated (heaviest parallel edge kept) and sorted by ``(left,
     right)``, the constraint matrix assembled as COO and converted to
     CSR.  Same validation, same result.  Never recorded on a registry.

@@ -1,9 +1,10 @@
-"""Cold start: HiGHS's front end, ``scipy.optimize``, loads on the first LP.
+"""Cold start: scipy (HiGHS's front end and csgraph) loads on the first solve.
 
 The paper's own algorithms, the baselines and the CLI's help solve no
-LP, so they must run without importing scipy; the MaxMatch matching and
-the LP bound must import it, through ``load_highs`` and its
-``highs.load`` phase.  pytest's own process already holds scipy (through
+LP, so they must run without importing scipy; the MaxMatch matching
+(its sparse assignment, ``scipy.sparse.csgraph``) and the LP bound must
+import it, through ``load_highs`` and its ``highs.load`` phase.
+pytest's own process already holds scipy (through
 ``tests/oracles.py``), so every check runs in a fresh interpreter with
 ``PYTHONPATH=src``.
 """
@@ -101,6 +102,35 @@ dcmp_lp_upper_bound(ScenarioConfig(num_sensors=30, path_length=1_500.0).build(se
 print(json.dumps({"lp": "scipy.optimize" in sys.modules}))
 """
     ) == {"lp": True}
+
+
+def test_online_maxmatch_tour_loads_csgraph_in_one_highs_phase():
+    loaded = fresh_json(
+        """
+import json, sys
+from repro import ScenarioConfig, get_algorithm, run_tour
+from repro.core.lp import load_highs
+from repro.obs import MetricsRegistry, use_registry
+
+scenario = ScenarioConfig(num_sensors=30, path_length=1_500.0, fixed_power=0.3).build(seed=7)
+out = {"before": "scipy.sparse.csgraph" in sys.modules}
+registry = MetricsRegistry()
+with use_registry(registry):
+    run_tour(scenario, get_algorithm("Online_MaxMatch"), mutate=False)
+out["csgraph"] = "scipy.sparse.csgraph" in sys.modules
+out["loads"] = registry.timer_stats("highs.load").count
+out["loader_misses"] = load_highs.cache_info().misses
+out["matchings"] = registry.counter("matching.calls") > 0
+print(json.dumps(out))
+"""
+    )
+    assert loaded == {
+        "before": False,
+        "csgraph": True,
+        "loads": 1,
+        "loader_misses": 1,
+        "matchings": True,
+    }
 
 
 def test_entry_points_load_highs_before_timing_or_forking():

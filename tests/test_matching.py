@@ -1,4 +1,6 @@
-"""Max-weight bipartite b-matching: the LP engine and its oracles, cross-validated."""
+"""Max-weight bipartite b-matching: the assignment engine and its oracles, cross-validated."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from repro.core.matching import MatchingResult, max_weight_b_matching
 from tests.oracles import lsa_b_matching, mcmf_b_matching
 
-# The production LP engine and the two reference solvers the oracle
-# tests lean on: each must pass the hand-checked cases below.
+# The production engine (keyed "lp", the engine it replaced, so the
+# test ids stay put) and the two reference solvers the oracle tests
+# lean on: each must pass the hand-checked cases below.
 SOLVERS = {
     "flow": mcmf_b_matching,
     "lsa": lsa_b_matching,
@@ -35,21 +38,25 @@ def check_matching(result, edges, caps, num_right):
     assert result.weight == pytest.approx(total)
 
 
-def brute_force_matching(edges, caps, num_right):
-    """Reference optimum by DFS over right nodes (small instances)."""
+def brute_force_matching(edges, caps, num_right, exact=False):
+    """Reference optimum by DFS over right nodes (small instances).
+
+    ``exact=True`` sums in rational arithmetic and returns a
+    ``Fraction``, so a missed 1e-9 edge shows beside weights of 1e5.
+    """
     dedup = {}
     for u, v, w in edges:
         if w > 0:
             dedup[(u, v)] = max(dedup.get((u, v), 0.0), w)
     by_right = {}
     for (u, v), w in dedup.items():
-        by_right.setdefault(v, []).append((u, w))
+        by_right.setdefault(v, []).append((u, Fraction(w) if exact else w))
     rights = sorted(by_right)
     used = dict.fromkeys(range(len(caps)), 0)
 
     def dfs(k):
         if k == len(rights):
-            return 0.0
+            return Fraction(0) if exact else 0.0
         best = dfs(k + 1)  # leave unmatched
         for u, w in by_right[rights[k]]:
             if used[u] < caps[u]:
@@ -130,6 +137,49 @@ class TestEngines:
             )
 
 
+def exact_weight(result, edges):
+    """``result``'s weight in rational arithmetic, heaviest parallel edge
+    per pair."""
+    heaviest = {}
+    for u, v, w in edges:
+        heaviest[(u, v)] = max(heaviest.get((u, v), 0.0), w)
+    return sum((Fraction(heaviest[pair]) for pair in result.pairs), Fraction(0))
+
+
+class TestTinyWeights:
+    """Weights far below the paper's bits per slot but above the engine's
+    1e-12 cut-off still count: no solver tolerance may drop them."""
+
+    def test_capacity_filled_with_nano_weights(self):
+        edges = [(0, v, 1e-9) for v in range(7)]
+        result = max_weight_b_matching(edges, [5], 7)
+        check_matching(result, edges, [5], 7)
+        assert len(result.pairs) == 5
+        assert exact_weight(result, edges) == 5 * Fraction(1e-9)
+        want = lsa_b_matching(edges, [5], 7).weight
+        assert result.weight == pytest.approx(want, rel=1e-12)
+
+    def test_tiny_and_paper_scale_weights_mixed(self):
+        """Random small b-matchings mixing 1e-9 and 1e-6 with the paper's
+        bits per slot, against the exact brute-force optimum."""
+        values = [1e-9, 1e-6, 1.0, 4800.0, 9600.0, 19200.0, 250000.0]
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            num_left = int(rng.integers(1, 4))
+            num_right = int(rng.integers(1, 7))
+            caps = rng.integers(0, 6, num_left).tolist()
+            edges = [
+                (u, v, float(rng.choice(values)))
+                for u in range(num_left)
+                for v in range(num_right)
+                if rng.random() < 0.6
+            ]
+            result = max_weight_b_matching(edges, caps, num_right)
+            check_matching(result, edges, caps, num_right)
+            want = brute_force_matching(edges, caps, num_right, exact=True)
+            assert exact_weight(result, edges) == want
+
+
 class TestTieBreak:
     def test_pairs_sorted_and_independent_of_edge_order(self):
         """The tie-break is pinned by construction: tied optima (every
@@ -172,9 +222,9 @@ class TestResult:
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_engines_agree_hypothesis(data):
-    """The LP engine reaches the min-cost-flow oracle's, the assignment
-    oracle's and the brute force's optimal weight, each with a
-    structurally valid matching."""
+    """The production engine reaches the min-cost-flow oracle's, the
+    dense-assignment oracle's and the brute force's optimal weight, each
+    with a structurally valid matching."""
     num_left = data.draw(st.integers(1, 4))
     num_right = data.draw(st.integers(1, 5))
     caps = [data.draw(st.integers(0, 3)) for _ in range(num_left)]

@@ -1,20 +1,24 @@
-"""The ``milp`` b-matching against its ``linprog`` predecessor: equal pairs, ties too.
+"""The sparse-assignment b-matching against two oracles, and its tie-break.
 
 Optimal b-matchings tie constantly under the paper's 4-level rate table,
 and which optimum comes back decides which slots a sensor wins and so
 which sensors keep budget for later intervals and tours.
-:func:`repro.core.matching.max_weight_b_matching` hands HiGHS the LP
-through ``scipy.optimize.milp``; :func:`tests.oracles.linprog_b_matching`
-is the same LP through ``linprog(method="highs-ds")``.  Both must return
-equal ``MatchingResult``s (pairs and weight) on every interval matching
-of ``Online_MaxMatch`` tours on the quick bench grid and the 10 km
-MaxMatch shapes, on each tour's whole-tour graph, and on random
-tie-heavy b-matchings.  The whole-tour graphs are engine cases only:
-``Offline_MaxMatch`` solves the tour over runs of identical slots
-(``tests/test_lp.py`` holds its weight to this engine's).  The flat-pair
-:func:`~repro.core.offline_maxmatch.fixed_power_of` must give the value,
-or raise the error, of the per-sensor scan it replaced, and the fuzzer
-must run the MaxMatch family exactly where that scan finds a power.
+:func:`repro.core.matching.max_weight_b_matching` solves each one as a
+sparse assignment of right nodes to left-node copies.  On every interval
+matching of ``Online_MaxMatch`` tours on the quick bench grid and the
+10 km MaxMatch shapes, on each tour's whole-tour graph, and on random
+tie-heavy b-matchings, its result must be a valid b-matching
+(``check_matching``) whose weight equals the optimum of
+:func:`tests.oracles.linprog_b_matching` (the b-matching LP through
+``linprog(method="highs-ds")``) and of :func:`tests.oracles.lsa_b_matching`
+(a dense assignment), and the same edge set must give equal pairs in any
+row order, as a list or as an array.  The whole-tour graphs are engine
+cases only: ``Offline_MaxMatch`` solves the tour over runs of identical
+slots (``tests/test_lp.py`` holds its weight to this engine's).  The
+flat-pair :func:`~repro.core.offline_maxmatch.fixed_power_of` must give
+the value, or raise the error, of the per-sensor scan it replaced, and
+the fuzzer must run the MaxMatch family exactly where that scan finds a
+power.
 """
 
 import numpy as np
@@ -33,7 +37,8 @@ from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxma
 from repro.sim.scenario import ScenarioConfig
 from repro.verify.fuzz import default_algorithms
 from tests.conftest import make_instance, random_instance
-from tests.oracles import fixed_power_of_reference, linprog_b_matching
+from tests.oracles import fixed_power_of_reference, linprog_b_matching, lsa_b_matching
+from tests.test_matching import check_matching
 
 FIXED_POWER = 0.3
 
@@ -61,6 +66,20 @@ def captured_matchings(num_sensors, path_length, seed):
     return calls
 
 
+def assert_optimal_and_order_free(edges, shuffled, caps, num_right):
+    """The engine's matching is valid and as heavy as both oracles', and
+    ``shuffled`` (the edges reordered, as triples) gives the same result
+    as a list and as an array."""
+    got = max_weight_b_matching(edges, caps, num_right)
+    check_matching(got, shuffled, caps, num_right)
+    for oracle in (linprog_b_matching, lsa_b_matching):
+        want = oracle(edges, caps, num_right).weight
+        assert got.weight == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert max_weight_b_matching(shuffled, caps, num_right) == got
+    rows = np.asarray(shuffled, dtype=np.float64).reshape(-1, 3)
+    assert max_weight_b_matching(rows, caps, num_right) == got
+
+
 @pytest.mark.parametrize(
     "num_sensors, path_length, seed",
     [
@@ -78,11 +97,14 @@ def captured_matchings(num_sensors, path_length, seed):
     ],
 )
 def test_every_tour_matching_equals_linprog(num_sensors, path_length, seed):
+    """Every interval matching and the whole-tour graph: optimal weight
+    (both oracles), a valid matching, equal pairs in any edge order."""
     calls = captured_matchings(num_sensors, path_length, seed)
     assert len(calls) > 5
+    rng = np.random.default_rng(seed)
     for edges, caps, num_right in calls:
-        got = max_weight_b_matching(edges, caps, num_right)
-        assert got == linprog_b_matching(edges, caps, num_right)
+        shuffled = [tuple(edges[k]) for k in rng.permutation(len(edges))]
+        assert_optimal_and_order_free(edges, shuffled, caps, num_right)
 
 
 @st.composite
@@ -117,12 +139,10 @@ def tie_heavy_b_matchings(draw):
 @given(tie_heavy_b_matchings())
 @settings(max_examples=300, deadline=None)
 def test_tie_heavy_matchings_equal_linprog(case):
+    """Tie-heavy b-matchings: optimal weight (both oracles), a valid
+    matching, equal pairs for shuffled and array input."""
     edges, shuffled, caps, num_right = case
-    want = linprog_b_matching(edges, caps, num_right)
-    assert max_weight_b_matching(edges, caps, num_right) == want
-    assert max_weight_b_matching(shuffled, caps, num_right) == want
-    rows = np.asarray(shuffled, dtype=np.float64).reshape(-1, 3)
-    assert max_weight_b_matching(rows, caps, num_right) == want
+    assert_optimal_and_order_free(edges, shuffled, caps, num_right)
 
 
 def power_check(fn, instance):

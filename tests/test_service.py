@@ -508,6 +508,14 @@ class TestExecutor:
         finally:
             executor.shutdown()
 
+    def test_queue_depth_gauge_published_before_first_submit(self):
+        registry = MetricsRegistry()
+        executor = JobExecutor(workers=1, registry=registry)
+        try:
+            assert registry.gauge("service.queue.depth") == 0.0
+        finally:
+            executor.shutdown()
+
     def test_forgets_oldest_finished_jobs_beyond_the_bound(self, monkeypatch):
         monkeypatch.setattr(executor_module, "MAX_FINISHED_JOBS", 2)
         executor = JobExecutor(workers=1, max_queue=4)
