@@ -5,7 +5,7 @@ The paper assumes a straight path "which can be easily extended to real
 scenarios" — this example *is* that extension, built from the public
 API's lower-level pieces: a :class:`PiecewiseLinearPath` following an
 S-shaped road, a clustered deployment around two interchanges, explicit
-battery/harvester assembly, and a direct
+network assembly from arrays, and a direct
 :meth:`DataCollectionInstance.from_network` call.
 
 Run:  python examples/curved_road.py
@@ -58,14 +58,13 @@ def main() -> None:
     xy = on_road + np.column_stack([np.zeros_like(normals), normals])
 
     # Every node has the same 10 mm x 10 mm panel under the same sky, so
-    # they share one harvester: SensorNetwork.harvest integrates a window
-    # once for all of them.
-    harvester = SolarHarvester(sunny_profile(), 100.0)
-    network = SensorNetwork.build(
+    # the network holds one harvester: SensorNetwork.harvest integrates a
+    # window once for all of them.
+    network = SensorNetwork(
         xy,
         battery_capacity=10_000.0,
         initial_charges=rng.uniform(0.5, 8.0, size=len(arc)),
-        harvester_factory=lambda i: harvester,
+        harvester=SolarHarvester(sunny_profile(), 100.0),
     )
     trajectory = SinkTrajectory(path, speed=8.0, slot_duration=1.0)
     instance = DataCollectionInstance.from_network(

@@ -13,7 +13,6 @@ from repro.core.instance import DataCollectionInstance, SensorSlotData
 from repro.core.allocation import Allocation
 from repro.core.knapsack import (
     KnapsackResult,
-    knapsack_branch_and_bound,
     knapsack_fptas,
     knapsack_few_weights,
     knapsack_greedy,
@@ -40,7 +39,6 @@ __all__ = [
     "KnapsackResult",
     "knapsack_greedy",
     "knapsack_few_weights",
-    "knapsack_branch_and_bound",
     "knapsack_fptas",
     "solve_knapsack",
     "GapInstance",

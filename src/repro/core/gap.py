@@ -244,9 +244,8 @@ def local_ratio_gap(
         The GAP instance.
     knapsack_solver:
         ``(profits, weights, capacity) -> KnapsackResult``; defaults to
-        :func:`repro.core.knapsack.solve_knapsack` with ``method='auto'``
-        (exact for the radio-table weight structure, hence an overall
-        1/2-approximation).
+        :func:`repro.core.knapsack.solve_knapsack`'s exact default
+        (``method='few_weights'``), hence an overall 1/2-approximation.
     bin_order:
         Processing order of bins; defaults to 0..n-1.  ``Offline_Appro``
         passes the paper's start-slot order.

@@ -10,10 +10,7 @@ the whole problem, so the solver choice is a first-class knob:
   (solution ≥ OPT/2), ``O(n log n)``;
 * :func:`knapsack_few_weights` — **exact** (β = 1) in
   ``O(∏ (n_k + 1))`` over the distinct weight classes; the paper's
-  4-level radio table induces ≤ 4 classes, making this the natural
-  default;
-* :func:`knapsack_branch_and_bound` — exact for general weights,
-  best-bound DFS with the fractional relaxation bound;
+  4-level radio table induces ≤ 4 classes, making this the default;
 * :func:`knapsack_fptas` — Lawler-style profit scaling, β = 1 + ε,
   matching the paper's ``1/(2+ε)`` overall guarantee.
 
@@ -24,7 +21,6 @@ return a :class:`KnapsackResult`.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -37,7 +33,6 @@ __all__ = [
     "KnapsackResult",
     "knapsack_greedy",
     "knapsack_few_weights",
-    "knapsack_branch_and_bound",
     "knapsack_fptas",
     "solve_knapsack",
 ]
@@ -45,6 +40,10 @@ __all__ = [
 #: Enumerations at most this large run as a plain-float odometer loop
 #: inside :func:`knapsack_few_weights`; larger ones vectorise.
 _SCALAR_ENUM_CUTOFF = 32
+
+#: :func:`knapsack_few_weights` raises rather than enumerate more count
+#: vectors than this.
+_MAX_COMBINATIONS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,7 @@ def knapsack_greedy(
 # Exact for few distinct weights (beta = 1)
 # ----------------------------------------------------------------------
 def knapsack_few_weights(
-    profits: np.ndarray,
-    weights: np.ndarray,
-    capacity: float,
-    max_combinations: int = 2_000_000,
+    profits: np.ndarray, weights: np.ndarray, capacity: float
 ) -> KnapsackResult:
     """Exact solver exploiting few distinct weight values.
 
@@ -162,8 +158,8 @@ def knapsack_few_weights(
     optimal since profits are positive).
 
     Raises ``ValueError`` if the enumeration would exceed
-    ``max_combinations`` — callers should fall back to branch-and-bound
-    or the FPTAS then (``solve_knapsack`` automates this).
+    ``_MAX_COMBINATIONS`` (2,000,000).  No caller falls back to an
+    inexact solver then: Theorem 2's ½ assumes an exact knapsack.
     """
     profits = np.asarray(profits, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -249,9 +245,9 @@ def knapsack_few_weights(
     combos = 1
     for lim in limits:
         combos *= lim + 1
-    if combos > max_combinations:
+    if combos > _MAX_COMBINATIONS:
         raise ValueError(
-            f"few-weights enumeration too large ({combos} > {max_combinations})"
+            f"few-weights enumeration too large ({combos} > {_MAX_COMBINATIONS})"
         )
 
     # Enumerate count vectors in row-major flat order (first class
@@ -350,72 +346,6 @@ def knapsack_few_weights(
 
 
 # ----------------------------------------------------------------------
-# Exact branch-and-bound (beta = 1)
-# ----------------------------------------------------------------------
-def knapsack_branch_and_bound(
-    profits: np.ndarray,
-    weights: np.ndarray,
-    capacity: float,
-    max_nodes: int = 1_000_000,
-) -> KnapsackResult:
-    """Exact depth-first branch-and-bound with the fractional bound.
-
-    Items are explored in density order and fit within the other exact
-    solvers' 1e-12 capacity slack; a node is pruned when the LP bound over
-    the remaining suffix cannot beat the incumbent.  ``max_nodes`` caps
-    the search (raising rather than returning a sub-optimal answer).
-    """
-    idx, p, w = _clean(profits, weights, capacity)
-    n = idx.size
-    if n == 0:
-        return KnapsackResult.empty()
-    with np.errstate(divide="ignore"):
-        density = np.where(w > 0, p / np.where(w > 0, w, 1.0), np.inf)
-    order = np.argsort(-density, kind="stable")
-    p_ord = p[order]
-    w_ord = w[order]
-
-    def fractional_bound(start: int, remaining: float) -> float:
-        bound = 0.0
-        for k in range(start, n):
-            if w_ord[k] <= remaining:
-                bound += p_ord[k]
-                remaining -= w_ord[k]
-            else:
-                if w_ord[k] > 0:
-                    bound += p_ord[k] * remaining / w_ord[k]
-                break
-        return bound
-
-    best_profit = -1.0
-    best_set: List[int] = []
-    current: List[int] = []
-    nodes = 0
-
-    def dfs(k: int, remaining: float, profit_acc: float) -> None:
-        nonlocal best_profit, best_set, nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise RuntimeError(f"branch-and-bound exceeded {max_nodes} nodes")
-        if profit_acc > best_profit:
-            best_profit = profit_acc
-            best_set = current.copy()
-        if k == n:
-            return
-        if profit_acc + fractional_bound(k, remaining + 1e-12) <= best_profit + 1e-12:
-            return
-        if w_ord[k] <= remaining + 1e-12:
-            current.append(k)
-            dfs(k + 1, remaining - w_ord[k], profit_acc + p_ord[k])
-            current.pop()
-        dfs(k + 1, remaining, profit_acc)
-
-    dfs(0, float(capacity), 0.0)
-    chosen = [int(order[k]) for k in best_set]
-    return _result_from_lists(idx.tolist(), p.tolist(), w.tolist(), chosen)
-
-
-# ----------------------------------------------------------------------
 # FPTAS (beta = 1 + eps)
 # ----------------------------------------------------------------------
 def knapsack_fptas(
@@ -497,64 +427,30 @@ def solve_knapsack(
     profits: np.ndarray,
     weights: np.ndarray,
     capacity: float,
-    method: str = "auto",
+    method: str = "few_weights",
     epsilon: float = 0.1,
 ) -> KnapsackResult:
     """Solve a knapsack with the requested ``method``.
 
-    ``method`` ∈ {"auto", "greedy", "few_weights", "branch_and_bound",
-    "fptas"}.  ``auto`` picks the exact few-weights solver when the
-    weight structure allows (the paper's 4-level radio always does),
-    falling back to branch-and-bound for small general instances and the
-    FPTAS otherwise.
+    ``method`` ∈ {"few_weights", "greedy", "fptas"}.  The default is the
+    exact few-weights solver, which the paper's 4-level radio always
+    allows; past its enumeration cap it raises ``ValueError``.
 
     Every call records to the :mod:`repro.obs` registry: ``knapsack.calls``
     and ``knapsack.items`` counters, a ``knapsack.solve`` timer, and a
-    ``knapsack.method[<solver>]`` counter for the solver that answered
-    (``auto`` fallbacks also bump ``knapsack.auto_fallbacks``).
+    ``knapsack.method[<solver>]`` counter for the solver that answered.
     """
+    if method not in ("few_weights", "greedy", "fptas"):
+        raise ValueError(f"unknown knapsack method {method!r}")
     registry = get_registry()
     registry.inc("knapsack.calls")
     registry.inc("knapsack.items", float(np.asarray(profits).size))
     with phase("knapsack.solve"):
-        result, used = _dispatch(profits, weights, capacity, method, epsilon, registry)
-    registry.inc(f"knapsack.method[{used}]")
+        if method == "few_weights":
+            result = knapsack_few_weights(profits, weights, capacity)
+        elif method == "greedy":
+            result = knapsack_greedy(profits, weights, capacity)
+        else:
+            result = knapsack_fptas(profits, weights, capacity, epsilon=epsilon)
+    registry.inc(f"knapsack.method[{method}]")
     return result
-
-
-def _dispatch(
-    profits: np.ndarray,
-    weights: np.ndarray,
-    capacity: float,
-    method: str,
-    epsilon: float,
-    registry,
-) -> Tuple[KnapsackResult, str]:
-    """Route to the concrete solver; returns (result, solver name)."""
-    if method == "greedy":
-        return knapsack_greedy(profits, weights, capacity), method
-    if method == "few_weights":
-        return knapsack_few_weights(profits, weights, capacity), method
-    if method == "branch_and_bound":
-        return knapsack_branch_and_bound(profits, weights, capacity), method
-    if method == "fptas":
-        return knapsack_fptas(profits, weights, capacity, epsilon=epsilon), method
-    if method != "auto":
-        raise ValueError(f"unknown knapsack method {method!r}")
-
-    try:
-        return (
-            knapsack_few_weights(profits, weights, capacity, max_combinations=200_000),
-            "few_weights",
-        )
-    except ValueError:
-        registry.inc("knapsack.auto_fallbacks")
-    if np.asarray(profits).size <= 48:
-        try:
-            return (
-                knapsack_branch_and_bound(profits, weights, capacity, max_nodes=200_000),
-                "branch_and_bound",
-            )
-        except RuntimeError:
-            registry.inc("knapsack.auto_fallbacks")
-    return knapsack_fptas(profits, weights, capacity, epsilon=epsilon), "fptas"

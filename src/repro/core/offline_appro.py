@@ -52,7 +52,7 @@ def dcmp_to_gap(instance: DataCollectionInstance) -> GapInstance:
 
 def offline_appro(
     instance: DataCollectionInstance,
-    knapsack_method: str = "auto",
+    knapsack_method: str = "few_weights",
     epsilon: float = 0.1,
 ) -> Allocation:
     """Run Algorithm 1 on a DCMP instance.
@@ -63,10 +63,9 @@ def offline_appro(
         The problem instance.
     knapsack_method:
         Which single-bin solver to use (see
-        :func:`repro.core.knapsack.solve_knapsack`): ``"auto"`` (exact
-        where tractable — ratio 1/2), ``"fptas"`` (ratio ``1/(2+ε)``,
-        the paper's stated guarantee), ``"greedy"`` (ratio 1/3, fastest),
-        ``"few_weights"``, ``"branch_and_bound"``.
+        :func:`repro.core.knapsack.solve_knapsack`): ``"few_weights"``
+        (exact — ratio 1/2), ``"fptas"`` (ratio ``1/(2+ε)``, the paper's
+        stated guarantee) or ``"greedy"`` (ratio 1/3, fastest).
     epsilon:
         FPTAS accuracy knob (ignored by other methods).
 

@@ -6,7 +6,7 @@ sensor deployments along a highway, and the multi-rate radio table
 (Section II.C).
 """
 
-from repro.network.geometry import PiecewiseLinearPath, Point
+from repro.network.geometry import PiecewiseLinearPath
 from repro.network.path import SinkTrajectory
 from repro.network.radio import (
     CC2420_LIKE_TABLE,
@@ -14,19 +14,16 @@ from repro.network.radio import (
     RateLevel,
     RateTable,
 )
-from repro.network.sensor import Sensor
 from repro.network.deployment import clustered_deployment, uniform_deployment
 from repro.network.network import SensorNetwork
 
 __all__ = [
-    "Point",
     "PiecewiseLinearPath",
     "SinkTrajectory",
     "RateLevel",
     "RateTable",
     "FixedPowerTable",
     "CC2420_LIKE_TABLE",
-    "Sensor",
     "uniform_deployment",
     "clustered_deployment",
     "SensorNetwork",

@@ -7,8 +7,8 @@ uniform deployment plus a clustered alternative used in WSN evaluations,
 where sensors concentrate around hot spots (models intersections /
 interchanges on a highway).
 
-Each generator returns an ``(n, 2)`` position array; the caller attaches
-batteries/harvesters via :func:`repro.network.network.SensorNetwork.build`.
+Each generator returns an ``(n, 2)`` position array, the first argument
+of :class:`repro.network.network.SensorNetwork`.
 """
 
 from __future__ import annotations

@@ -13,30 +13,13 @@ planar point.  All bulk operations are vectorised over NumPy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["Point", "PiecewiseLinearPath"]
-
-
-@dataclass(frozen=True)
-class Point:
-    """An immutable planar point (metres)."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other``."""
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
-    def as_array(self) -> np.ndarray:
-        """``(2,)`` float array view of the point."""
-        return np.array([self.x, self.y], dtype=np.float64)
+__all__ = ["PiecewiseLinearPath"]
 
 
 class PiecewiseLinearPath:

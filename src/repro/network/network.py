@@ -1,27 +1,62 @@
 """The :class:`SensorNetwork` container.
 
-Holds the :class:`~repro.network.sensor.Sensor` nodes that line the
-pre-defined path (the path itself belongs to the sink's
-:class:`~repro.network.path.SinkTrajectory`).  The container is the
-hand-off point between the *physical* layers (geometry, radio, energy)
-and the *combinatorial* layer (:mod:`repro.core.instance`), and offers
-bulk vectorised accessors (positions, charges, harvest) so instance
-construction never loops in Python over per-sensor attribute lookups.
+Holds the state of the sensors that line the pre-defined path (the path
+itself belongs to the sink's :class:`~repro.network.path.SinkTrajectory`)
+as arrays: their positions, their battery charges, the capacity ``B`` the
+homogeneous nodes share and the one harvest model every node's panel
+follows.  The container is the hand-off point between the *physical*
+layers (geometry, radio, energy) and the *combinatorial* layer
+(:mod:`repro.core.instance`).
+
+The paper's energy model (Section II.B) is one recurrence over all nodes,
+
+    P_{j+1}(v) = min(P_j(v) + Q_j(v) − O_j(v), B),
+
+and :meth:`SensorNetwork.withdraw` (``O_j``) and
+:meth:`SensorNetwork.deposit` (``Q_j``, clipped at ``B``) apply it to every
+node in one array pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from itertools import repeat
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.energy.battery import Battery
 from repro.energy.harvester import HarvestModel
-from repro.network.geometry import Point
-from repro.network.sensor import Sensor
+from repro.utils.validation import check_positive
 
 __all__ = ["SensorNetwork"]
+
+#: Absolute tolerance for floating-point charge comparisons (joules).
+_EPS = 1e-9
+
+
+class _NodeReading(NamedTuple):
+    """One node's battery at the time of a read (joules), as
+    :attr:`SensorNetwork.sensors` reports it: ``node.battery.charge``."""
+
+    charge: float
+    capacity: float
+
+    @property
+    def battery(self) -> "_NodeReading":
+        """The reading itself (it holds nothing but the battery)."""
+        return self
+
+
+def _energies(energy: Union[float, np.ndarray], n: int, name: str) -> np.ndarray:
+    """``energy`` broadcast to ``(n,)`` joules (read-only); raises
+    ``ValueError`` unless every entry is finite and ``>= 0``."""
+    energy = np.broadcast_to(np.asarray(energy, dtype=np.float64), (n,))
+    bad = ~(np.isfinite(energy) & (energy >= 0))
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise ValueError(
+            f"{name} must be non-negative finite numbers, got {energy[node]!r} at node {node}"
+        )
+    return energy
 
 
 class SensorNetwork:
@@ -29,117 +64,113 @@ class SensorNetwork:
 
     Parameters
     ----------
-    sensors:
-        The stationary sensor nodes ``V``.
+    positions:
+        ``(n, 2)`` sensor coordinates in metres (e.g. from
+        :func:`repro.network.deployment.uniform_deployment`).
+    battery_capacity:
+        Capacity ``B`` (J) shared by the homogeneous nodes; positive.
+    initial_charges:
+        Scalar or ``(n,)`` initial stored energy per node (J), each in
+        ``[0, B]`` (up to 1e-9 J above ``B`` is clipped to ``B``).
+    harvester:
+        The harvest model every node's panel follows; ``None`` disables
+        harvesting (plain battery nodes).
     """
 
-    def __init__(self, sensors: Sequence[Sensor]):
-        ids = [s.node_id for s in sensors]
-        if ids != list(range(len(sensors))):
-            raise ValueError("sensor node_ids must be 0..n-1 in order")
-        self._sensors: List[Sensor] = list(sensors)
-        self._positions = (
-            np.array([[s.position.x, s.position.y] for s in sensors], dtype=np.float64)
-            if sensors
-            else np.zeros((0, 2))
-        )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
+    def __init__(
+        self,
         positions: np.ndarray,
         battery_capacity: float,
         initial_charges: Union[float, np.ndarray],
-        harvester_factory: Optional[Callable[[int], HarvestModel]] = None,
-    ) -> "SensorNetwork":
-        """Assemble a network from bulk arrays.
-
-        Parameters
-        ----------
-        positions:
-            ``(n, 2)`` sensor coordinates (e.g. from
-            :func:`repro.network.deployment.uniform_deployment`).
-        battery_capacity:
-            Capacity ``B`` (J) shared by the homogeneous nodes.
-        initial_charges:
-            Scalar or ``(n,)`` initial stored energy per node (J).
-        harvester_factory:
-            Optional ``node_id -> HarvestModel``; ``None`` disables
-            harvesting (plain battery nodes).
-        """
-        positions = np.asarray(positions, dtype=np.float64)
+        harvester: Optional[HarvestModel] = None,
+    ):
+        positions = np.array(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError(f"positions must be (n, 2), got {positions.shape}")
-        n = positions.shape[0]
-        charges = np.broadcast_to(np.asarray(initial_charges, dtype=np.float64), (n,))
-        sensors = [
-            Sensor(
-                node_id=i,
-                position=Point(float(positions[i, 0]), float(positions[i, 1])),
-                battery=Battery(battery_capacity, float(charges[i])),
-                harvester=harvester_factory(i) if harvester_factory else None,
+        positions.flags.writeable = False
+        capacity = check_positive(battery_capacity, "battery_capacity")
+        charges = _energies(initial_charges, positions.shape[0], "initial_charges")
+        over = charges > capacity + _EPS
+        if over.any():
+            bad = int(np.argmax(over))
+            raise ValueError(
+                f"initial_charge {charges[bad]} of node {bad} exceeds capacity {capacity}"
             )
-            for i in range(n)
-        ]
-        return cls(sensors)
+        self._positions = positions
+        self._capacity = capacity
+        self._charges = np.minimum(charges, capacity)
+        self.harvester = harvester
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     @property
-    def sensors(self) -> List[Sensor]:
-        """The node list (mutable state lives in each node's battery)."""
-        return self._sensors
-
-    @property
     def num_sensors(self) -> int:
         """Network size ``n``."""
-        return len(self._sensors)
+        return self._positions.shape[0]
 
     @property
     def positions(self) -> np.ndarray:
-        """``(n, 2)`` read-only view of sensor coordinates."""
-        view = self._positions.view()
-        view.flags.writeable = False
-        return view
+        """``(n, 2)`` read-only sensor coordinates."""
+        return self._positions
+
+    @property
+    def capacity(self) -> float:
+        """Battery capacity ``B`` (J) of every node."""
+        return self._capacity
 
     def charges(self) -> np.ndarray:
-        """``(n,)`` current battery charges (J)."""
-        return np.array([s.battery.charge for s in self._sensors])
+        """``(n,)`` copy of the current battery charges (J)."""
+        return self._charges.copy()
 
+    @property
+    def sensors(self) -> Tuple[_NodeReading, ...]:
+        """Read-only snapshot of every node's battery, taken at each read:
+        ``sensors[i].battery.charge`` and ``.capacity``.  Kept for the
+        benchmark's readers; :meth:`charges` and :attr:`capacity` are the
+        array forms."""
+        return tuple(map(_NodeReading, self._charges.tolist(), repeat(self._capacity)))
+
+    # ------------------------------------------------------------------
+    # Energy update
+    # ------------------------------------------------------------------
     def harvest(self, t_start: float, t_end: float) -> np.ndarray:
         """``(n,)`` energy (J) each node harvests over the absolute time
-        window ``[t_start, t_end]`` seconds; 0 for a node without a
-        harvester.
+        window ``[t_start, t_end]`` seconds; zeros without a harvester.
+        Every node carries the same panel, so the window is integrated
+        once."""
+        if self.harvester is None:
+            return np.zeros(self.num_sensors)
+        return np.full(self.num_sensors, self.harvester.energy(t_start, t_end))
 
-        Nodes may share one harvest model (a scenario's nodes share one
-        panel under one profile), so ``energy`` is called once per
-        distinct model object and its value given to every node that
-        holds it.
+    def withdraw(self, energy: Union[float, np.ndarray]) -> None:
+        """Draw ``energy`` (J, scalar or ``(n,)``) from every node.
+
+        Raises ``ValueError``, changing no charge, if an entry is negative
+        or not finite, or exceeds its node's charge by more than 1e-9 J.
         """
-        by_model: Dict[int, float] = {}
-        gains = []
-        for sensor in self._sensors:
-            model = sensor.harvester
-            if model is None:
-                gains.append(0.0)
-                continue
-            if id(model) not in by_model:
-                by_model[id(model)] = model.energy(t_start, t_end)
-            gains.append(by_model[id(model)])
-        return np.array(gains, dtype=np.float64)
+        energy = _energies(energy, self.num_sensors, "energy")
+        over = energy > self._charges + _EPS
+        if over.any():
+            bad = int(np.argmax(over))
+            raise ValueError(
+                f"node {bad}: withdraw {energy[bad]:.6f} J exceeds stored charge "
+                f"{self._charges[bad]:.6f} J"
+            )
+        np.maximum(self._charges - energy, 0.0, out=self._charges)
 
-    def __len__(self) -> int:
-        return len(self._sensors)
+    def deposit(self, energy: Union[float, np.ndarray]) -> np.ndarray:
+        """Add harvested ``energy`` (J, scalar or ``(n,)``) to every node;
+        returns the ``(n,)`` amounts actually stored.
 
-    def __iter__(self) -> Iterator[Sensor]:
-        return iter(self._sensors)
-
-    def __getitem__(self, node_id: int) -> Sensor:
-        return self._sensors[node_id]
+        The surplus beyond capacity is spilled, mirroring ``min(..., B)``
+        in the paper's recurrence.  Raises ``ValueError``, changing no
+        charge, if an entry is negative or not finite.
+        """
+        energy = _energies(energy, self.num_sensors, "energy")
+        stored = np.minimum(energy, self._capacity - self._charges)
+        self._charges += stored
+        return stored
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SensorNetwork(n={self.num_sensors})"

@@ -258,7 +258,7 @@ class Scenario:
             path = self.plan.path
 
         # Every node carries the same panel under the same sky, so the
-        # nodes share one harvester: a harvest window is integrated once
+        # network holds one harvester: a harvest window is integrated once
         # for the whole network (SensorNetwork.harvest).
         harvester = None
         if config.weather == "sunny":
@@ -283,11 +283,11 @@ class Scenario:
             charges = hours * 3600.0 * mean_power
         charges = np.minimum(charges, config.battery_capacity)
 
-        self.network = SensorNetwork.build(
+        self.network = SensorNetwork(
             positions,
             battery_capacity=config.battery_capacity,
             initial_charges=charges,
-            harvester_factory=(lambda node_id: harvester) if harvester is not None else None,
+            harvester=harvester,
         )
         self.trajectory = SinkTrajectory(
             path, config.sink_speed, config.slot_duration

@@ -117,16 +117,14 @@ def run_tour(
                 certificate = _certify(instance, allocation, algorithm=algorithm.name)
 
         with phase("tour.energy_update", profile):
-            harvested = np.zeros(instance.num_sensors)
-            spilled = np.zeros(instance.num_sensors)
             if mutate:
-                window_end = start_time + tour_duration + rest_time
-                harvested = scenario.network.harvest(start_time, window_end)
-                for i, (sensor, cost, gain) in enumerate(
-                    zip(scenario.network.sensors, spent.tolist(), harvested.tolist())
-                ):
-                    sensor.battery.withdraw(min(cost, sensor.battery.charge))
-                    spilled[i] = gain - sensor.battery.deposit(gain)
+                network = scenario.network
+                harvested = network.harvest(start_time, start_time + tour_duration + rest_time)
+                network.withdraw(np.minimum(spent, network.charges()))
+                spilled = harvested - network.deposit(harvested)
+            else:
+                harvested = np.zeros(instance.num_sensors)
+                spilled = np.zeros(instance.num_sensors)
 
     result = TourResult(
         tour_index=tour_index,

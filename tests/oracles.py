@@ -28,6 +28,8 @@ replaced: :func:`energy_density_reference` is the one-window
 ``linspace`` + ``trapezoid`` integral, :func:`initial_charges_reference`
 the per-sensor initial-charge list of a scenario build, and
 :func:`simulate_tours_reference` the per-sensor energy update of a tour.
+:class:`Battery` is one node's scalar store, the per-node object the
+network's charge array replaced; the reference tours run one per node.
 
 The matching oracles are independent solvers rather than re-traced
 loops: a successive-shortest-path min-cost flow (:class:`MinCostFlow`,
@@ -95,6 +97,7 @@ __all__ = [
     "sampling_step",
     "energy_density_reference",
     "initial_charges_reference",
+    "Battery",
     "simulate_tours_reference",
     "MinCostFlow",
     "mcmf_b_matching",
@@ -564,40 +567,78 @@ def initial_charges_reference(config: ScenarioConfig, seed: Optional[int]) -> np
     return np.minimum(charges, config.battery_capacity)
 
 
+class Battery:
+    """One node's bounded energy store (joules): ``withdraw`` then
+    ``deposit`` is ``P_{j+1} = min(P_j + Q_j − O_j, B)`` (Section II.B),
+    with every check on plain floats."""
+
+    def __init__(self, capacity: float, initial_charge: float = 0.0):
+        if not math.isfinite(capacity) or capacity <= 0:
+            raise ValueError(f"capacity must be a positive finite number, got {capacity!r}")
+        if not math.isfinite(initial_charge) or initial_charge < 0:
+            raise ValueError(
+                f"initial_charge must be a non-negative finite number, got {initial_charge!r}"
+            )
+        if initial_charge > capacity + 1e-9:
+            raise ValueError(f"initial_charge {initial_charge} exceeds capacity {capacity}")
+        self.capacity = float(capacity)
+        self.charge = min(float(initial_charge), self.capacity)
+
+    def deposit(self, energy: float) -> float:
+        """Add ``energy``; returns the amount stored (the rest spills)."""
+        if not math.isfinite(energy) or energy < 0:
+            raise ValueError(f"energy must be a non-negative finite number, got {energy!r}")
+        stored = min(energy, self.capacity - self.charge)
+        self.charge += stored
+        return stored
+
+    def withdraw(self, energy: float) -> None:
+        """Draw ``energy``; raises if it exceeds the charge by > 1e-9."""
+        if not math.isfinite(energy) or energy < 0:
+            raise ValueError(f"energy must be a non-negative finite number, got {energy!r}")
+        if energy > self.charge + 1e-9:
+            raise ValueError(f"withdraw {energy} J exceeds stored charge {self.charge} J")
+        self.charge = max(self.charge - energy, 0.0)
+
+
 def simulate_tours_reference(
     scenario, algorithm, num_tours: int, rest_time: float = 0.0
 ) -> List[Dict[str, object]]:
-    """Reference for ``simulate_tours``: each tour's energy update debits
-    and credits one sensor at a time, integrating each sensor's harvest
-    on its own, and each tour's budgets are read from the batteries
-    directly (P(v) = P_j(v)), not through ``Scenario.instance``.  Mutates
-    ``scenario``'s batteries; returns per tour the budgets, the collected
-    bits and the spent/harvested/spilled arrays.
+    """Reference for ``simulate_tours``: one :class:`Battery` per node,
+    started from ``scenario.network.charges()``.  Each tour's energy
+    update debits and credits one battery at a time, integrating each
+    node's harvest on its own, and each tour's budgets are read from the
+    batteries directly (P(v) = P_j(v)), not through ``Scenario.instance``.
+    Leaves ``scenario`` untouched; returns per tour the budgets, the
+    collected bits, the spent/harvested/spilled arrays and the charges
+    after the update.
     """
+    network = scenario.network
+    batteries = [Battery(network.capacity, c) for c in network.charges().tolist()]
     tours = []
     duration = scenario.trajectory.tour_duration
     for j in range(num_tours):
         start = scenario.config.start_time + j * (duration + rest_time)
-        charges = [s.battery.charge for s in scenario.network.sensors]
+        charges = [battery.charge for battery in batteries]
         instance = DataCollectionInstance.from_network(
-            scenario.network, scenario.trajectory, scenario.rate_table, charges
+            network, scenario.trajectory, scenario.rate_table, charges
         )
         allocation, _messages = algorithm.run(instance, scenario.gamma)
         spent = allocation.energy_spent(instance)
         harvested = np.zeros(instance.num_sensors)
         spilled = np.zeros(instance.num_sensors)
-        for i, sensor in enumerate(scenario.network.sensors):
-            sensor.battery.withdraw(min(float(spent[i]), sensor.battery.charge))
+        for i, battery in enumerate(batteries):
+            battery.withdraw(min(float(spent[i]), battery.charge))
             gain = 0.0
-            if sensor.harvester is not None:
+            if network.harvester is not None:
                 gain = (
                     energy_density_reference(
-                        sensor.harvester.profile, start, start + duration + rest_time
+                        network.harvester.profile, start, start + duration + rest_time
                     )
-                    * sensor.harvester.panel_area_mm2
+                    * network.harvester.panel_area_mm2
                 )
             harvested[i] = gain
-            stored = sensor.battery.deposit(gain)
+            stored = battery.deposit(gain)
             spilled[i] = gain - stored
         tours.append(
             {
@@ -606,6 +647,7 @@ def simulate_tours_reference(
                 "energy_spent": spent,
                 "energy_harvested": harvested,
                 "energy_spilled": spilled,
+                "charges": np.array([battery.charge for battery in batteries]),
             }
         )
     return tours

@@ -24,7 +24,7 @@ def build(anchor, seed=0, n=60):
     rng = np.random.default_rng(seed)
     path = straight_road(3000.0)
     xy = np.column_stack([rng.uniform(0, 3000, n), rng.uniform(-180, 180, n)])
-    net = SensorNetwork.build(xy, 10_000.0, rng.uniform(0.5, 6.0, n))
+    net = SensorNetwork(xy, 10_000.0, rng.uniform(0.5, 6.0, n))
     traj = SinkTrajectory(path, 5.0, 1.0, anchor=anchor)
     inst = DataCollectionInstance.from_network(net, traj, CC2420_LIKE_TABLE, net.charges())
     return inst

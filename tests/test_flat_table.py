@@ -192,7 +192,7 @@ def test_every_slot_anchor_equals_reference(config, seed, anchor):
 
 
 def test_network_with_no_reachable_sensor():
-    network = SensorNetwork.build(
+    network = SensorNetwork(
         np.array([[100.0, 500.0], [700.0, -400.0], [-400.0, 0.0], [2000.0, 0.0]]),
         battery_capacity=10.0,
         initial_charges=5.0,

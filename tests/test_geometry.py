@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.network.geometry import PiecewiseLinearPath, Point
+from repro.network.geometry import PiecewiseLinearPath
 from tests.conftest import straight_road
 from tests.oracles import LinearPathReference
-
-
-class TestPoint:
-    def test_distance(self):
-        assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_as_array(self):
-        np.testing.assert_array_equal(Point(1.5, -2.0).as_array(), [1.5, -2.0])
 
 
 class TestLinearPath:

@@ -140,7 +140,7 @@ class TestFromNetwork:
         # One sensor on the axis at x=500: every in-window slot's rate
         # follows the anchor distance through the paper's table.
         path = straight_road(1000.0)
-        net = SensorNetwork.build(np.array([[500.0, 0.0]]), 100.0, 50.0)
+        net = SensorNetwork(np.array([[500.0, 0.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])
@@ -155,7 +155,7 @@ class TestFromNetwork:
 
     def test_from_network_unreachable_sensor(self):
         path = straight_road(1000.0)
-        net = SensorNetwork.build(np.array([[500.0, 400.0]]), 100.0, 50.0)
+        net = SensorNetwork(np.array([[500.0, 400.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])
@@ -164,7 +164,7 @@ class TestFromNetwork:
 
     def test_from_network_budget_shape_checked(self):
         path = straight_road(1000.0)
-        net = SensorNetwork.build(np.array([[500.0, 0.0]]), 100.0, 50.0)
+        net = SensorNetwork(np.array([[500.0, 0.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         with pytest.raises(ValueError):
             DataCollectionInstance.from_network(
@@ -174,7 +174,7 @@ class TestFromNetwork:
     def test_rates_symmetric_for_centered_sensor(self):
         """A sensor on the axis sees a rate profile symmetric in its window."""
         path = straight_road(1000.0)
-        net = SensorNetwork.build(np.array([[502.5, 0.0]]), 100.0, 50.0)
+        net = SensorNetwork(np.array([[502.5, 0.0]]), 100.0, 50.0)
         traj = SinkTrajectory(path, 5.0, 1.0)
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])

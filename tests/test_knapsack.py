@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.knapsack import (
     KnapsackResult,
-    knapsack_branch_and_bound,
     knapsack_few_weights,
     knapsack_fptas,
     knapsack_greedy,
@@ -19,10 +18,9 @@ from repro.core.knapsack import (
 ALL_SOLVERS = [
     knapsack_greedy,
     knapsack_few_weights,
-    knapsack_branch_and_bound,
     knapsack_fptas,
 ]
-EXACT_SOLVERS = [knapsack_few_weights, knapsack_branch_and_bound]
+EXACT_SOLVERS = [knapsack_few_weights]
 
 
 def brute_force(profits, weights, capacity):
@@ -164,9 +162,9 @@ class TestFewWeights:
         rng = np.random.default_rng(3)
         n = 60
         profits = rng.uniform(1, 10, n)
-        weights = rng.uniform(0.1, 1.0, n)  # ~60 distinct weights
-        with pytest.raises(ValueError):
-            knapsack_few_weights(profits, weights, 10.0, max_combinations=1000)
+        weights = rng.uniform(0.1, 1.0, n)  # ~60 distinct weights: 2^59 combinations
+        with pytest.raises(ValueError, match="enumeration too large"):
+            knapsack_few_weights(profits, weights, 10.0)
 
     def test_paper_weight_structure(self):
         """Exact on the radio table's 4 weight classes."""
@@ -178,16 +176,6 @@ class TestFewWeights:
             capacity = float(rng.uniform(0.3, weights.sum()))
             got = knapsack_few_weights(profits, weights, capacity).profit
             assert got == pytest.approx(brute_force(profits, weights, capacity))
-
-
-class TestBranchAndBound:
-    def test_node_limit(self):
-        rng = np.random.default_rng(5)
-        n = 40
-        profits = rng.uniform(1.0, 1.001, n)  # near-ties defeat the bound
-        weights = rng.uniform(1.0, 1.001, n)
-        with pytest.raises(RuntimeError):
-            knapsack_branch_and_bound(profits, weights, n / 2.0, max_nodes=50)
 
 
 class TestFptas:
@@ -212,32 +200,36 @@ class TestDispatcher:
     def test_methods_routed(self):
         profits = np.array([60.0, 100.0, 120.0])
         weights = np.array([10.0, 20.0, 30.0])
-        for method in ("greedy", "few_weights", "branch_and_bound", "fptas", "auto"):
+        for method in ("greedy", "few_weights", "fptas"):
             result = solve_knapsack(profits, weights, 50.0, method=method)
             check_result(result, profits, weights, 50.0)
 
-    def test_auto_is_exact_on_few_weights(self):
+    def test_default_is_exact_on_few_weights(self):
         profits = np.array([60.0, 100.0, 120.0])
         weights = np.array([10.0, 20.0, 30.0])
         assert solve_knapsack(profits, weights, 50.0).profit == pytest.approx(220.0)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            solve_knapsack(np.ones(1), np.ones(1), 1.0, method="magic")
+        # "auto" and "branch_and_bound" are retired: no inexact fallback.
+        for method in ("magic", "auto", "branch_and_bound"):
+            with pytest.raises(ValueError, match="unknown knapsack method"):
+                solve_knapsack(np.ones(1), np.ones(1), 1.0, method=method)
 
-    def test_auto_falls_back_on_many_weights(self):
+    def test_default_raises_past_the_enumeration_cap(self):
+        """Many distinct weights raise rather than fall back to an FPTAS
+        answer, whose 1/(2+ε) would void Theorem 2's ½."""
         rng = np.random.default_rng(7)
         n = 100
         profits = rng.uniform(1, 10, n)
         weights = rng.uniform(0.1, 1.0, n)
-        result = solve_knapsack(profits, weights, 5.0)
-        check_result(result, profits, weights, 5.0)
+        with pytest.raises(ValueError, match="enumeration too large"):
+            solve_knapsack(profits, weights, 5.0)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_exact_solvers_agree_hypothesis(data):
-    """few_weights and branch_and_bound always deliver the same optimum."""
+    """few_weights always delivers the subset-enumeration optimum."""
     n = data.draw(st.integers(1, 10))
     weight_pool = data.draw(
         st.lists(st.floats(0.1, 5.0), min_size=1, max_size=3)
@@ -245,9 +237,8 @@ def test_exact_solvers_agree_hypothesis(data):
     profits = np.array([data.draw(st.floats(0.1, 20.0)) for _ in range(n)])
     weights = np.array([data.draw(st.sampled_from(weight_pool)) for _ in range(n)])
     capacity = data.draw(st.floats(0.0, float(weights.sum()) * 1.2))
-    a = knapsack_few_weights(profits, weights, capacity).profit
-    b = knapsack_branch_and_bound(profits, weights, capacity).profit
-    assert a == pytest.approx(b)
+    got = knapsack_few_weights(profits, weights, capacity).profit
+    assert got == pytest.approx(brute_force(profits, weights, capacity))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +254,7 @@ def test_exact_solvers_agree_hypothesis(data):
 def test_exact_solvers_agree_at_the_capacity_boundary(weight, packed):
     profits = np.ones(10)
     weights = np.full(10, weight)
-    for solver in (knapsack_few_weights, knapsack_branch_and_bound):
-        result = solver(profits, weights, 1.0)
-        assert len(result.selected) == packed, solver.__name__
-        assert result.profit == float(packed)
+    result = knapsack_few_weights(profits, weights, 1.0)
+    assert len(result.selected) == packed
+    assert result.profit == float(packed)
+    assert result.profit == brute_force(profits, weights, 1.0)

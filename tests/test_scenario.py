@@ -134,7 +134,8 @@ class TestScenario:
 
     def test_weather_none_disables_harvesters(self):
         scenario = ScenarioConfig(num_sensors=10, weather="none").build(seed=0)
-        assert all(s.harvester is None for s in scenario.network.sensors)
+        assert scenario.network.harvester is None
+        assert scenario.network.harvest(0.0, 3600.0).tolist() == [0.0] * 10
         assert scenario.network.charges().max() > 0  # still charged
 
     def test_weather_cloudy_harvests_less_than_sunny(self):
@@ -142,8 +143,8 @@ class TestScenario:
         cloudy = ScenarioConfig(num_sensors=1, weather="cloudy").build(seed=0)
         window = (10 * 3600.0, 14 * 3600.0)
         assert (
-            cloudy.network[0].harvester.energy(*window)
-            < sunny.network[0].harvester.energy(*window)
+            cloudy.network.harvester.energy(*window)
+            < sunny.network.harvester.energy(*window)
         )
 
     def test_instance_budget_is_current_charge(self):
