@@ -2,26 +2,104 @@
 
 An :class:`Allocation` is the output of every algorithm in the library:
 a mapping from time slots to the (at most one) sensor transmitting in
-each slot.  It knows how to score itself against an instance (collected
-bits, energy spent) and to verify the paper's constraints (1)–(4).
+each slot.  :meth:`Allocation.audit` checks it against the paper's
+constraints (1)–(4) and scores it in one pass; the violation list,
+``check_feasible``, the collected bits, the energy spent and the
+solution certificate (:mod:`repro.verify.certificate`) all read that
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping
 
 import numpy as np
 
 from repro.core.instance import DataCollectionInstance
+from repro.utils.arrays import ordered_sum
 
-__all__ = ["Allocation"]
+__all__ = ["Allocation", "AllocationAudit"]
 
-#: Budget-comparison tolerance in joules.
-_BUDGET_EPS = 1e-9
+#: Constraint (4)'s tolerance in joules: a sensor may overspend its
+#: budget by at most this much.
+BUDGET_EPS = 1e-9
 
 #: Sentinel in ``slot_owner`` for unassigned slots.
 UNASSIGNED = -1
+
+
+@dataclass(frozen=True, eq=False)
+class AllocationAudit:
+    """An allocation checked against constraints (1)–(4) and scored, by
+    :meth:`Allocation.audit`.
+
+    ``slots``/``sensors`` are the assigned pairs, slot-ascending;
+    ``known`` marks the pairs whose sensor exists, ``valid`` those that
+    are also inside the sensor's window (constraints (1)+(2)), and
+    ``pairs`` holds the flat pair index of each valid pair.  The
+    ``objective`` (bits) and the ``(n,)`` ``spent`` (joules) sum the
+    valid pairs in slot order; ``over`` lists, ascending, the sensors
+    spending more than their budget plus :data:`BUDGET_EPS`
+    (constraint (4)).  On a horizon mismatch no pair is read.
+    """
+
+    instance: DataCollectionInstance
+    num_slots: int
+    slots: np.ndarray
+    sensors: np.ndarray
+    known: np.ndarray
+    valid: np.ndarray
+    pairs: np.ndarray
+    objective: float
+    spent: np.ndarray
+    over: np.ndarray
+
+    @property
+    def horizon_ok(self) -> bool:
+        """Whether the allocation covers exactly the instance's slots."""
+        return self.num_slots == self.instance.num_slots
+
+    @property
+    def feasible(self) -> bool:
+        """Whether constraints (1)–(4) all hold."""
+        return self.horizon_ok and bool(self.valid.all()) and not self.over.size
+
+    def violations(self) -> List[str]:
+        """Human-readable constraint violations (empty = feasible): the
+        horizon mismatch alone, else the invalid pairs in slot order,
+        then the sensors over budget.  Constraint (3) holds by the
+        ``slot_owner`` encoding."""
+        instance = self.instance
+        if not self.horizon_ok:
+            return [
+                f"allocation horizon {self.num_slots} != instance horizon {instance.num_slots}"
+            ]
+        bad = ~self.valid
+        problems = [
+            f"slot {j}: outside A(v_{s}) = {instance.window_of(s)}"
+            if known
+            else f"slot {j}: unknown sensor {s}"
+            for j, s, known in zip(
+                self.slots[bad].tolist(), self.sensors[bad].tolist(), self.known[bad].tolist()
+            )
+        ]
+        budgets = instance.budgets_array()
+        for i in self.over.tolist():
+            problems.append(
+                f"sensor {i}: energy {self.spent[i]:.9f} J exceeds budget "
+                f"{budgets[i]:.9f} J by {self.spent[i] - budgets[i]:.3e} J"
+            )
+        return problems
+
+    def check(self) -> None:
+        """Raise ``ValueError`` listing every violation if infeasible; the
+        message names the instance shape (``n``, ``T``)."""
+        if not self.feasible:
+            raise ValueError(
+                f"infeasible allocation (n={self.instance.num_sensors} sensors, "
+                f"T={self.instance.num_slots} slots):\n  " + "\n  ".join(self.violations())
+            )
 
 
 @dataclass(frozen=True)
@@ -96,130 +174,69 @@ class Allocation:
         """Number of slots carrying a transmission."""
         return int(np.count_nonzero(self.slot_owner != UNASSIGNED))
 
-    def merge(self, other: "Allocation", offset: int = 0) -> "Allocation":
-        """Overlay ``other`` (shifted by ``offset`` slots) onto this one.
+    # ------------------------------------------------------------------
+    # Feasibility (constraints (1)-(4) of Section II.D) and scoring
+    # ------------------------------------------------------------------
+    def audit(self, instance: DataCollectionInstance) -> AllocationAudit:
+        """Check constraints (1)–(4) and score the allocation in one pass.
 
-        Used by the online framework to stitch per-interval schedules
-        into a tour-level allocation.  Overlapping assignments raise.
+        Only valid pairs are scored, so a corrupt allocation gets numbers
+        rather than an exception; the sums run in slot order, equal to
+        the scalar sweep bit for bit.
         """
-        owner = self.slot_owner.copy()
-        for j_local, s in enumerate(other.slot_owner):
-            if s == UNASSIGNED:
-                continue
-            j = j_local + offset
-            if not 0 <= j < owner.shape[0]:
-                raise ValueError(f"merged slot {j} outside [0, {owner.shape[0] - 1}]")
-            if owner[j] != UNASSIGNED:
-                raise ValueError(f"merge conflict at slot {j}")
-            owner[j] = s
-        return Allocation(owner)
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-    def _assigned(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(slots, sensors)`` arrays of the assigned pairs, slot-ascending."""
-        slots = np.flatnonzero(self.slot_owner != UNASSIGNED)
-        return slots, self.slot_owner[slots]
+        n = instance.num_sensors
+        owner = self.slot_owner if self.num_slots == instance.num_slots else self.slot_owner[:0]
+        slots = np.flatnonzero(owner != UNASSIGNED)
+        sensors = owner[slots]
+        known = (sensors >= 0) & (sensors < n)
+        starts, ends = instance.window_bounds()
+        ids, id_slots = sensors[known], slots[known]
+        valid = known.copy()
+        valid[known] = (id_slots >= starts[ids]) & (id_slots <= ends[ids])
+        sensors_ok = sensors[valid]
+        flat = instance.flat_pairs()
+        pairs = flat.offsets[sensors_ok] + (slots[valid] - starts[sensors_ok])
+        # bincount accumulates in occurrence (slot) order per sensor.
+        spent = np.bincount(sensors_ok, weights=flat.costs[pairs], minlength=n)
+        return AllocationAudit(
+            instance=instance,
+            num_slots=self.num_slots,
+            slots=slots,
+            sensors=sensors,
+            known=known,
+            valid=valid,
+            pairs=pairs,
+            objective=ordered_sum(flat.profits[pairs]),
+            spent=spent,
+            over=np.flatnonzero(spent > instance.budgets_array() + BUDGET_EPS),
+        )
 
     def collected_bits(self, instance: DataCollectionInstance) -> float:
-        """The paper's objective: ``Σ x_{i,j} · r_{i,j} · tau`` in bits."""
-        slots, sensors = self._assigned()
-        # Vectorised profit lookup, but plain sequential summation in
-        # slot order — bit-identical to the scalar reference (np.sum's
-        # pairwise accumulation would drift in the last ulps).
-        total = 0.0
-        for v in instance.pair_profits(sensors, slots).tolist():
-            total += v
-        return total
+        """The paper's objective ``Σ x_{i,j} · r_{i,j} · tau`` in bits
+        (valid pairs only; see :meth:`audit`)."""
+        return self.audit(instance).objective
 
     def energy_spent(self, instance: DataCollectionInstance) -> np.ndarray:
-        """``(n,)`` joules each sensor spends under this allocation."""
-        slots, sensors = self._assigned()
-        # bincount accumulates in occurrence (slot) order per sensor —
-        # the same sequential adds as the scalar loop.
-        return np.bincount(
-            sensors,
-            weights=instance.pair_costs(sensors, slots),
-            minlength=instance.num_sensors,
-        )
+        """``(n,)`` joules each sensor spends under this allocation
+        (valid pairs only; see :meth:`audit`)."""
+        return self.audit(instance).spent
 
     def per_sensor_bits(self, instance: DataCollectionInstance) -> np.ndarray:
-        """``(n,)`` bits collected from each sensor (fairness metrics)."""
-        slots, sensors = self._assigned()
+        """``(n,)`` bits collected from each sensor (fairness metrics;
+        valid pairs only)."""
+        audit = self.audit(instance)
         return np.bincount(
-            sensors,
-            weights=instance.pair_profits(sensors, slots),
+            audit.sensors[audit.valid],
+            weights=instance.flat_pairs().profits[audit.pairs],
             minlength=instance.num_sensors,
         )
 
-    # ------------------------------------------------------------------
-    # Feasibility (constraints (1)-(4) of Section II.D)
-    # ------------------------------------------------------------------
     def violations(self, instance: DataCollectionInstance) -> List[str]:
-        """Human-readable list of constraint violations (empty = feasible).
-
-        * shape mismatch with the instance horizon;
-        * a slot assigned to a sensor outside whose window it falls
-          (constraints (1)+(2));
-        * per-sensor energy spent exceeding the budget (constraint (4)).
-
-        Constraint (3) — at most one sensor per slot — holds by
-        construction of the ``slot_owner`` representation.
-        """
-        problems: List[str] = []
-        if self.num_slots != instance.num_slots:
-            problems.append(
-                f"allocation horizon {self.num_slots} != instance horizon {instance.num_slots}"
-            )
-            return problems
-        slots, sensors = self._assigned()
-        known = (sensors >= 0) & (sensors < instance.num_sensors)
-        starts, ends = instance.window_bounds()
-        sensors_safe = np.where(known, sensors, 0)
-        in_window = known & (slots >= starts[sensors_safe]) & (slots <= ends[sensors_safe])
-        bad = ~in_window
-        if np.any(bad):
-            # Message order matches the scalar sweep: ascending slot.
-            for j, s, ok in zip(
-                slots[bad].tolist(), sensors[bad].tolist(), known[bad].tolist()
-            ):
-                if not ok:
-                    problems.append(f"slot {j}: unknown sensor {s}")
-                else:
-                    problems.append(
-                        f"slot {j}: outside A(v_{s}) = {instance.window_of(s)}"
-                    )
-        spent = np.bincount(
-            sensors[in_window],
-            weights=instance.pair_costs(sensors[in_window], slots[in_window]),
-            minlength=instance.num_sensors,
-        )
-        budgets = instance.budgets_array()
-        over = np.flatnonzero(spent > budgets + _BUDGET_EPS)
-        for i in over.tolist():
-            problems.append(
-                f"sensor {i}: energy {spent[i]:.9f} J exceeds budget "
-                f"{budgets[i]:.9f} J by {spent[i] - budgets[i]:.3e} J"
-            )
-        return problems
+        """Human-readable list of constraint violations (empty = feasible);
+        see :meth:`AllocationAudit.violations`."""
+        return self.audit(instance).violations()
 
     def check_feasible(self, instance: DataCollectionInstance) -> None:
-        """Raise ``ValueError`` with the violation list if infeasible.
-
-        The message names the instance shape (``n``, ``T``) and, for
-        budget violations, the offending sensor's budget vs. spend —
-        enough context to reproduce the failure without the instance in
-        hand.  For failures *as data* (no exception), see
-        :func:`repro.verify.certificate.certify`.
-        """
-        problems = self.violations(instance)
-        if problems:
-            raise ValueError(
-                f"infeasible allocation (n={instance.num_sensors} sensors, "
-                f"T={instance.num_slots} slots):\n  " + "\n  ".join(problems)
-            )
-
-    def is_feasible(self, instance: DataCollectionInstance) -> bool:
-        """True when all constraints hold."""
-        return not self.violations(instance)
+        """Raise ``ValueError`` listing every violation if infeasible.
+        For failures *as data*, see :func:`repro.verify.certificate.certify`."""
+        self.audit(instance).check()

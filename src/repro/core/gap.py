@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.knapsack import KnapsackResult, solve_knapsack
 from repro.obs import get_registry, phase
-from repro.utils.arrays import group_offsets
+from repro.utils.arrays import group_offsets, ordered_sum
 
 __all__ = ["GapBin", "GapInstance", "GapSolution", "local_ratio_gap"]
 
@@ -203,12 +203,8 @@ class GapInstance:
         found[found] = self._occ_keys[pos[found]] == keys[found]
         if not found.all():
             raise KeyError(int(wanted[int(np.argmin(found))]))
-        # Sequential accumulation in request order (bit-identical to the
-        # scalar reference).
-        total = 0.0
-        for v in self.profits[self._occ_flat[pos]].tolist():
-            total += v
-        return total
+        # In request order, bit-identical to the scalar reference.
+        return ordered_sum(self.profits[self._occ_flat[pos]])
 
 
 @dataclass

@@ -173,16 +173,19 @@ def knapsack_few_weights(
     # array form, without per-call array-allocation overhead.  The scan
     # covers every item, so a negative weight raises even when the item
     # would have been filtered; NaNs fail both keep-tests, exactly like
-    # the array comparisons they replace.
+    # the array comparisons they replace.  An item fits alone within the
+    # same 1e-12 slack the count enumeration grants a whole packing, so a
+    # weight a rounding error above the capacity is not dropped here.
     p_all = profits.tolist()
     w_all = weights.tolist()
+    cap_slack = capacity + 1e-12
     idx_list: List[int] = []
     p_list: List[float] = []
     w_list: List[float] = []
     for k, w in enumerate(w_all):
         if w < 0.0:
             raise ValueError("weights must be non-negative")
-        if p_all[k] > 0.0 and w <= capacity:
+        if p_all[k] > 0.0 and w <= cap_slack:
             idx_list.append(k)
             p_list.append(p_all[k])
             w_list.append(w)
@@ -259,7 +262,6 @@ def knapsack_few_weights(
     # bit.
     enum_weights = [c[0] for c in enum_classes]
     enum_prefixes = [c[2] for c in enum_classes]
-    cap_slack = capacity + 1e-12
     if combos > _SCALAR_ENUM_CUTOFF:
         # Broadcasted outer sums over one axis per class: element
         # [c_0, ..., c_{m-1}] accumulates class contributions in the

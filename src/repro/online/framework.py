@@ -181,26 +181,23 @@ def run_online(
             )
         with phase("online.interval_schedule", interval=j, registered=len(registered)):
             sub_allocation = scheduler.schedule(sub_instance)
-        sub_allocation.check_feasible(sub_instance)
+        # The sub-instance's profits equal the parent's element for
+        # element, so its audit also scores the interval.
+        audit = sub_allocation.audit(sub_instance)
+        audit.check()
         log.record_broadcast(MessageType.SCHEDULE, registered)
         # --- Transmissions: merge into the tour allocation, debit energy.
-        owner = sub_allocation.slot_owner
-        local_slots = np.flatnonzero(owner != -1)
-        sensors = np.asarray(parents, dtype=np.int64)[owner[local_slots]]
-        slots = interval.start + local_slots
+        sensors = np.asarray(parents, dtype=np.int64)[audit.sensors]
+        slots = interval.start + audit.slots
         taken = tour_owner[slots] != -1
         if np.any(taken):  # pragma: no cover - intervals partition slots
             raise AssertionError(f"slot {int(slots[np.argmax(taken)])} scheduled twice")
         tour_owner[slots] = sensors
         # Unbuffered, so a sensor's debits apply in slot order.
         np.subtract.at(residual, sensors, instance.pair_costs(sensors, slots))
-        # A plain loop in slot order: sum() compensates on Python >= 3.12.
-        bits = 0.0
-        for profit in instance.pair_profits(sensors, slots).tolist():
-            bits += profit
         # --- Finish.
         log.record_broadcast(MessageType.FINISH, registered)
-        records.append(IntervalRecord(j, interval, registered, int(slots.size), bits))
+        records.append(IntervalRecord(j, interval, registered, int(slots.size), audit.objective))
 
     registry.inc("online.messages", float(log.total_messages))
     tour_allocation = Allocation(tour_owner)

@@ -67,8 +67,9 @@ def run_tour(
         (:func:`repro.verify.certificate.certify` — constraints with
         slack values, LP bound, ratio guarantee) attached as
         ``TourResult.certificate``; adds a ``certify_s`` profile phase
-        and a ``tour.certify`` timer.  The plain ``check_feasible``
-        verification always runs regardless.
+        and a ``tour.certify`` timer.  The plain feasibility check
+        (:meth:`~repro.core.allocation.Allocation.audit`, which also
+        scores the tour) always runs regardless.
     instance:
         A pre-built DCMP instance to solve instead of deriving one from
         the scenario's battery state.  Batch runs
@@ -109,8 +110,9 @@ def run_tour(
             allocation, messages = algorithm.run(instance, scenario.gamma)
 
         with phase("tour.verify", profile, deep=True):
-            allocation.check_feasible(instance)
-            spent = allocation.energy_spent(instance)
+            audit = allocation.audit(instance)
+            audit.check()
+            spent = audit.spent
 
         if certify:
             with phase("tour.certify", profile, deep=True, algorithm=algorithm.name):
@@ -128,7 +130,7 @@ def run_tour(
 
     result = TourResult(
         tour_index=tour_index,
-        collected_bits=allocation.collected_bits(instance),
+        collected_bits=audit.objective,
         allocation=allocation,
         energy_spent=spent,
         energy_harvested=harvested,

@@ -4,14 +4,15 @@ The array-native refactor repeatedly needs "ragged" fan-outs: a count
 per group, and a flat concatenation of ``arange(count)`` (or
 ``start + arange(count)``) runs.  Doing this with ``np.repeat`` +
 cumulative offsets keeps the whole construction in C instead of a
-Python loop per group.
+Python loop per group.  Sums that must equal a scalar reference bit
+for bit go through :func:`ordered_sum`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ragged_arange", "group_offsets"]
+__all__ = ["ragged_arange", "group_offsets", "ordered_sum"]
 
 
 def ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -36,3 +37,13 @@ def group_offsets(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """``Σ values`` added first to last: equal bit for bit to ``total =
+    0.0; for v in values: total += v``, which ``np.sum`` (pairwise) and
+    ``sum()`` (compensated on Python >= 3.12) are not.  ``np.cumsum``
+    adds in order; ``+ 0.0`` maps a ``-0.0`` total to the loop's ``0.0``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allocation import UNASSIGNED, Allocation
+from repro.core.allocation import Allocation
 from repro.core.exact import brute_force_optimum
 from repro.core.instance import DataCollectionInstance
 from repro.core.lp import dcmp_lp_upper_bound
@@ -61,7 +61,8 @@ RATIO_GUARANTEES: Dict[str, float] = {
     "Offline_MaxMatch": 1.0,
 }
 
-#: Absolute tolerance (bits / joules) mirroring the library's epsilons.
+#: Absolute tolerance in bits of the bound checks (constraint (4)'s
+#: tolerance in joules is :data:`repro.core.allocation.BUDGET_EPS`).
 _ATOL = 1e-9
 
 #: Skip the brute-force bound when ``T * n`` exceeds this many cells.
@@ -241,131 +242,111 @@ class Certificate:
 
 
 # ----------------------------------------------------------------------
-# Constraint checks
+# Checks
 # ----------------------------------------------------------------------
+def _check(
+    name: str,
+    passed: bool,
+    slack: Optional[float],
+    if_passed: str,
+    if_failed: str,
+    violations: Tuple[Dict[str, Any], ...],
+) -> CheckResult:
+    """A named check: ``if_passed`` is its detail when it holds, else
+    ``if_failed`` with the violation records."""
+    if passed:
+        return CheckResult(name, True, slack, if_passed)
+    return CheckResult(name, False, slack, if_failed, violations)
+
+
 def _constraint_checks(
     instance: DataCollectionInstance, allocation: Allocation
 ) -> Tuple[List[CheckResult], float]:
-    """Evaluate constraints (1)-(4); returns ``(checks, objective)``.
+    """Constraints (1)-(4) as named checks; returns ``(checks, objective)``.
 
-    The objective counts only *valid* assignments (known sensor, slot in
-    window), so a certificate of a corrupt allocation still reports a
-    meaningful number instead of raising mid-scan.
+    Both read the allocation's one
+    :meth:`~repro.core.allocation.Allocation.audit`, the pass behind
+    ``check_feasible``: the objective counts only *valid* assignments
+    (known sensor, slot in window), so a certificate of a corrupt
+    allocation still reports a meaningful number instead of raising.
     """
-    checks: List[CheckResult] = []
+    audit = allocation.audit(instance)
     t, n = instance.num_slots, instance.num_sensors
-
-    if allocation.num_slots != t:
-        detail = f"allocation horizon {allocation.num_slots} != instance horizon {t}"
-        checks.append(
-            CheckResult(
-                "horizon",
-                False,
-                slack=float(allocation.num_slots - t),
-                detail=detail,
-                violations=({"allocation_slots": allocation.num_slots, "instance_slots": t},),
-            )
+    if not audit.horizon_ok:
+        horizon = CheckResult(
+            "horizon",
+            False,
+            float(allocation.num_slots - t),
+            f"allocation horizon {allocation.num_slots} != instance horizon {t}",
+            ({"allocation_slots": allocation.num_slots, "instance_slots": t},),
         )
-        for name in CONSTRAINT_CHECKS[1:]:
-            checks.append(
-                CheckResult(name, False, detail="not evaluated: horizon mismatch")
-            )
-        return checks, 0.0
-    checks.append(
-        CheckResult("horizon", True, slack=0.0, detail=f"allocation covers all T={t} slots")
+        return [horizon] + [
+            CheckResult(name, False, detail="not evaluated: horizon mismatch")
+            for name in CONSTRAINT_CHECKS[1:]
+        ], audit.objective
+
+    unknown = ~audit.known
+    ids = tuple(
+        {"slot": j, "sensor": s, "num_sensors": n}
+        for j, s in zip(audit.slots[unknown].tolist(), audit.sensors[unknown].tolist())
     )
-
-    id_violations: List[Dict[str, Any]] = []
-    window_violations: List[Dict[str, Any]] = []
-    starts, ends = (bounds.tolist() for bounds in instance.window_bounds())
-    flat = instance.flat_pairs()
-    offsets = flat.offsets.tolist()
-    spent = np.zeros(n)
-    objective = 0.0
-    for j, s in enumerate(allocation.slot_owner.tolist()):
-        if s == UNASSIGNED:
-            continue
-        if not 0 <= s < n:
-            id_violations.append({"slot": j, "sensor": s, "num_sensors": n})
-            continue
-        if not starts[s] <= j <= ends[s]:
-            window_violations.append(
-                {
-                    "slot": j,
-                    "sensor": s,
-                    "window": [starts[s], ends[s]] if starts[s] <= ends[s] else None,
-                }
-            )
-            continue
-        pair = offsets[s] + j - starts[s]
-        spent[s] += float(flat.costs[pair])
-        objective += float(flat.profits[pair])
-
-    checks.append(
-        CheckResult(
+    outside = audit.known & ~audit.valid
+    sensors = audit.sensors[outside]
+    starts, ends = (bounds[sensors].tolist() for bounds in instance.window_bounds())
+    windows = tuple(
+        {"slot": j, "sensor": s, "window": [start, end] if start <= end else None}
+        for j, s, start, end in zip(audit.slots[outside].tolist(), sensors.tolist(), starts, ends)
+    )
+    budgets = instance.budgets_array()
+    overdrawn = tuple(
+        {"sensor": i, "budget_j": budget, "spent_j": spent, "excess_j": spent - budget}
+        for i, budget, spent in zip(
+            audit.over.tolist(), budgets[audit.over].tolist(), audit.spent[audit.over].tolist()
+        )
+    )
+    # With no sensors there is no budget, hence no slack, to report.
+    min_slack = float(np.min(budgets - audit.spent)) if n else None
+    within = (
+        f"per-sensor energy within budget (constraint (4)); min slack {min_slack:.6g} J"
+        if n
+        else "no sensors, so no budget to exceed (constraint (4) holds vacuously)"
+    )
+    checks = [
+        CheckResult("horizon", True, slack=0.0, detail=f"allocation covers all T={t} slots"),
+        _check(
             "sensor_ids",
-            not id_violations,
-            detail=(
-                f"all assigned sensor ids within [0, {n - 1}]"
-                if not id_violations
-                else f"{len(id_violations)} slot(s) assigned to unknown sensors"
-            ),
-            violations=tuple(id_violations),
-        )
-    )
-    checks.append(
-        CheckResult(
+            not ids,
+            None,
+            f"all assigned sensor ids within [0, {n - 1}]",
+            f"{len(ids)} slot(s) assigned to unknown sensors",
+            ids,
+        ),
+        _check(
             "windows",
-            not window_violations,
-            detail=(
-                "every assignment falls inside its sensor's availability window "
-                "A(v_i) (constraints (1)+(2))"
-                if not window_violations
-                else f"{len(window_violations)} assignment(s) outside A(v_i)"
-            ),
-            violations=tuple(window_violations),
-        )
-    )
-    # Constraint (3) holds by construction of the slot_owner encoding —
-    # recorded explicitly so the certificate enumerates all four.
-    checks.append(
+            not windows,
+            None,
+            "every assignment falls inside its sensor's availability window "
+            "A(v_i) (constraints (1)+(2))",
+            f"{len(windows)} assignment(s) outside A(v_i)",
+            windows,
+        ),
+        # Constraint (3) holds by construction of the slot_owner encoding —
+        # recorded explicitly so the certificate enumerates all four.
         CheckResult(
             "slot_exclusivity",
             True,
             detail="at most one sensor per slot (constraint (3); holds by encoding)",
-        )
-    )
-
-    budget_violations: List[Dict[str, Any]] = []
-    min_slack: Optional[float] = None
-    for i, budget in enumerate(instance.budgets_array().tolist()):
-        slack = budget - float(spent[i])
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if spent[i] > budget + _ATOL:
-            budget_violations.append(
-                {
-                    "sensor": i,
-                    "budget_j": budget,
-                    "spent_j": float(spent[i]),
-                    "excess_j": float(spent[i]) - budget,
-                }
-            )
-    checks.append(
-        CheckResult(
+        ),
+        _check(
             "budgets",
-            not budget_violations,
-            slack=min_slack,
-            detail=(
-                f"per-sensor energy within budget (constraint (4)); "
-                f"min slack {min_slack:.6g} J"
-                if not budget_violations
-                else f"{len(budget_violations)} sensor(s) over budget"
-            ),
-            violations=tuple(budget_violations),
-        )
-    )
-    return checks, objective
+            not overdrawn,
+            min_slack,
+            within,
+            f"{len(overdrawn)} sensor(s) over budget",
+            overdrawn,
+        ),
+    ]
+    return checks, audit.objective
 
 
 # ----------------------------------------------------------------------
@@ -420,20 +401,13 @@ def certify(
 
         tol = _ATOL + 1e-9 * max(1.0, abs(bound))
         checks.append(
-            CheckResult(
+            _check(
                 "lp_upper_bound",
                 objective <= bound + tol,
-                slack=bound - objective,
-                detail=(
-                    f"objective {objective:.6g} <= LP bound {bound:.6g} bits"
-                    if objective <= bound + tol
-                    else f"objective {objective:.6g} EXCEEDS LP bound {bound:.6g} bits"
-                ),
-                violations=(
-                    ()
-                    if objective <= bound + tol
-                    else ({"objective_bits": objective, "lp_bound_bits": bound},)
-                ),
+                bound - objective,
+                f"objective {objective:.6g} <= LP bound {bound:.6g} bits",
+                f"objective {objective:.6g} EXCEEDS LP bound {bound:.6g} bits",
+                ({"objective_bits": objective, "lp_bound_bits": bound},),
             )
         )
 
@@ -449,21 +423,14 @@ def certify(
         if optimum is not None:
             tol = _ATOL + 1e-9 * max(1.0, abs(optimum))
             checks.append(
-                CheckResult(
+                _check(
                     "exact_optimum",
                     objective <= optimum + tol,
-                    slack=optimum - objective,
-                    detail=(
-                        f"objective {objective:.6g} <= optimum {optimum:.6g} bits"
-                        if objective <= optimum + tol
-                        else f"objective {objective:.6g} EXCEEDS brute-force optimum "
-                        f"{optimum:.6g} bits"
-                    ),
-                    violations=(
-                        ()
-                        if objective <= optimum + tol
-                        else ({"objective_bits": objective, "optimum_bits": optimum},)
-                    ),
+                    optimum - objective,
+                    f"objective {objective:.6g} <= optimum {optimum:.6g} bits",
+                    f"objective {objective:.6g} EXCEEDS brute-force optimum "
+                    f"{optimum:.6g} bits",
+                    ({"objective_bits": objective, "optimum_bits": optimum},),
                 )
             )
 
@@ -474,28 +441,14 @@ def certify(
             floor = ratio * optimum
             tol = _ATOL + 1e-9 * max(1.0, abs(floor))
             checks.append(
-                CheckResult(
+                _check(
                     "approximation_guarantee",
                     objective >= floor - tol,
-                    slack=objective - floor,
-                    detail=(
-                        f"objective {objective:.6g} >= {ratio:g} * optimum "
-                        f"({floor:.6g} bits)"
-                        if objective >= floor - tol
-                        else f"objective {objective:.6g} BELOW the proven "
-                        f"{ratio:g}-approximation floor {floor:.6g} bits"
-                    ),
-                    violations=(
-                        ()
-                        if objective >= floor - tol
-                        else (
-                            {
-                                "objective_bits": objective,
-                                "guarantee": ratio,
-                                "floor_bits": floor,
-                            },
-                        )
-                    ),
+                    objective - floor,
+                    f"objective {objective:.6g} >= {ratio:g} * optimum ({floor:.6g} bits)",
+                    f"objective {objective:.6g} BELOW the proven "
+                    f"{ratio:g}-approximation floor {floor:.6g} bits",
+                    ({"objective_bits": objective, "guarantee": ratio, "floor_bits": floor},),
                 )
             )
 

@@ -366,7 +366,8 @@ def _check_relations(
                     )
                 )
                 continue
-            if not allocation.is_feasible(transformed):
+            audit = allocation.audit(transformed)
+            if not audit.feasible:
                 findings.append(
                     FuzzFinding(
                         "metamorphic",
@@ -379,7 +380,7 @@ def _check_relations(
             if name in _EXACT_ALGORITHMS:
                 factor = bound_factor if relation == "profit_scaling" else 1.0
                 expected = base_objectives[name] * factor
-                got = allocation.collected_bits(transformed)
+                got = audit.objective
                 if not np.isclose(got, expected, rtol=_RTOL, atol=1e-6):
                     findings.append(
                         FuzzFinding(
@@ -400,10 +401,11 @@ def _draw_instance(
     max_slots: int,
     max_sensors: int,
 ) -> DataCollectionInstance:
-    """One random instance; every third run uses the fixed-power special
+    """One random instance with 0 to ``max_sensors`` sensors (the empty
+    network included); every third run uses the fixed-power special
     case so the MaxMatch family is exercised too."""
     num_slots = int(rng.integers(6, max_slots + 1))
-    num_sensors = int(rng.integers(2, max_sensors + 1))
+    num_sensors = int(rng.integers(0, max_sensors + 1))
     fixed_power = 0.3 if run_index % 3 == 0 else None
     return random_instance(
         rng,

@@ -66,13 +66,13 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import LinearConstraint, linprog, milp
 from scipy.sparse import coo_matrix
 
-from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
+from repro.core.allocation import BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.gap import GapBin, GapInstance, KnapsackSolver
 from repro.core.instance import DataCollectionInstance, FlatPairs, SensorSlotData
 from repro.core.matching import MatchingResult
@@ -125,12 +125,12 @@ def knapsack_few_weights_oracle(
     """Reference for :func:`repro.core.knapsack.knapsack_few_weights`.
 
     Returns ``(selected, profit, weight)`` with the production
-    semantics: filter to positive-profit affordable items (raising on
-    any negative weight), group by weight value (classes ascending,
-    members profit-descending with ascending-index ties), take all
-    zero-weight items, greedy-fill the largest class, enumerate count
-    vectors over the rest in row-major order keeping the earliest
-    profit tie, and report the selection index-ascending with
+    semantics: filter to positive-profit items affordable within the
+    1e-12 slack (raising on any negative weight), group by weight value
+    (classes ascending, members profit-descending with ascending-index
+    ties), take all zero-weight items, greedy-fill the largest class,
+    enumerate count vectors over the rest in row-major order keeping the
+    earliest profit tie, and report the selection index-ascending with
     sequential summation.
     """
     p_all = [float(x) for x in profits]
@@ -143,7 +143,7 @@ def knapsack_few_weights_oracle(
     for k, wv in enumerate(w_all):
         if wv < 0.0:
             raise ValueError("weights must be non-negative")
-        if p_all[k] > 0.0 and wv <= capacity:
+        if p_all[k] > 0.0 and wv <= capacity + 1e-12:
             idx.append(k)
             p.append(p_all[k])
             w.append(wv)
@@ -296,17 +296,20 @@ def local_ratio_gap_oracle(
 # ----------------------------------------------------------------------
 def allocation_stats_oracle(
     allocation: Allocation, instance: DataCollectionInstance
-) -> Tuple[float, List[float], List[float], List[str]]:
-    """Reference for the :class:`repro.core.allocation.Allocation`
-    accounting methods.
+) -> Tuple[float, List[float], List[float], List[str], Dict[str, List[Dict[str, Any]]]]:
+    """Reference for :meth:`repro.core.allocation.Allocation.audit` and
+    the accounting and certificate checks that read it.
 
     Returns ``(collected_bits, energy_spent, per_sensor_bits,
-    violations)`` computed with per-slot scalar loops and the scalar
-    ``instance.profit`` / ``instance.cost`` accessors, matching the
-    vectorised methods' accumulation order (slot-ascending) and their
-    violation message text exactly.
+    violations, records)`` computed with per-slot scalar loops and the
+    scalar ``instance.profit`` / ``instance.cost`` accessors, matching
+    the vectorised pass's accumulation order (slot-ascending) and its
+    violation message text exactly.  ``records`` maps the certificate's
+    ``sensor_ids``, ``windows`` and ``budgets`` checks to their
+    violation records.
     """
     n = instance.num_sensors
+    records: Dict[str, List[Dict[str, Any]]] = {"sensor_ids": [], "windows": [], "budgets": []}
     if allocation.num_slots != instance.num_slots:
         return (
             0.0,
@@ -316,6 +319,7 @@ def allocation_stats_oracle(
                 f"allocation horizon {allocation.num_slots} != "
                 f"instance horizon {instance.num_slots}"
             ],
+            records,
         )
     collected = 0.0
     energy = [0.0] * n
@@ -326,23 +330,39 @@ def allocation_stats_oracle(
             continue
         if not (0 <= owner < n):
             problems.append(f"slot {slot}: unknown sensor {owner}")
+            records["sensor_ids"].append({"slot": slot, "sensor": owner, "num_sensors": n})
             continue
         window = instance.window_of(owner)
         if window is None or not (window.start <= slot <= window.end):
             problems.append(f"slot {slot}: outside A(v_{owner}) = {window}")
+            records["windows"].append(
+                {
+                    "slot": slot,
+                    "sensor": owner,
+                    "window": None if window is None else [window.start, window.end],
+                }
+            )
             continue
         collected += instance.profit(owner, slot)
         energy[owner] += instance.cost(owner, slot)
         bits[owner] += instance.profit(owner, slot)
     budgets = instance.budgets_array().tolist()
     for sensor in range(n):
-        if energy[sensor] > budgets[sensor] + _BUDGET_EPS:
+        if energy[sensor] > budgets[sensor] + BUDGET_EPS:
             problems.append(
                 f"sensor {sensor}: energy {energy[sensor]:.9f} J exceeds "
                 f"budget {budgets[sensor]:.9f} J by "
                 f"{energy[sensor] - budgets[sensor]:.3e} J"
             )
-    return collected, energy, bits, problems
+            records["budgets"].append(
+                {
+                    "sensor": sensor,
+                    "budget_j": budgets[sensor],
+                    "spent_j": energy[sensor],
+                    "excess_j": energy[sensor] - budgets[sensor],
+                }
+            )
+    return collected, energy, bits, problems, records
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Allocation: constructors, scoring, feasibility checking, merging."""
+"""Allocation: constructors, scoring, feasibility checking."""
 
 import numpy as np
 import pytest
@@ -72,26 +72,6 @@ class TestViews:
         assert alloc.num_assigned() == 3
 
 
-class TestMerge:
-    def test_merge_with_offset(self):
-        base = Allocation.from_sensor_slots(6, {0: [0]})
-        sub = Allocation.from_sensor_slots(2, {1: [1]})
-        merged = base.merge(sub, offset=3)
-        np.testing.assert_array_equal(merged.slot_owner, [0, -1, -1, -1, 1, -1])
-
-    def test_merge_conflict_rejected(self):
-        base = Allocation.from_sensor_slots(4, {0: [2]})
-        sub = Allocation.from_sensor_slots(1, {1: [0]})
-        with pytest.raises(ValueError):
-            base.merge(sub, offset=2)
-
-    def test_merge_out_of_range_rejected(self):
-        base = Allocation.empty(3)
-        sub = Allocation.from_sensor_slots(2, {0: [1]})
-        with pytest.raises(ValueError):
-            base.merge(sub, offset=2)
-
-
 class TestScoring:
     def test_collected_bits(self, inst):
         alloc = Allocation.from_sensor_slots(6, {0: [1, 3], 1: [4]})
@@ -112,7 +92,7 @@ class TestScoring:
 class TestFeasibility:
     def test_feasible(self, inst):
         alloc = Allocation.from_sensor_slots(6, {0: [1, 3], 1: [4]})
-        assert alloc.is_feasible(inst)
+        assert alloc.violations(inst) == []
         alloc.check_feasible(inst)  # must not raise
 
     def test_slot_outside_window(self, inst):
@@ -143,7 +123,8 @@ class TestFeasibility:
 
     def test_budget_exact_is_feasible(self, inst):
         alloc = Allocation.from_sensor_slots(6, {0: [2, 3]})
-        assert alloc.is_feasible(inst)
+        assert alloc.violations(inst) == []
+        alloc.check_feasible(inst)
 
     def test_unknown_sensor(self, inst):
         alloc = Allocation(np.array([5, -1, -1, -1, -1, -1]))
@@ -158,4 +139,25 @@ class TestFeasibility:
             3, 1.0, [{"window": None, "rates": [], "powers": [], "budget": 1.0}]
         )
         alloc = Allocation(np.array([0, -1, -1]))
-        assert not alloc.is_feasible(inst)
+        assert alloc.violations(inst) == ["slot 0: outside A(v_0) = None"]
+        with pytest.raises(ValueError, match=r"slot 0: outside A\(v_0\) = None"):
+            alloc.check_feasible(inst)
+
+    def test_check_feasible_lists_every_violation(self, inst):
+        # An unknown sensor, a slot outside its window and an overdraw:
+        # all three named, in that order, not just the first.
+        alloc = Allocation(np.array([0, 0, 0, 9, -1, 0]))
+        with pytest.raises(ValueError) as err:
+            alloc.check_feasible(inst)
+        lines = str(err.value).splitlines()[1:]
+        assert [line.strip() for line in lines] == alloc.violations(inst)
+        assert len(lines) == 3
+
+    def test_empty_network_names_unknown_sensor(self):
+        inst = make_instance(3, 1.0, [])
+        alloc = Allocation(np.array([0, -1, -1]))
+        with pytest.raises(ValueError, match="unknown sensor 0"):
+            alloc.check_feasible(inst)
+        Allocation.empty(3).check_feasible(inst)
+        assert alloc.collected_bits(inst) == 0.0
+        assert alloc.energy_spent(inst).shape == (0,)

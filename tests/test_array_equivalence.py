@@ -32,6 +32,8 @@ from repro.online.online_appro import GapIntervalScheduler, online_appro
 from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxmatch
 from repro.sim import ScenarioConfig, TourSpec, run_tour, run_tours
 from repro.sim.algorithms import get_algorithm
+from repro.utils.arrays import ordered_sum
+from repro.verify.certificate import certify
 from tests.conftest import random_instance
 from tests.oracles import (
     allocation_stats_oracle,
@@ -194,7 +196,7 @@ class TestAllocationEquivalence:
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, num_slots=16, num_sensors=6)
         alloc = offline_appro(inst)
-        collected, energy, bits, problems = allocation_stats_oracle(alloc, inst)
+        collected, energy, bits, problems, _ = allocation_stats_oracle(alloc, inst)
         assert problems == []
         assert alloc.violations(inst) == []
         assert alloc.collected_bits(inst) == collected
@@ -217,7 +219,7 @@ class TestAllocationEquivalence:
                 owner[inst.num_slots - 1] = sensor  # past its window
                 break
         alloc = Allocation(owner)
-        _, _, _, problems = allocation_stats_oracle(alloc, inst)
+        _, _, _, problems, _ = allocation_stats_oracle(alloc, inst)
         assert alloc.violations(inst) == problems
         assert problems  # the corruption must actually be detected
 
@@ -225,10 +227,56 @@ class TestAllocationEquivalence:
         rng = np.random.default_rng(3)
         inst = random_instance(rng, num_slots=10, num_sensors=3)
         alloc = Allocation(np.full(7, UNASSIGNED, dtype=np.int64))
-        _, _, _, problems = allocation_stats_oracle(alloc, inst)
+        _, _, _, problems, _ = allocation_stats_oracle(alloc, inst)
         assert alloc.violations(inst) == problems == [
             "allocation horizon 7 != instance horizon 10"
         ]
+
+
+@given(SEEDS)
+def test_audit_and_certificate_match_scalar_oracle(seed):
+    """The one audit pass against the scalar sweep on corrupt input:
+    random instances with 0 to 6 sensors, owners drawn from [-1, n + 1]
+    (unknown ids, out-of-window slots, overdrawn budgets) and, one time
+    in five, the wrong horizon."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 7))
+    t = int(rng.integers(1, 13))
+    inst = random_instance(rng, num_slots=t, num_sensors=n, max_window=min(6, t))
+    horizon = t if rng.random() < 0.8 else int(rng.integers(1, 16))
+    alloc = Allocation(rng.integers(-1, n + 2, size=horizon))
+    collected, energy, bits, problems, records = allocation_stats_oracle(alloc, inst)
+
+    audit = alloc.audit(inst)
+    assert audit.objective == collected
+    assert audit.spent.tolist() == energy
+    assert alloc.per_sensor_bits(inst).tolist() == bits
+    assert alloc.violations(inst) == problems
+    assert audit.feasible == (not problems)
+
+    cert = certify(inst, alloc, lp_bound_bits=0.0, exact_cell_limit=0)
+    assert cert.objective_bits == collected
+    assert cert.feasible == (not problems)
+    if horizon == t:
+        for name, expected in records.items():
+            assert list(cert.check(name).violations) == expected
+        budgets = inst.budgets_array().tolist()
+        slack = min((b - e for b, e in zip(budgets, energy)), default=None)
+        assert cert.check("budgets").slack == slack
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=60))
+def test_ordered_sum_equals_the_sequential_loop(values):
+    total = 0.0
+    for v in values:
+        total += v
+    with np.errstate(all="ignore"):  # the loop overflows silently too
+        got = ordered_sum(np.array(values, dtype=np.float64))
+    if math.isnan(total):  # inf + -inf on the way
+        assert math.isnan(got)
+    else:
+        assert got == total
+        assert math.copysign(1.0, got) == math.copysign(1.0, total)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +296,7 @@ def test_pipeline_matches_scalar_oracles(seed):
     assert registry.dump()["counters"]["gap.residual_updates"] == updates
 
     alloc = offline_appro(inst)
-    collected, energy, bits, problems = allocation_stats_oracle(alloc, inst)
+    collected, energy, bits, problems, _ = allocation_stats_oracle(alloc, inst)
     assert problems == []
     assert alloc.collected_bits(inst) == collected
     assert alloc.energy_spent(inst).tolist() == energy

@@ -1,11 +1,8 @@
-"""Final-mile coverage: CLI guards, merge properties."""
+"""Final-mile coverage: CLI guards, seed derivation."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.core.allocation import Allocation
 
 
 class TestCliGuards:
@@ -77,37 +74,6 @@ class TestCompareCli:
         out = capsys.readouterr().out
         assert "note: skipped Offline_MaxMatch, Online_MaxMatch" in out
         assert "--fixed-power" in out
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_merge_is_union_when_disjoint(data):
-    """Merging allocations over disjoint slot ranges unions them."""
-    t = data.draw(st.integers(4, 16))
-    cut = data.draw(st.integers(1, t - 1))
-    left_slots = {
-        j: data.draw(st.integers(0, 3))
-        for j in range(cut)
-        if data.draw(st.booleans())
-    }
-    right_slots = {
-        j: data.draw(st.integers(0, 3))
-        for j in range(t - cut)
-        if data.draw(st.booleans())
-    }
-    base = Allocation.from_sensor_slots(
-        t, {s: [j for j, o in left_slots.items() if o == s] for s in range(4)}
-    )
-    sub = Allocation.from_sensor_slots(
-        t - cut, {s: [j for j, o in right_slots.items() if o == s] for s in range(4)}
-    )
-    merged = base.merge(sub, offset=cut)
-    for j in range(t):
-        if j < cut:
-            expected = left_slots.get(j, -1)
-        else:
-            expected = right_slots.get(j - cut, -1)
-        assert merged.slot_owner[j] == expected
 
 
 @given(st.integers(0, 5000))

@@ -198,6 +198,16 @@ class TestSolve:
         # The certificate reuses the solver's LP bound rather than re-solving.
         assert cert["lp_fraction"] == pytest.approx(doc["lp_bound_fraction"])
 
+    def test_certified_empty_network_passes(self, served):
+        port, _ = served
+        body = {"scenario": {"num_sensors": 0}, "certify": True}
+        status, doc = _request(port, "/v1/solve", "POST", body)
+        assert status == 200, doc
+        cert = doc["certificate"]
+        assert cert["verdict"] == "pass"
+        (budgets,) = [c for c in cert["checks"] if c["name"] == "budgets"]
+        assert budgets["slack"] is None and "no sensors" in budgets["detail"]
+
     def test_certify_and_plain_requests_cache_separately(self, served):
         port, _ = served
         plain = _solve_body(seed=32)

@@ -178,6 +178,48 @@ class TestCertificate:
         assert "budgets" in text and "lp_upper_bound" in text
 
 
+class TestEmptyNetwork:
+    """n = 0: no budget to check, so the certificate passes with no
+    ``budgets`` slack instead of raising."""
+
+    def test_certificate_passes_without_budget_slack(self):
+        inst = make_instance(4, 1.0, [])
+        cert = certify(inst, Allocation.empty(4), algorithm="Offline_Appro")
+        assert cert.verdict == "pass"
+        budgets = cert.check("budgets")
+        assert budgets.slack is None
+        assert budgets.detail == (
+            "no sensors, so no budget to exceed (constraint (4) holds vacuously)"
+        )
+        assert "budgets" in render_certificate(cert)
+
+    def test_unknown_sensor_fails_as_data(self):
+        inst = make_instance(4, 1.0, [])
+        cert = certify(inst, Allocation(np.array([0, -1, 1, -1])))
+        assert cert.verdict == "fail"
+        assert cert.check("sensor_ids").violations == (
+            {"slot": 0, "sensor": 0, "num_sensors": 0},
+            {"slot": 2, "sensor": 1, "num_sensors": 0},
+        )
+        assert cert.check("budgets").passed
+
+    def test_verify_cli_exits_zero(self, capsys):
+        from repro.cli import main
+
+        assert main(["verify", "--sensors", "0", "--json"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["num_sensors"] == 0
+        assert cert["verdict"] == "pass"
+
+    def test_fuzz_checks_empty_networks_clean(self):
+        for index in range(3):
+            rng = np.random.default_rng([5, index])
+            instance = random_instance(
+                rng, num_slots=8, num_sensors=0, fixed_power=0.3 if index else None
+            )
+            assert check_instance(instance, 2) == []
+
+
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
@@ -229,8 +271,16 @@ class TestFuzz:
         assert "0 failure(s)" in report.summary()
         # Each draw is checked with its four metamorphic transforms: five
         # distinct instances, one LP solve apiece, however many
-        # algorithms certify against the bound.
-        assert registry.counter("lp.calls") == 5 * 8
+        # algorithms certify against the bound.  A draw with no
+        # transmittable pair (an empty network, say) has the bound 0
+        # without a solve.
+        from repro.core.lp import slot_run_model
+        from repro.verify.fuzz import _draw_instance
+
+        draws = [_draw_instance(np.random.default_rng([0, i]), i, 12, 5) for i in range(8)]
+        priced = sum(slot_run_model(draw).profits.size > 0 for draw in draws)
+        assert priced < 8 and min(draw.num_sensors for draw in draws) == 0
+        assert registry.counter("lp.calls") == 5 * priced
 
     def test_metamorphic_pass_reuses_the_base_solves(self):
         """Each metamorphic solver runs once on the base instance and once
