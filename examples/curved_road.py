@@ -70,7 +70,8 @@ def main() -> None:
     instance = DataCollectionInstance.from_network(
         network, trajectory, CC2420_LIKE_TABLE, network.charges()
     )
-    reachable = sum(1 for s in instance.sensors if s.window is not None)
+    starts, ends = instance.window_bounds()
+    reachable = int(np.count_nonzero(starts <= ends))
     print(f"instance: {instance.num_sensors} sensors ({reachable} reachable), "
           f"T={instance.num_slots} slots")
 

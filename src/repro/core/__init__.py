@@ -9,7 +9,7 @@ local-ratio GAP machinery, bipartite b-matching, LP bounds,
 baselines, and a brute-force exact solver for validation).
 """
 
-from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.instance import DataCollectionInstance
 from repro.core.allocation import Allocation
 from repro.core.knapsack import (
     KnapsackResult,
@@ -34,7 +34,6 @@ from repro.core.baselines import (
 
 __all__ = [
     "DataCollectionInstance",
-    "SensorSlotData",
     "Allocation",
     "KnapsackResult",
     "knapsack_greedy",

@@ -21,10 +21,10 @@ resolves conflicts: ``S_l = S̄_l \\ ∪_{j>l} S_j``.
 A :class:`GapInstance` stores one form only: flat arrays with bin ``l``'s
 candidate items, profits and weights at ``[offsets[l], offsets[l+1])``,
 one capacity per bin, and an occupancy index (item → its entries) built
-from those arrays.  ``dcmp_to_gap`` hands a DCMP instance's own flat
-pair arrays over unchanged; :class:`GapBin` is the per-bin record of
-textbook instances, concatenated once by the constructor and rebuilt as
-views by :attr:`GapInstance.bins`.
+from those arrays.  The public constructor takes those arrays and checks
+them in bulk; ``dcmp_to_gap`` hands a DCMP instance's own flat pair
+arrays to the unchecked initialiser, since the instance checked them
+when it was built.
 
 The residual table is a copy of the flat profits; each round's
 decomposition is a single fancy-indexed subtraction over the chosen
@@ -44,45 +44,11 @@ import numpy as np
 
 from repro.core.knapsack import KnapsackResult, solve_knapsack
 from repro.obs import get_registry, phase
-from repro.utils.arrays import group_offsets, ordered_sum
+from repro.utils.arrays import ordered_sum
 
-__all__ = ["GapBin", "GapInstance", "GapSolution", "local_ratio_gap"]
+__all__ = ["GapInstance", "GapSolution", "local_ratio_gap"]
 
 KnapsackSolver = Callable[[np.ndarray, np.ndarray, float], KnapsackResult]
-
-
-@dataclass(frozen=True)
-class GapBin:
-    """One bin of a GAP instance.
-
-    Attributes
-    ----------
-    capacity:
-        Resource capacity ``b_i``.
-    items:
-        Candidate item ids this bin may receive.
-    profits / weights:
-        Aligned with ``items``: ``c_{i,j}`` and ``b_{i,j}``.
-    """
-
-    capacity: float
-    items: np.ndarray
-    profits: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        items = np.asarray(self.items, dtype=np.int64)
-        profits = np.asarray(self.profits, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if not (items.shape == profits.shape == weights.shape) or items.ndim != 1:
-            raise ValueError("items, profits, weights must be equal-length 1-D")
-        if len(np.unique(items)) != len(items):
-            raise ValueError("bin candidate items must be distinct")
-        if self.capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "profits", profits)
-        object.__setattr__(self, "weights", weights)
 
 
 class GapInstance:
@@ -94,22 +60,52 @@ class GapInstance:
 
     Bin ``l``'s candidates occupy ``[offsets[l], offsets[l+1])`` of the
     aligned ``items``, ``profits`` and ``weights`` arrays; its capacity
-    is ``capacities[l]``.  The constructor takes one :class:`GapBin` per
-    bin, for textbook instances, and concatenates them once;
+    is ``capacities[l]``.  The constructor checks that the arrays align,
+    that items are non-negative and distinct within a bin, and that
+    capacities are ``>= 0``, and copies them;
     ``repro.core.offline_appro.dcmp_to_gap`` hands a DCMP instance's
     flat pair arrays to the array initialiser without copying.
     """
 
-    def __init__(self, bins: Sequence[GapBin]):
-        bins = tuple(bins)
-        sizes = np.fromiter((b.items.size for b in bins), np.int64, count=len(bins))
-        self._set_arrays(
-            group_offsets(sizes),
-            np.concatenate([np.zeros(0, dtype=np.int64), *(b.items for b in bins)]),
-            np.concatenate([np.zeros(0), *(b.profits for b in bins)]),
-            np.concatenate([np.zeros(0), *(b.weights for b in bins)]),
-            np.fromiter((b.capacity for b in bins), np.float64, count=len(bins)),
-        )
+    def __init__(
+        self,
+        offsets: np.ndarray,
+        items: np.ndarray,
+        profits: np.ndarray,
+        weights: np.ndarray,
+        capacities: np.ndarray,
+    ):
+        offsets = np.array(offsets, dtype=np.int64)
+        items = np.array(items, dtype=np.int64)
+        profits = np.array(profits, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        capacities = np.array(capacities, dtype=np.float64)
+        if not (items.shape == profits.shape == weights.shape) or items.ndim != 1:
+            raise ValueError("items, profits, weights must be equal-length 1-D")
+        sizes = np.diff(offsets)
+        if (
+            capacities.ndim != 1
+            or offsets.shape != (capacities.size + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != items.size
+            or np.any(sizes < 0)
+        ):
+            raise ValueError("offsets must rise from 0 to len(items), one step per capacity")
+        if np.any(items < 0):
+            raise ValueError("items must be non-negative")
+        # Sorted by (bin, item), a repeat within a bin sits next to its twin.
+        bin_of = np.repeat(np.arange(capacities.size, dtype=np.int64), sizes)
+        order = np.lexsort((items, bin_of))
+        twin = (np.diff(items[order]) == 0) & (np.diff(bin_of[order]) == 0)
+        if twin.any():
+            raise ValueError(
+                f"bin {bin_of[order][np.argmax(twin)]} candidate items must be distinct"
+            )
+        negative = capacities < 0
+        if negative.any():
+            l = int(np.argmax(negative))
+            raise ValueError(f"bin {l} capacity must be >= 0, got {float(capacities[l])}")
+        self._set_arrays(offsets, items, profits, weights, capacities)
 
     def _set_arrays(
         self,
@@ -121,16 +117,16 @@ class GapInstance:
         item_order: Optional[np.ndarray] = None,
     ) -> "GapInstance":
         """The one initialiser: store the flat form as given.  The caller
-        guarantees what :class:`GapBin` checks (int64 items distinct
-        within a bin, aligned float64 arrays, capacities ≥ 0) and that
-        ``item_order`` is ``np.argsort(items, kind="stable")`` if given."""
+        guarantees what the constructor checks (int64 items, non-negative
+        and distinct within a bin, aligned float64 arrays, capacities
+        ≥ 0) and that ``item_order`` is ``np.argsort(items,
+        kind="stable")`` if given."""
         self.offsets = offsets
         self.items = items
         self.profits = profits
         self.weights = weights
         self.capacities = capacities
         self.num_items = int(items.max()) + 1 if items.size else 0
-        self._bins: Optional[Tuple[GapBin, ...]] = None
         self._occ_keys: Optional[np.ndarray] = None
         # Reverse index, flat: occupancy entry k is the flat position
         # _occ_flat[k] of an item's candidate entry in bin _occ_bin[k];
@@ -149,24 +145,6 @@ class GapInstance:
     def num_bins(self) -> int:
         """Number of bins."""
         return self.capacities.size
-
-    @property
-    def bins(self) -> Tuple[GapBin, ...]:
-        """One :class:`GapBin` per bin, views of the flat arrays built on
-        first access (for tests and oracles; the solver reads the flat
-        arrays)."""
-        if self._bins is None:
-            edges = self.offsets.tolist()
-            self._bins = tuple(
-                GapBin(
-                    capacity,
-                    self.items[edges[l] : edges[l + 1]],
-                    self.profits[edges[l] : edges[l + 1]],
-                    self.weights[edges[l] : edges[l + 1]],
-                )
-                for l, capacity in enumerate(self.capacities.tolist())
-            )
-        return self._bins
 
     def bins_containing(self, item: int) -> List[Tuple[int, int]]:
         """``[(bin, position)]`` pairs whose candidate set includes

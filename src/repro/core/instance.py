@@ -21,20 +21,19 @@ rate, power, profit and cost.  Solvers, baselines and the allocation
 accounting index these arrays directly.  All of them are immutable
 (``writeable`` cleared).
 
-Three ways in share one array initialiser:
-:meth:`DataCollectionInstance.from_network` derives windows from
-geometry and rates/powers from the radio table in one vectorised pass
-over every pair; :meth:`DataCollectionInstance.restrict` gathers a probe
-interval's pairs from its parent's arrays; and the public constructor
-concatenates one :class:`SensorSlotData` record per sensor, for
-hand-built, generated and deserialised instances.  The per-sensor
-records come back out as :attr:`DataCollectionInstance.sensors`, views
-built on first access.
+One public constructor takes that form as arrays and checks it in
+bulk: ``DataCollectionInstance(num_slots, slot_duration, starts, ends,
+rates, powers, budgets)``.  :meth:`DataCollectionInstance.from_network`
+derives the arrays from geometry and the radio table in one vectorised
+pass over every pair and hands them to it.
+:meth:`DataCollectionInstance.gather` carves a sub-instance out of an
+instance's arrays (chosen sensors, windows nested in theirs, slots
+re-based) without checking again; :meth:`~DataCollectionInstance.restrict`,
+the fuzzer's relabelling and the shrinker's passes all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,55 +41,17 @@ import numpy as np
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import RateTable
-from repro.utils.arrays import group_offsets, ragged_arange
+from repro.utils.arrays import group_offsets
 from repro.utils.intervals import SlotInterval
-from repro.utils.validation import check_finite, check_positive
+from repro.utils.validation import check_positive
 
-__all__ = ["SensorSlotData", "DataCollectionInstance", "FlatPairs"]
-
-_EMPTY_F = np.zeros(0, dtype=np.float64)
-_EMPTY_F.flags.writeable = False
+__all__ = ["DataCollectionInstance", "FlatPairs"]
 
 
-@dataclass(frozen=True)
-class SensorSlotData:
-    """Per-sensor slot data aligned with its availability window.
+class _SensorReading(NamedTuple):
+    """One sensor as :attr:`DataCollectionInstance.sensors` reports it."""
 
-    ``rates[k]`` / ``powers[k]`` describe slot ``window.start + k``.
-    Arrays are immutable (flags cleared at construction).
-    """
-
-    window: Optional[SlotInterval]
-    rates: np.ndarray  # bits/s, shape (|A|,)
-    powers: np.ndarray  # watts, shape (|A|,)
-    budget: float  # joules
-
-    def __post_init__(self) -> None:
-        size = 0 if self.window is None else len(self.window)
-        if self.rates.shape != (size,) or self.powers.shape != (size,):
-            raise ValueError(
-                f"rates/powers must have shape ({size},); got "
-                f"{self.rates.shape} / {self.powers.shape}"
-            )
-        check_finite(self.rates, "rates")
-        check_finite(self.powers, "powers")
-        if np.any(self.rates < 0) or np.any(self.powers < 0):
-            raise ValueError("rates and powers must be non-negative")
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
-        self.rates.flags.writeable = False
-        self.powers.flags.writeable = False
-
-    @property
-    def num_slots(self) -> int:
-        """``|A(v_i)|``."""
-        return 0 if self.window is None else len(self.window)
-
-    def slot_indices(self) -> np.ndarray:
-        """Global slot indices of the window (empty when unreachable)."""
-        if self.window is None:
-            return np.zeros(0, dtype=np.int64)
-        return self.window.slots()
+    num_slots: int  # |A(v_i)|
 
 
 class FlatPairs(NamedTuple):
@@ -120,9 +81,12 @@ def _pair_layout(
     ``[starts[i], ends[i]]``: sensor-major, slots ascending within a
     sensor.  An empty window ``(0, -1)`` contributes no pair."""
     counts = ends - starts + 1
+    offsets = group_offsets(counts)
     sensor = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    slot = np.repeat(starts, counts) + ragged_arange(counts)
-    return group_offsets(counts), sensor, slot
+    # Pair p of sensor i is slot starts[i] + (p - offsets[i]).
+    slot = np.repeat(starts - offsets[:-1], counts)
+    slot += np.arange(offsets[-1], dtype=np.int64)
+    return offsets, sensor, slot
 
 
 class DataCollectionInstance:
@@ -134,43 +98,77 @@ class DataCollectionInstance:
         ``T``, slots per tour.
     slot_duration:
         ``tau`` in seconds.
-    sensors:
-        One :class:`SensorSlotData` per sensor, index = sensor id.  The
-        records are concatenated into the flat arrays once; none is kept.
+    starts, ends:
+        ``(n,)`` window bounds: sensor ``i``'s window ``A(v_i)`` is
+        ``[starts[i], ends[i]]`` within ``[0, T-1]``, and ``(0, -1)`` when
+        it is unreachable.
+    rates, powers:
+        ``r_{i,j}`` (bits/s) and ``P_{i,j}`` (W) of every in-window pair,
+        sensor-major with slots ascending (length ``Σ_i |A(v_i)|``).
+    budgets:
+        ``(n,)`` budgets ``P(v_i)`` in joules.
+
+    Everything is checked at once, and a ``ValueError`` names the first
+    offending sensor.  Arrays that already have the right dtype are kept
+    without a copy and frozen.
     """
 
     def __init__(
         self,
         num_slots: int,
         slot_duration: float,
-        sensors: Sequence[SensorSlotData],
+        starts: np.ndarray,
+        ends: np.ndarray,
+        rates: np.ndarray,
+        powers: np.ndarray,
+        budgets: np.ndarray,
     ):
         if num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {num_slots}")
         check_positive(slot_duration, "slot_duration")
-        sensors = tuple(sensors)
-        starts = np.zeros(len(sensors), dtype=np.int64)
-        ends = np.full(len(sensors), -1, dtype=np.int64)
-        for i, s in enumerate(sensors):
-            if s.window is None:
-                continue
-            if s.window.start < 0 or s.window.end >= num_slots:
-                raise ValueError(
-                    f"sensor {i} window {s.window} outside [0, {num_slots - 1}]"
-                )
-            starts[i], ends[i] = s.window.start, s.window.end
-        self._set_arrays(
-            num_slots,
-            slot_duration,
-            starts,
-            ends,
-            _pair_layout(starts, ends),
-            # The leading empty float64 array makes the result float64
-            # and covers n = 0.
-            np.concatenate([_EMPTY_F, *(s.rates for s in sensors)]),
-            np.concatenate([_EMPTY_F, *(s.powers for s in sensors)]),
-            np.fromiter((s.budget for s in sensors), np.float64, count=len(sensors)),
+        starts, ends = np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+        rates, powers = np.asarray(rates, dtype=np.float64), np.asarray(powers, dtype=np.float64)
+        budgets = np.asarray(budgets, dtype=np.float64)
+        n = budgets.size
+        if budgets.ndim != 1 or starts.shape != (n,) or ends.shape != (n,):
+            raise ValueError(
+                "starts, ends and budgets must be 1-D with one entry per sensor; got "
+                f"shapes {starts.shape}, {ends.shape}, {budgets.shape}"
+            )
+        reachable = starts <= ends
+        bad = np.where(
+            reachable, (starts < 0) | (ends >= num_slots), (starts != 0) | (ends != -1)
         )
+        if bad.any():
+            i = int(np.argmax(bad))
+            window = f"[{starts[i]}, {ends[i]}]"
+            raise ValueError(
+                f"sensor {i} window {window} outside [0, {num_slots - 1}]"
+                if reachable[i]
+                else f"sensor {i} window {window} is empty but not (0, -1)"
+            )
+        layout = _pair_layout(starts, ends)
+        size = layout[1].size
+        if rates.shape != (size,) or powers.shape != (size,):
+            raise ValueError(
+                f"rates/powers must have shape ({size},), one entry per in-window "
+                f"pair; got {rates.shape} / {powers.shape}"
+            )
+        for name, values in (("rate", rates), ("power", powers)):
+            bad = ~(np.isfinite(values) & (values >= 0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    f"sensor {layout[1][k]} {name} at slot {layout[2][k]} is "
+                    f"{float(values[k])!r}; rates and powers must be finite and >= 0"
+                )
+        bad = ~(np.isfinite(budgets) & (budgets >= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"sensor {i} budget is {float(budgets[i])!r}; it must be finite and >= 0"
+            )
+        self._set_arrays(num_slots, slot_duration, starts, ends, layout, rates, powers, budgets)
 
     def _set_arrays(
         self,
@@ -186,7 +184,8 @@ class DataCollectionInstance:
         """The one initialiser behind every way in: store the window
         bounds, the flat pairs (``layout`` is :func:`_pair_layout` of the
         windows, ``rates``/``powers`` are aligned with it) and the
-        budgets, all frozen.  The caller has validated the data."""
+        budgets, all frozen.  The data is checked already: by the
+        constructor, or when the instance it was gathered from was built."""
         offsets, sensor, slot = layout
         self.num_slots = int(num_slots)
         self.slot_duration = float(slot_duration)
@@ -203,7 +202,6 @@ class DataCollectionInstance:
         )
         self._budgets = _freeze(budgets)
         # Lazily built caches (see the corresponding accessors).
-        self._sensors: Optional[Tuple[SensorSlotData, ...]] = None
         self._competitors: Optional[List[np.ndarray]] = None
         self._order: Optional[List[int]] = None
         self._slot_sort: Optional[np.ndarray] = None
@@ -234,7 +232,9 @@ class DataCollectionInstance:
 
         The whole derivation is one vectorised pass over the flat
         (sensor, slot) pair set: anchor arcs, anchor points, distances
-        and the rate/power lookups each happen in a single array op.
+        and the rate/power lookups each happen in a single array op.  The
+        arrays then go through the checked constructor, budgets clipped
+        at 0 first.
 
         Notes
         -----
@@ -246,37 +246,22 @@ class DataCollectionInstance:
         of the sink through the sensor's range, so the slots between two
         passes are rate 0 as well (see ``docs/PLANNING.md``).
         """
-        budgets = np.asarray(budgets, dtype=np.float64)
-        if budgets.shape != (network.num_sensors,):
-            raise ValueError(
-                f"budgets must have shape ({network.num_sensors},), got {budgets.shape}"
-            )
         positions = np.atleast_2d(np.asarray(network.positions, dtype=np.float64))
         starts, ends = trajectory.availability(positions, rate_table.max_range)
-        layout = _pair_layout(starts, ends)
-        _, sensor, slot = layout
+        _, sensor, slot = _pair_layout(starts, ends)
         pts = np.atleast_2d(trajectory.path.point_at(trajectory.arc_at_slot(slot)))
         dists = np.hypot(
             positions[sensor, 0] - pts[:, 0],
             positions[sensor, 1] - pts[:, 1],
         )
-        rates = np.asarray(rate_table.rate_at(dists), dtype=np.float64)
-        powers = np.asarray(rate_table.power_at(dists), dtype=np.float64)
-
-        # Bulk validation in place of the per-record SensorSlotData checks.
-        check_finite(rates, "rates")
-        check_finite(powers, "powers")
-        if np.any(rates < 0) or np.any(powers < 0):
-            raise ValueError("rates and powers must be non-negative")
-        return cls.__new__(cls)._set_arrays(
+        return cls(
             trajectory.num_slots,
             trajectory.slot_duration,
             starts,
             ends,
-            layout,
-            rates,
-            powers,
-            np.maximum(budgets, 0.0),
+            rate_table.rate_at(dists),
+            rate_table.power_at(dists),
+            np.maximum(np.asarray(budgets, dtype=np.float64), 0.0),
         )
 
     # ------------------------------------------------------------------
@@ -288,29 +273,12 @@ class DataCollectionInstance:
         return int(self._budgets.size)
 
     @property
-    def sensors(self) -> Tuple[SensorSlotData, ...]:
-        """One :class:`SensorSlotData` per sensor, built on first access.
-
-        The records are views of the flat arrays, for the tools that
-        edit an instance sensor by sensor (the fuzzer, the shrinker, the
-        serializer); no solver reads them.
-        """
-        if self._sensors is None:
-            flat = self._flat
-            edges = flat.offsets.tolist()
-            starts, ends = (bounds.tolist() for bounds in self._window_bounds)
-            self._sensors = tuple(
-                SensorSlotData(
-                    SlotInterval(start, end) if start <= end else None,
-                    flat.rates[edges[i] : edges[i + 1]],
-                    flat.powers[edges[i] : edges[i + 1]],
-                    budget,
-                )
-                for i, (start, end, budget) in enumerate(
-                    zip(starts, ends, self._budgets.tolist())
-                )
-            )
-        return self._sensors
+    def sensors(self) -> Tuple[_SensorReading, ...]:
+        """Read-only records, one per sensor, built at each read; each
+        carries only ``num_slots`` = ``|A(v_i)|``.  Kept for the
+        benchmark's pair count; ``flat_pairs().offsets`` is the array
+        form."""
+        return tuple(map(_SensorReading, np.diff(self._flat.offsets).tolist()))
 
     def _pair_index(self, sensor: int, slot: int) -> int:
         """Flat index of the pair ``(sensor, slot)``; ``KeyError`` when
@@ -489,25 +457,58 @@ class DataCollectionInstance:
         last = np.minimum(ends[candidates], interval.end)
         keep = first <= last
         parents = candidates[keep]
-        sub_starts = first[keep] - interval.start
-        sub_ends = last[keep] - interval.start
+        parent_budgets = self._budgets if budgets is None else np.asarray(budgets, dtype=np.float64)
+        sub = self.gather(
+            parents,
+            first[keep],
+            last[keep],
+            base=interval.start,
+            num_slots=len(interval),
+            budgets=np.maximum(parent_budgets[parents], 0.0),
+        )
+        return sub, parents.tolist()
+
+    def gather(
+        self,
+        sensor_ids: Union[np.ndarray, Sequence[int]],
+        starts: np.ndarray,
+        ends: np.ndarray,
+        base: int = 0,
+        num_slots: Optional[int] = None,
+        budgets: Optional[np.ndarray] = None,
+    ) -> "DataCollectionInstance":
+        """Sub-instance of the sensors ``sensor_ids`` (in that order) over
+        new windows ``[starts[k], ends[k]]``, in one gather over this
+        instance's arrays.
+
+        The new windows are in this instance's slots and nested in the
+        sensors' own; an empty one (``starts[k] > ends[k]``) keeps sensor
+        ``k`` as unreachable.  Slots are re-based so that slot ``base``
+        becomes slot 0 of a ``num_slots``-slot horizon (default: this
+        instance's).  ``budgets[k]`` replaces sensor ``k``'s budget
+        (default: its own).  Nothing is checked again: this instance's
+        data was checked when it was built, and the caller keeps the
+        windows nested and the budgets valid.
+        """
+        ids = np.asarray(sensor_ids, dtype=np.int64)
+        empty = starts > ends
+        sub_starts = np.where(empty, 0, starts - base)
+        sub_ends = np.where(empty, -1, ends - base)
         layout = _pair_layout(sub_starts, sub_ends)
         _, sensor, slot = layout
-        # Sub-pair (k, j) is the parent's pair (parents[k], interval.start + j).
+        # Sub-pair (k, j) is this instance's pair (ids[k], base + j).
         flat = self._flat
-        source = (flat.offsets[parents] - starts[parents] + interval.start)[sensor] + slot
-        parent_budgets = self._budgets if budgets is None else np.asarray(budgets, dtype=np.float64)
-        sub = DataCollectionInstance.__new__(DataCollectionInstance)._set_arrays(
-            len(interval),
+        source = (flat.offsets[ids] - self._window_bounds[0][ids] + base)[sensor] + slot
+        return DataCollectionInstance.__new__(DataCollectionInstance)._set_arrays(
+            self.num_slots if num_slots is None else num_slots,
             self.slot_duration,
             sub_starts,
             sub_ends,
             layout,
             flat.rates[source],
             flat.powers[source],
-            np.maximum(parent_budgets[parents], 0.0),
+            self._budgets[ids] if budgets is None else np.asarray(budgets, dtype=np.float64),
         )
-        return sub, parents.tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         starts, ends = self._window_bounds

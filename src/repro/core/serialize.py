@@ -12,15 +12,15 @@ pickling, no NumPy dtypes.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.instance import DataCollectionInstance, SensorSlotData
-from repro.utils.intervals import SlotInterval
+from repro.core.instance import DataCollectionInstance
 
 __all__ = [
+    "make_instance",
     "instance_to_dict",
     "instance_from_dict",
     "instance_to_json",
@@ -33,18 +33,62 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
+def make_instance(
+    num_slots: int,
+    slot_duration: float,
+    sensors: Sequence[Mapping[str, Any]],
+) -> DataCollectionInstance:
+    """Build an instance from per-sensor dicts, the ``sensors`` entries
+    of the serialized form.
+
+    Each dict: ``window=(start, end) | None``, ``rates=[...]`` and
+    ``powers=[...]`` (aligned with the window) and ``budget=float``.
+    The dicts may come from outside (corpus JSON), and the constructor
+    only sees the total pair count, so each sensor's rates and powers
+    are checked against its own window here.
+    """
+    windows = np.array(
+        [(0, -1) if s["window"] is None else s["window"] for s in sensors], dtype=np.int64
+    ).reshape(len(sensors), 2)
+    rates = [np.asarray(s["rates"], dtype=np.float64) for s in sensors]
+    powers = [np.asarray(s["powers"], dtype=np.float64) for s in sensors]
+    for i, ((start, end), r, p) in enumerate(zip(windows.tolist(), rates, powers)):
+        size = max(end - start + 1, 0)
+        if r.shape != (size,) or p.shape != (size,):
+            raise ValueError(
+                f"sensor {i} window [{start}, {end}]: rates/powers must have shape "
+                f"({size},); got {r.shape} / {p.shape}"
+            )
+    # The leading empty array makes the result float64 and covers n = 0.
+    empty = np.zeros(0)
+    return DataCollectionInstance(
+        num_slots,
+        slot_duration,
+        windows[:, 0],
+        windows[:, 1],
+        np.concatenate([empty, *rates]),
+        np.concatenate([empty, *powers]),
+        [s["budget"] for s in sensors],
+    )
+
+
 def instance_to_dict(instance: DataCollectionInstance) -> Dict[str, Any]:
     """Lossless plain-dict form of an instance."""
-    sensors = []
-    for data in instance.sensors:
-        sensors.append(
-            {
-                "window": None if data.window is None else [data.window.start, data.window.end],
-                "rates": data.rates.tolist(),
-                "powers": data.powers.tolist(),
-                "budget": data.budget,
-            }
+    starts, ends = instance.window_bounds()
+    flat = instance.flat_pairs()
+    edges = flat.offsets.tolist()
+    rates, powers = flat.rates.tolist(), flat.powers.tolist()
+    sensors = [
+        {
+            "window": [start, end] if start <= end else None,
+            "rates": rates[lo:hi],
+            "powers": powers[lo:hi],
+            "budget": budget,
+        }
+        for start, end, lo, hi, budget in zip(
+            starts.tolist(), ends.tolist(), edges, edges[1:], instance.budgets_array().tolist()
         )
+    ]
     return {
         "format": "repro.dcmp_instance",
         "version": FORMAT_VERSION,
@@ -60,18 +104,7 @@ def instance_from_dict(doc: Dict[str, Any]) -> DataCollectionInstance:
         raise ValueError(f"not a DCMP instance document: format={doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {doc.get('version')!r}")
-    sensors = []
-    for s in doc["sensors"]:
-        window = None if s["window"] is None else SlotInterval(*s["window"])
-        sensors.append(
-            SensorSlotData(
-                window,
-                np.asarray(s["rates"], dtype=np.float64),
-                np.asarray(s["powers"], dtype=np.float64),
-                float(s["budget"]),
-            )
-        )
-    return DataCollectionInstance(int(doc["num_slots"]), float(doc["slot_duration"]), sensors)
+    return make_instance(int(doc["num_slots"]), float(doc["slot_duration"]), doc["sensors"])
 
 
 def instance_to_json(instance: DataCollectionInstance, indent: Optional[int] = None) -> str:

@@ -317,7 +317,9 @@ def _constraint_checks(
             "sensor_ids",
             not ids,
             None,
-            f"all assigned sensor ids within [0, {n - 1}]",
+            f"all assigned sensor ids within [0, {n - 1}]"
+            if n
+            else "no sensors, so no sensor id is valid; no slot is assigned",
             f"{len(ids)} slot(s) assigned to unknown sensors",
             ids,
         ),

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.instance import DataCollectionInstance
 from repro.core.offline_maxmatch import fixed_power_of
 from repro.obs import get_logger, get_registry, phase
 from repro.verify.certificate import certify
@@ -140,12 +140,6 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 # Metamorphic transforms
 # ----------------------------------------------------------------------
-def _rebuild(
-    instance: DataCollectionInstance, sensors: Sequence[SensorSlotData]
-) -> DataCollectionInstance:
-    return DataCollectionInstance(instance.num_slots, instance.slot_duration, sensors)
-
-
 def reverse_slots(instance: DataCollectionInstance) -> DataCollectionInstance:
     """Mirror the time axis: slot ``j`` becomes ``T-1-j``.
 
@@ -155,18 +149,20 @@ def reverse_slots(instance: DataCollectionInstance) -> DataCollectionInstance:
     the exact optimum are all invariant.
     """
     t = instance.num_slots
-    sensors = []
-    for data in instance.sensors:
-        if data.window is None:
-            sensors.append(data)
-            continue
-        window = type(data.window)(t - 1 - data.window.end, t - 1 - data.window.start)
-        sensors.append(
-            SensorSlotData(
-                window, data.rates[::-1].copy(), data.powers[::-1].copy(), data.budget
-            )
-        )
-    return _rebuild(instance, sensors)
+    starts, ends = instance.window_bounds()
+    flat = instance.flat_pairs()
+    empty = starts > ends
+    # Each sensor's span [offsets[i], offsets[i+1]) read backwards.
+    source = (flat.offsets[:-1] + flat.offsets[1:] - 1)[flat.sensor] - np.arange(flat.sensor.size)
+    return DataCollectionInstance(
+        t,
+        instance.slot_duration,
+        np.where(empty, 0, t - 1 - ends),
+        np.where(empty, -1, t - 1 - starts),
+        flat.rates[source],
+        flat.powers[source],
+        instance.budgets_array(),
+    )
 
 
 def relabel_sensors(
@@ -182,7 +178,9 @@ def relabel_sensors(
         permutation = list(range(n))[::-1]
     if sorted(permutation) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {permutation}")
-    return _rebuild(instance, [instance.sensors[i] for i in permutation])
+    ids = np.asarray(permutation, dtype=np.int64)
+    starts, ends = instance.window_bounds()
+    return instance.gather(ids, starts[ids], ends[ids])
 
 
 def scale_profits(
@@ -196,11 +194,15 @@ def scale_profits(
     """
     if factor <= 0:
         raise ValueError(f"factor must be > 0, got {factor}")
-    sensors = [
-        SensorSlotData(d.window, d.rates * factor, d.powers.copy(), d.budget)
-        for d in instance.sensors
-    ]
-    return _rebuild(instance, sensors)
+    flat = instance.flat_pairs()
+    return DataCollectionInstance(
+        instance.num_slots,
+        instance.slot_duration,
+        *instance.window_bounds(),
+        flat.rates * factor,
+        flat.powers,
+        instance.budgets_array(),
+    )
 
 
 def scale_energy(
@@ -213,11 +215,15 @@ def scale_energy(
     """
     if factor <= 0:
         raise ValueError(f"factor must be > 0, got {factor}")
-    sensors = [
-        SensorSlotData(d.window, d.rates.copy(), d.powers * factor, d.budget * factor)
-        for d in instance.sensors
-    ]
-    return _rebuild(instance, sensors)
+    flat = instance.flat_pairs()
+    return DataCollectionInstance(
+        instance.num_slots,
+        instance.slot_duration,
+        *instance.window_bounds(),
+        flat.rates,
+        flat.powers * factor,
+        instance.budgets_array() * factor,
+    )
 
 
 #: The relation table: name -> (transform, lp_bound_factor).

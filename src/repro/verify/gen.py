@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.instance import DataCollectionInstance, SensorSlotData
-from repro.utils.intervals import SlotInterval
+from repro.core.instance import DataCollectionInstance
+from repro.core.serialize import make_instance
 
 __all__ = ["make_instance", "random_instance"]
 
@@ -27,30 +27,6 @@ DEFAULT_RATE_CHOICES = (4800.0, 9600.0, 19200.0, 250000.0)
 
 #: Matching transmission powers (watts) for the rate levels above.
 DEFAULT_POWER_CHOICES = (0.17, 0.22, 0.30, 0.33)
-
-
-def make_instance(
-    num_slots: int,
-    slot_duration: float,
-    sensors: Sequence[dict],
-) -> DataCollectionInstance:
-    """Build an instance from compact dicts.
-
-    Each sensor dict: ``window=(start, end) | None``, ``rates=[...]``,
-    ``powers=[...]`` (aligned with the window) and ``budget=float``.
-    """
-    data = []
-    for s in sensors:
-        window = None if s["window"] is None else SlotInterval(*s["window"])
-        data.append(
-            SensorSlotData(
-                window,
-                np.asarray(s["rates"], dtype=np.float64),
-                np.asarray(s["powers"], dtype=np.float64),
-                float(s["budget"]),
-            )
-        )
-    return DataCollectionInstance(num_slots, slot_duration, data)
 
 
 def random_instance(

@@ -16,13 +16,12 @@ crash-reproducing candidate still evaluates to ``True``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.instance import DataCollectionInstance
 from repro.obs import get_logger
-from repro.utils.intervals import SlotInterval
 
 __all__ = ["shrink_instance"]
 
@@ -34,21 +33,17 @@ Predicate = Callable[[DataCollectionInstance], bool]
 DEFAULT_MAX_EVALS = 400
 
 
-def _rebuild(
-    num_slots: int, slot_duration: float, sensors: List[SensorSlotData]
-) -> DataCollectionInstance:
-    return DataCollectionInstance(num_slots, slot_duration, sensors)
-
-
 def _drop_sensor_candidates(
     instance: DataCollectionInstance,
 ) -> Iterator[DataCollectionInstance]:
     """Every instance obtainable by removing one sensor."""
-    if instance.num_sensors <= 1:
+    n = instance.num_sensors
+    if n <= 1:
         return
-    for k in range(instance.num_sensors):
-        sensors = [d for i, d in enumerate(instance.sensors) if i != k]
-        yield _rebuild(instance.num_slots, instance.slot_duration, sensors)
+    starts, ends = instance.window_bounds()
+    for k in range(n):
+        ids = np.delete(np.arange(n), k)
+        yield instance.gather(ids, starts[ids], ends[ids])
 
 
 def _truncate_horizon_candidates(
@@ -59,49 +54,27 @@ def _truncate_horizon_candidates(
     t = instance.num_slots
     if t <= 1:
         return
-    for keep in (SlotInterval(0, t - 2), SlotInterval(1, t - 1)):
-        sensors: List[SensorSlotData] = []
-        for data in instance.sensors:
-            window = data.window
-            inter = None if window is None else window.intersection(keep)
-            if inter is None:
-                sensors.append(
-                    SensorSlotData(None, np.zeros(0), np.zeros(0), data.budget)
-                )
-                continue
-            lo = inter.start - window.start
-            hi = inter.end - window.start
-            sensors.append(
-                SensorSlotData(
-                    inter.shift(-keep.start),
-                    data.rates[lo : hi + 1].copy(),
-                    data.powers[lo : hi + 1].copy(),
-                    data.budget,
-                )
-            )
-        yield _rebuild(t - 1, instance.slot_duration, sensors)
+    starts, ends = instance.window_bounds()
+    ids = np.arange(instance.num_sensors)
+    for first, last in ((0, t - 2), (1, t - 1)):
+        yield instance.gather(
+            ids, np.maximum(starts, first), np.minimum(ends, last), base=first, num_slots=t - 1
+        )
 
 
 def _narrow_window_candidates(
     instance: DataCollectionInstance,
 ) -> Iterator[DataCollectionInstance]:
     """Trim one slot off one sensor's window (from either end)."""
-    for k, data in enumerate(instance.sensors):
-        if data.window is None or len(data.window) <= 1:
-            continue
-        for new_window, sl in (
-            (SlotInterval(data.window.start, data.window.end - 1), slice(0, -1)),
-            (SlotInterval(data.window.start + 1, data.window.end), slice(1, None)),
-        ):
-            trimmed = SensorSlotData(
-                new_window,
-                data.rates[sl].copy(),
-                data.powers[sl].copy(),
-                data.budget,
-            )
-            sensors = list(instance.sensors)
-            sensors[k] = trimmed
-            yield _rebuild(instance.num_slots, instance.slot_duration, sensors)
+    starts, ends = instance.window_bounds()
+    ids = np.arange(instance.num_sensors)
+    for k in np.flatnonzero(ends > starts).tolist():
+        trimmed = ends.copy()
+        trimmed[k] -= 1
+        yield instance.gather(ids, starts, trimmed)
+        trimmed = starts.copy()
+        trimmed[k] += 1
+        yield instance.gather(ids, trimmed, ends)
 
 
 def _round_candidates(
@@ -110,21 +83,13 @@ def _round_candidates(
     """Round the numeric payload to friendlier values (whole rates,
     2-decimal powers/budgets) — a big readability win when it keeps the
     failure alive."""
-    sensors = []
-    changed = False
-    for data in instance.sensors:
-        rates = np.round(data.rates)
-        powers = np.round(data.powers, 2)
-        budget = round(data.budget, 2)
-        if (
-            not np.array_equal(rates, data.rates)
-            or not np.array_equal(powers, data.powers)
-            or budget != data.budget
-        ):
-            changed = True
-        sensors.append(SensorSlotData(data.window, rates, powers, budget))
-    if changed:
-        yield _rebuild(instance.num_slots, instance.slot_duration, sensors)
+    flat = instance.flat_pairs()
+    budgets = instance.budgets_array()
+    rounded = (np.round(flat.rates), np.round(flat.powers, 2), np.round(budgets, 2))
+    if not all(map(np.array_equal, rounded, (flat.rates, flat.powers, budgets))):
+        yield DataCollectionInstance(
+            instance.num_slots, instance.slot_duration, *instance.window_bounds(), *rounded
+        )
 
 
 #: Transformation passes in the order tried (coarsest first).

@@ -43,12 +43,19 @@ optimal *weight* as these; which of several tied optima it picks is its
 own.  :func:`fixed_power_of_reference` is the per-sensor scan the
 flat-pair power check replaced.
 
+:class:`SensorSlotData` and :class:`GapBin` are the per-record forms
+the flat arrays replaced, with their own checks: one record per sensor
+(:func:`sensor_records` slices them from an instance,
+:func:`instance_from_records` concatenates them into one) and one per
+GAP bin (:func:`gap_bins`, :func:`gap_from_bins`).
 :func:`instance_reference`, :func:`restrict_reference` and
-:func:`gap_reference` are the per-object forms the flat pair table
-replaced: one ``SlotInterval`` and one ``SensorSlotData`` per sensor
-with flat pairs concatenated from those, the per-sensor restriction
-loop, and one ``GapBin`` per sensor with an occupancy index built item
-by item.
+:func:`gap_reference` build from them: one ``SlotInterval`` and one
+record per sensor with flat pairs concatenated from those, the
+per-sensor restriction loop, and one ``GapBin`` per sensor with an
+occupancy index built item by item.  The fuzzer's four metamorphic
+relations (:func:`reverse_slots_reference` and the three after it) and
+the shrinker's four passes (:data:`SHRINK_PASS_REFERENCES`) edit those
+records one sensor at a time.
 
 :func:`run_online_reference` is the online framework with its
 per-slot merge loop: scalar ``cost``/``profit`` lookups, one debit and
@@ -73,8 +80,8 @@ from scipy.optimize import LinearConstraint, linprog, milp
 from scipy.sparse import coo_matrix
 
 from repro.core.allocation import BUDGET_EPS, UNASSIGNED, Allocation
-from repro.core.gap import GapBin, GapInstance, KnapsackSolver
-from repro.core.instance import DataCollectionInstance, FlatPairs, SensorSlotData
+from repro.core.gap import GapInstance, KnapsackSolver
+from repro.core.instance import DataCollectionInstance, FlatPairs
 from repro.core.matching import MatchingResult
 from repro.core.offline_maxmatch import _POWER_RTOL, fixed_power_of
 from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
@@ -85,6 +92,13 @@ from repro.utils.intervals import SlotInterval
 from repro.utils.rng import RngStream
 
 __all__ = [
+    "SensorSlotData",
+    "sensor_record",
+    "sensor_records",
+    "instance_from_records",
+    "GapBin",
+    "gap_from_bins",
+    "gap_bins",
     "knapsack_few_weights_oracle",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
@@ -113,7 +127,157 @@ __all__ = [
     "CopiesGraph",
     "build_copies_graph",
     "maxmatch_via_copies",
+    "reverse_slots_reference",
+    "relabel_sensors_reference",
+    "scale_profits_reference",
+    "scale_energy_reference",
+    "SHRINK_PASS_REFERENCES",
 ]
+
+
+# ----------------------------------------------------------------------
+# Per-record forms: one record per sensor, one per GAP bin
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SensorSlotData:
+    """One sensor's slot data aligned with its availability window, the
+    record the instance's flat arrays replaced, with its own checks.
+
+    ``rates[k]`` / ``powers[k]`` describe slot ``window.start + k``.
+    Arrays are immutable (flags cleared at construction).
+    """
+
+    window: Optional[SlotInterval]
+    rates: np.ndarray  # bits/s, shape (|A|,)
+    powers: np.ndarray  # watts, shape (|A|,)
+    budget: float  # joules
+
+    def __post_init__(self) -> None:
+        size = 0 if self.window is None else len(self.window)
+        if self.rates.shape != (size,) or self.powers.shape != (size,):
+            raise ValueError(
+                f"rates/powers must have shape ({size},); got "
+                f"{self.rates.shape} / {self.powers.shape}"
+            )
+        if not (np.isfinite(self.rates).all() and np.isfinite(self.powers).all()):
+            raise ValueError("rates and powers must contain only finite values")
+        if (self.rates < 0).any() or (self.powers < 0).any():
+            raise ValueError("rates and powers must be non-negative")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        self.rates.flags.writeable = False
+        self.powers.flags.writeable = False
+
+    @property
+    def num_slots(self) -> int:
+        """``|A(v_i)|``."""
+        return 0 if self.window is None else len(self.window)
+
+    def slot_indices(self) -> np.ndarray:
+        """Global slot indices of the window (empty when unreachable)."""
+        if self.window is None:
+            return np.zeros(0, dtype=np.int64)
+        return self.window.slots()
+
+
+def sensor_record(instance: DataCollectionInstance, sensor: int) -> SensorSlotData:
+    """Sensor ``sensor``'s :class:`SensorSlotData`: a slice of the
+    instance's arrays, read through the scalar accessors ``window_of``
+    and ``budget_of``."""
+    flat = instance.flat_pairs()
+    lo, hi = flat.offsets[sensor : sensor + 2].tolist()
+    return SensorSlotData(
+        instance.window_of(sensor), flat.rates[lo:hi], flat.powers[lo:hi], instance.budget_of(sensor)
+    )
+
+
+def sensor_records(instance) -> List[SensorSlotData]:
+    """One :class:`SensorSlotData` per sensor: an
+    :class:`InstanceReference`'s own records, or :func:`sensor_record`
+    of each sensor of an instance."""
+    if isinstance(instance, InstanceReference):
+        return list(instance.sensors)
+    return [sensor_record(instance, i) for i in range(instance.num_sensors)]
+
+
+def instance_from_records(
+    num_slots: int, slot_duration: float, records: Sequence[SensorSlotData]
+) -> DataCollectionInstance:
+    """The per-record constructor the array constructor replaced: each
+    record's window checked against the horizon, then the records'
+    arrays concatenated once."""
+    starts: List[int] = []
+    ends: List[int] = []
+    for i, data in enumerate(records):
+        if data.window is None:
+            starts.append(0)
+            ends.append(-1)
+            continue
+        if data.window.start < 0 or data.window.end >= num_slots:
+            raise ValueError(f"sensor {i} window {data.window} outside [0, {num_slots - 1}]")
+        starts.append(data.window.start)
+        ends.append(data.window.end)
+    return DataCollectionInstance(
+        num_slots,
+        slot_duration,
+        starts,
+        ends,
+        np.concatenate([np.zeros(0), *(data.rates for data in records)]),
+        np.concatenate([np.zeros(0), *(data.powers for data in records)]),
+        [data.budget for data in records],
+    )
+
+
+@dataclass(frozen=True)
+class GapBin:
+    """One bin of a GAP instance, the record the flat GAP arrays
+    replaced: capacity ``b_i``, candidate ``items`` and, aligned with
+    them, ``profits`` ``c_{i,j}`` and ``weights`` ``b_{i,j}``."""
+
+    capacity: float
+    items: np.ndarray
+    profits: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        items = np.asarray(self.items, dtype=np.int64)
+        profits = np.asarray(self.profits, dtype=np.float64)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if not (items.shape == profits.shape == weights.shape) or items.ndim != 1:
+            raise ValueError("items, profits, weights must be equal-length 1-D")
+        if len(np.unique(items)) != len(items):
+            raise ValueError("bin candidate items must be distinct")
+        if self.capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "profits", profits)
+        object.__setattr__(self, "weights", weights)
+
+
+def gap_from_bins(bins: Sequence[GapBin]) -> GapInstance:
+    """A textbook GAP instance from one :class:`GapBin` per bin,
+    concatenated once."""
+    return GapInstance(
+        np.cumsum([0, *(b.items.size for b in bins)]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(b.items for b in bins)]),
+        np.concatenate([np.zeros(0), *(b.profits for b in bins)]),
+        np.concatenate([np.zeros(0), *(b.weights for b in bins)]),
+        [b.capacity for b in bins],
+    )
+
+
+def gap_bins(gap: GapInstance) -> List[GapBin]:
+    """One :class:`GapBin` per bin, slices of ``gap``'s flat arrays."""
+    edges = gap.offsets.tolist()
+    return [
+        GapBin(
+            capacity,
+            gap.items[edges[l] : edges[l + 1]],
+            gap.profits[edges[l] : edges[l + 1]],
+            gap.weights[edges[l] : edges[l + 1]],
+        )
+        for l, capacity in enumerate(gap.capacities.tolist())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +403,7 @@ def local_ratio_gap_oracle(
     )
     if sorted(order) != list(range(instance.num_bins)):
         raise ValueError("bin_order must be a permutation of all bins")
-    bins = instance.bins
+    bins = gap_bins(instance)
     residual: List[List[float]] = [b.profits.astype(float).tolist() for b in bins]
     occurrences: Dict[int, List[Tuple[int, int]]] = {}
     for bin_index, b in enumerate(bins):
@@ -385,7 +549,7 @@ def dcmp_lp_reference_bound(instance: DataCollectionInstance) -> float:
     costs: List[float] = []
     var_sensor: List[int] = []
     var_slot: List[int] = []
-    for i, data in enumerate(instance.sensors):
+    for i, data in enumerate(sensor_records(instance)):
         if data.window is None:
             continue
         slots = data.slot_indices()
@@ -988,7 +1152,7 @@ def fixed_power_of_reference(instance: DataCollectionInstance) -> float:
     first one not within ``_POWER_RTOL`` of it raises.
     """
     power: Optional[float] = None
-    for data in instance.sensors:
+    for data in sensor_records(instance):
         if data.window is None:
             continue
         active = data.powers[data.rates > 0]
@@ -1118,15 +1282,15 @@ def restrict_reference(
 ) -> Tuple[DataCollectionInstance, List[int]]:
     """Reference for
     :meth:`~repro.core.instance.DataCollectionInstance.restrict`: one
-    clipped :class:`SensorSlotData` per surviving sensor, handed to the
-    public constructor."""
+    clipped :class:`SensorSlotData` per surviving sensor, handed to
+    :func:`instance_from_records`."""
     if interval.start < 0 or interval.end >= instance.num_slots:
         raise ValueError(f"interval {interval} outside instance horizon")
     candidates = range(instance.num_sensors) if sensor_ids is None else sensor_ids
     subs: List[SensorSlotData] = []
     parents: List[int] = []
     for i in candidates:
-        data = instance.sensors[i]
+        data = sensor_record(instance, i)
         if data.window is None:
             continue
         inter = data.window.intersection(interval)
@@ -1144,7 +1308,7 @@ def restrict_reference(
             )
         )
         parents.append(i)
-    return DataCollectionInstance(len(interval), instance.slot_duration, subs), parents
+    return instance_from_records(len(interval), instance.slot_duration, subs), parents
 
 
 @dataclass
@@ -1165,15 +1329,15 @@ class GapReference:
 
 
 def gap_reference(instance) -> GapReference:
-    """Reference for :func:`repro.core.offline_appro.dcmp_to_gap` on any
-    instance with per-sensor records (``sensors``, ``slot_duration``):
-    bin ``i`` holds sensor ``i``'s window slots, profits ``r·τ``,
+    """Reference for :func:`repro.core.offline_appro.dcmp_to_gap` on an
+    instance or an :class:`InstanceReference` (through
+    :func:`sensor_records`): bin ``i`` holds sensor ``i``'s window slots, profits ``r·τ``,
     weights ``P·τ`` and capacity ``P(v_i)``; the occupancy index is
     built item by item, bins and positions ascending."""
     tau = instance.slot_duration
     bins = [
         GapBin(data.budget, data.slot_indices(), data.rates * tau, data.powers * tau)
-        for data in instance.sensors
+        for data in sensor_records(instance)
     ]
     offsets = [0]
     entries: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -1309,7 +1473,7 @@ def build_copies_graph(
     copy_owner: List[int] = []
     copy_counts: List[int] = []
     edges: List[Tuple[int, int, float]] = []
-    for i, data in enumerate(instance.sensors):
+    for i, data in enumerate(sensor_records(instance)):
         count = 0
         if data.window is not None:
             affordable = math.floor(data.budget / (fixed_power * tau) + 1e-12)
@@ -1346,3 +1510,143 @@ def maxmatch_via_copies(
     allocation = Allocation(owner)
     allocation.check_feasible(instance)
     return allocation
+
+
+# ----------------------------------------------------------------------
+# Fuzzer relations and shrink passes: one record per sensor
+# ----------------------------------------------------------------------
+def _rebuild(instance, records: Sequence[SensorSlotData], num_slots: Optional[int] = None):
+    t = instance.num_slots if num_slots is None else num_slots
+    return instance_from_records(t, instance.slot_duration, records)
+
+
+def reverse_slots_reference(instance: DataCollectionInstance) -> DataCollectionInstance:
+    """Reference for :func:`repro.verify.fuzz.reverse_slots`: each
+    record's window mirrored and its arrays reversed."""
+    t = instance.num_slots
+    records = []
+    for data in sensor_records(instance):
+        if data.window is None:
+            records.append(data)
+            continue
+        window = SlotInterval(t - 1 - data.window.end, t - 1 - data.window.start)
+        records.append(
+            SensorSlotData(window, data.rates[::-1].copy(), data.powers[::-1].copy(), data.budget)
+        )
+    return _rebuild(instance, records)
+
+
+def relabel_sensors_reference(
+    instance: DataCollectionInstance, permutation: Optional[Sequence[int]] = None
+) -> DataCollectionInstance:
+    """Reference for :func:`repro.verify.fuzz.relabel_sensors`: the
+    records in permuted order (default: reversed)."""
+    records = sensor_records(instance)
+    if permutation is None:
+        permutation = list(range(len(records)))[::-1]
+    return _rebuild(instance, [records[i] for i in permutation])
+
+
+def scale_profits_reference(
+    instance: DataCollectionInstance, factor: float
+) -> DataCollectionInstance:
+    """Reference for :func:`repro.verify.fuzz.scale_profits`."""
+    return _rebuild(
+        instance,
+        [
+            SensorSlotData(d.window, d.rates * factor, d.powers.copy(), d.budget)
+            for d in sensor_records(instance)
+        ],
+    )
+
+
+def scale_energy_reference(
+    instance: DataCollectionInstance, factor: float
+) -> DataCollectionInstance:
+    """Reference for :func:`repro.verify.fuzz.scale_energy`."""
+    return _rebuild(
+        instance,
+        [
+            SensorSlotData(d.window, d.rates.copy(), d.powers * factor, d.budget * factor)
+            for d in sensor_records(instance)
+        ],
+    )
+
+
+def _drop_sensor_reference(instance):
+    records = sensor_records(instance)
+    if len(records) <= 1:
+        return
+    for k in range(len(records)):
+        yield _rebuild(instance, [d for i, d in enumerate(records) if i != k])
+
+
+def _truncate_horizon_reference(instance):
+    t = instance.num_slots
+    if t <= 1:
+        return
+    for keep in (SlotInterval(0, t - 2), SlotInterval(1, t - 1)):
+        records = []
+        for data in sensor_records(instance):
+            window = data.window
+            inter = None if window is None else window.intersection(keep)
+            if inter is None:
+                records.append(SensorSlotData(None, np.zeros(0), np.zeros(0), data.budget))
+                continue
+            lo = inter.start - window.start
+            hi = inter.end - window.start
+            records.append(
+                SensorSlotData(
+                    inter.shift(-keep.start),
+                    data.rates[lo : hi + 1].copy(),
+                    data.powers[lo : hi + 1].copy(),
+                    data.budget,
+                )
+            )
+        yield _rebuild(instance, records, num_slots=t - 1)
+
+
+def _narrow_window_reference(instance):
+    records = sensor_records(instance)
+    for k, data in enumerate(records):
+        if data.window is None or len(data.window) <= 1:
+            continue
+        for window, sl in (
+            (SlotInterval(data.window.start, data.window.end - 1), slice(0, -1)),
+            (SlotInterval(data.window.start + 1, data.window.end), slice(1, None)),
+        ):
+            trimmed = list(records)
+            trimmed[k] = SensorSlotData(
+                window, data.rates[sl].copy(), data.powers[sl].copy(), data.budget
+            )
+            yield _rebuild(instance, trimmed)
+
+
+def _round_reference(instance):
+    records = []
+    changed = False
+    for data in sensor_records(instance):
+        rates = np.round(data.rates)
+        powers = np.round(data.powers, 2)
+        budget = round(data.budget, 2)
+        if (
+            not np.array_equal(rates, data.rates)
+            or not np.array_equal(powers, data.powers)
+            or budget != data.budget
+        ):
+            changed = True
+        records.append(SensorSlotData(data.window, rates, powers, budget))
+    if changed:
+        yield _rebuild(instance, records)
+
+
+#: References for :mod:`repro.verify.shrink`'s passes, in its order:
+#: drop a sensor, truncate the horizon, narrow a window, round.  Each
+#: edits the records one sensor at a time and yields its candidates in
+#: the order the shrinker tries them.
+SHRINK_PASS_REFERENCES = (
+    _drop_sensor_reference,
+    _truncate_horizon_reference,
+    _narrow_window_reference,
+    _round_reference,
+)

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.allocation import UNASSIGNED, Allocation
-from repro.core.gap import GapBin, GapInstance, local_ratio_gap
+from repro.core.gap import local_ratio_gap
 from repro.core.knapsack import knapsack_few_weights, solve_knapsack
 from repro.core.offline_appro import dcmp_to_gap, offline_appro
 from repro.core.offline_maxmatch import fixed_power_of
@@ -36,7 +36,9 @@ from repro.utils.arrays import ordered_sum
 from repro.verify.certificate import certify
 from tests.conftest import random_instance
 from tests.oracles import (
+    GapBin,
     allocation_stats_oracle,
+    gap_from_bins,
     knapsack_few_weights_oracle,
     local_ratio_gap_oracle,
     run_online_reference,
@@ -135,7 +137,7 @@ def _random_gap(rng, num_bins, num_items):
                 weights=rng.choice(WEIGHT_CHOICES[1:], size=size),
             )
         )
-    return GapInstance(bins)
+    return gap_from_bins(bins)
 
 
 class TestGapEquivalence:
@@ -210,14 +212,13 @@ class TestAllocationEquivalence:
         inst = random_instance(rng, num_slots=12, num_sensors=4)
         owner = np.full(inst.num_slots, UNASSIGNED, dtype=np.int64)
         owner[0] = 99  # unknown sensor
-        for sensor, data in enumerate(inst.sensors):
-            if data.window is None:
-                owner[1] = sensor  # unreachable sensor
-                break
-        for sensor, data in enumerate(inst.sensors):
-            if data.window is not None and data.window.end < inst.num_slots - 1:
-                owner[inst.num_slots - 1] = sensor  # past its window
-                break
+        starts, ends = inst.window_bounds()
+        unreachable = np.flatnonzero(starts > ends)
+        if unreachable.size:
+            owner[1] = unreachable[0]  # unreachable sensor
+        early = np.flatnonzero((starts <= ends) & (ends < inst.num_slots - 1))
+        if early.size:
+            owner[inst.num_slots - 1] = early[0]  # past its window
         alloc = Allocation(owner)
         _, _, _, problems, _ = allocation_stats_oracle(alloc, inst)
         assert alloc.violations(inst) == problems

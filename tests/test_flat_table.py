@@ -10,12 +10,15 @@ Each must equal, with exact ``==``, what the per-object forms in
 the per-sensor restriction loop
 (:func:`~tests.oracles.restrict_reference`) and one ``GapBin`` per
 sensor with an item-by-item occupancy index
-(:func:`~tests.oracles.gap_reference`).
+(:func:`~tests.oracles.gap_reference`).  The fuzzer's four metamorphic
+relations and the shrinker's four passes are array transforms; on 3,000
+random instances each output and each shrink candidate equals, in
+order, what the references that edit one record per sensor build.
 
 The guard at the end holds the solve paths to the flat form: building
 an instance and running ``Offline_Appro``, ``Online_Appro``,
-``Online_MaxMatch`` and a certified tour on it constructs no
-``SensorSlotData`` and no ``GapBin``.
+``Online_MaxMatch`` and a certified tour on it constructs none of the
+per-sensor records ``instance.sensors`` reports.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gap import GapBin
-from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.instance import DataCollectionInstance, _SensorReading
 from repro.core.offline_appro import dcmp_to_gap
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
@@ -39,8 +41,20 @@ from repro.planning import PlannerConfig
 from repro.sim import ScenarioConfig, run_tour
 from repro.sim.algorithms import get_algorithm
 from repro.utils.intervals import SlotInterval
+from repro.verify import shrink
+from repro.verify.fuzz import relabel_sensors, reverse_slots, scale_energy, scale_profits
 from tests.conftest import random_instance, straight_road
-from tests.oracles import gap_reference, instance_reference, restrict_reference
+from tests.oracles import (
+    SHRINK_PASS_REFERENCES,
+    gap_reference,
+    instance_reference,
+    relabel_sensors_reference,
+    restrict_reference,
+    reverse_slots_reference,
+    scale_energy_reference,
+    scale_profits_reference,
+    sensor_records,
+)
 from tests.test_path_equivalence import assert_bit_identical
 
 FIXED_POWER = 0.3
@@ -157,7 +171,7 @@ def _checked_restrict(instance: DataCollectionInstance, checked: list):
 def test_instance_and_gap_equal_per_object_reference(config, seed):
     _, instance, reference = _instance_and_reference(config, seed)
     assert_same_instance(instance, reference)
-    assert_same_records(instance.sensors, reference.sensors)
+    assert_same_records(sensor_records(instance), reference.sensors)
     assert [instance.window_of(i) for i in range(instance.num_sensors)] == reference.windows
     assert_same_gap(instance, reference)
 
@@ -232,8 +246,67 @@ def test_restrict_and_gap_equal_reference_on_random_instances(seed):
             want, want_parents = restrict_reference(instance, interval, **kwargs)
             assert parents == want_parents
             assert_same_instance(got, want)
-            assert_same_records(got.sensors, want.sensors)
+            assert_same_records(sensor_records(got), sensor_records(want))
             assert_same_gap(got, want)
+
+
+# ----------------------------------------------------------------------
+# Fuzzer relations and shrink passes vs. per-record references
+# ----------------------------------------------------------------------
+def _bits(instance: DataCollectionInstance):
+    arrays = (*instance.window_bounds(), *instance.flat_pairs(), instance.budgets_array())
+    return (
+        instance.num_slots,
+        instance.slot_duration,
+        [(array.dtype.str, array.shape, array.tobytes()) for array in arrays],
+    )
+
+
+def assert_same_arrays(got: DataCollectionInstance, want: DataCollectionInstance) -> None:
+    """Horizon, window bounds, every flat pair array and the budgets
+    equal bit for bit."""
+    assert _bits(got) == _bits(want)
+
+
+RELATIONS = (
+    (reverse_slots, reverse_slots_reference),
+    (relabel_sensors, relabel_sensors_reference),
+    (lambda inst: scale_profits(inst, 3.0), lambda inst: scale_profits_reference(inst, 3.0)),
+    (lambda inst: scale_energy(inst, 2.0), lambda inst: scale_energy_reference(inst, 2.0)),
+)
+
+
+def test_relations_and_shrink_passes_equal_per_record_references():
+    rng = np.random.default_rng(31)
+    outputs = empty_networks = unreachable = 0
+    for draw in range(3000):
+        num_slots = int(rng.integers(1, 14))
+        instance = random_instance(
+            rng,
+            num_slots=num_slots,
+            num_sensors=int(rng.integers(0, 7)),
+            max_window=int(rng.integers(1, num_slots + 1)),
+            fixed_power=0.3 if draw % 3 == 0 else None,
+        )
+        starts, ends = instance.window_bounds()
+        empty_networks += instance.num_sensors == 0
+        unreachable += int(np.count_nonzero(starts > ends))
+        permutation = rng.permutation(instance.num_sensors).tolist()
+        pairs = [(transform(instance), reference(instance)) for transform, reference in RELATIONS]
+        pairs.append(
+            (
+                relabel_sensors(instance, permutation),
+                relabel_sensors_reference(instance, permutation),
+            )
+        )
+        for candidates, references in zip(shrink._PASSES, SHRINK_PASS_REFERENCES):
+            got, want = list(candidates(instance)), list(references(instance))
+            assert len(got) == len(want)
+            pairs.extend(zip(got, want))
+        for got, want in pairs:
+            assert_same_arrays(got, want)
+        outputs += len(pairs)
+    assert empty_networks > 0 and unreachable > 0 and outputs > 30_000
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +359,12 @@ def _solve_everything(seed: int) -> None:
 
 
 def test_solve_paths_construct_no_per_sensor_object(monkeypatch):
-    constructed = _count_constructions(monkeypatch, (SensorSlotData, GapBin))
-    # The counter sees the per-sensor views once they are touched.
+    constructed = _count_constructions(monkeypatch, (_SensorReading,))
+    # The counter sees the per-sensor records once they are read.
     probe = _config(5, 1500.0).build(seed=1).instance()
-    assert len(probe.sensors) == 5 and len(dcmp_to_gap(probe).bins) == 5
+    assert [s.num_slots for s in probe.sensors] == np.diff(probe.flat_pairs().offsets).tolist()
     del probe
-    assert constructed() == Counter({"SensorSlotData": 5, "GapBin": 5})
+    assert constructed() == Counter({"_SensorReading": 5})
 
     _solve_everything(seed=1)
-    assert constructed() == Counter({"SensorSlotData": 5, "GapBin": 5})
+    assert constructed() == Counter({"_SensorReading": 5})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.instance import DataCollectionInstance
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import CC2420_LIKE_TABLE
@@ -37,28 +37,83 @@ def tiny():
     )
 
 
+def _arrays(**changes):
+    """Constructor arguments of a two-sensor instance over 4 slots:
+    sensor 0 sees slots 0..1, sensor 1 is unreachable."""
+    args = dict(
+        num_slots=4,
+        slot_duration=1.0,
+        starts=[0, 0],
+        ends=[1, -1],
+        rates=[10.0, 20.0],
+        powers=[1.0, 1.0],
+        budgets=[1.0, 2.0],
+    )
+    args.update(changes)
+    return args
+
+
 class TestSensorSlotData:
+    """Each sensor's window, rates, powers and budget, as the array
+    constructor checks them: a ``ValueError`` names the sensor."""
+
+    def test_arrays_stored_as_given(self):
+        inst = DataCollectionInstance(**_arrays())
+        assert inst.window_of(0) == SlotInterval(0, 1)
+        assert inst.window_of(1) is None
+        assert inst.flat_pairs().rates.tolist() == [10.0, 20.0]
+        assert inst.budgets_array().tolist() == [1.0, 2.0]
+        assert [s.num_slots for s in inst.sensors] == [2, 0]
+
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SensorSlotData(SlotInterval(0, 2), np.zeros(2), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            DataCollectionInstance(**_arrays(powers=[1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="one entry per sensor"):
+            DataCollectionInstance(**_arrays(budgets=[1.0]))
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            SensorSlotData(SlotInterval(0, 0), np.array([-1.0]), np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="sensor 0 rate at slot 1 is -1.0"):
+            DataCollectionInstance(**_arrays(rates=[1.0, -1.0]))
+
+    @pytest.mark.parametrize("name", ["rates", "powers"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bad_rate_or_power_rejected(self, name, value):
+        with pytest.raises(ValueError, match="sensor 0 .* at slot 1"):
+            DataCollectionInstance(**_arrays(**{name: [1.0, value]}))
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            SensorSlotData(None, np.zeros(0), np.zeros(0), -1.0)
+        with pytest.raises(ValueError, match="sensor 1 budget is -1.0"):
+            DataCollectionInstance(**_arrays(budgets=[1.0, -1.0]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, value):
+        with pytest.raises(ValueError, match="sensor 1 budget"):
+            DataCollectionInstance(**_arrays(budgets=[1.0, value]))
+
+    def test_window_outside_horizon_rejected(self):
+        with pytest.raises(ValueError, match=r"sensor 0 window \[2, 4\] outside \[0, 3\]"):
+            DataCollectionInstance(
+                **_arrays(starts=[2, 0], ends=[4, -1], rates=[1.0] * 3, powers=[1.0] * 3)
+            )
+        with pytest.raises(ValueError, match="outside"):
+            DataCollectionInstance(**_arrays(starts=[-1, 0], ends=[0, -1]))
+
+    def test_empty_window_must_be_zero_minus_one(self):
+        with pytest.raises(ValueError, match=r"sensor 1 window \[3, 1\] is empty"):
+            DataCollectionInstance(**_arrays(starts=[0, 3], ends=[1, 1]))
 
     def test_arrays_immutable(self):
-        data = SensorSlotData(SlotInterval(0, 1), np.ones(2), np.ones(2), 1.0)
+        inst = DataCollectionInstance(**_arrays())
         with pytest.raises(ValueError):
-            data.rates[0] = 5.0
+            inst.flat_pairs().rates[0] = 5.0
+        with pytest.raises(ValueError):
+            inst.budgets_array()[0] = 5.0
 
     def test_unreachable_sensor(self):
-        data = SensorSlotData(None, np.zeros(0), np.zeros(0), 1.0)
-        assert data.num_slots == 0
-        assert data.slot_indices().size == 0
+        inst = DataCollectionInstance(**_arrays())
+        assert inst.sensors[1].num_slots == 0
+        assert inst.window_of(1) is None
+        assert inst.slot_competitors(0).tolist() == [0]
 
 
 class TestBasics:
@@ -149,8 +204,8 @@ class TestFromNetwork:
         assert window is not None
         slots = window.slots()
         d = traj.distances_to(np.array([500.0, 0.0]), slots)
-        np.testing.assert_allclose(inst.sensors[0].rates, CC2420_LIKE_TABLE.rate_at(d))
-        np.testing.assert_allclose(inst.sensors[0].powers, CC2420_LIKE_TABLE.power_at(d))
+        np.testing.assert_allclose(inst.flat_pairs().rates, CC2420_LIKE_TABLE.rate_at(d))
+        np.testing.assert_allclose(inst.flat_pairs().powers, CC2420_LIKE_TABLE.power_at(d))
         assert inst.budget_of(0) == 50.0
 
     def test_from_network_unreachable_sensor(self):
@@ -179,5 +234,5 @@ class TestFromNetwork:
         inst = DataCollectionInstance.from_network(
             net, traj, CC2420_LIKE_TABLE, np.array([50.0])
         )
-        rates = inst.sensors[0].rates
+        rates = inst.flat_pairs().rates
         np.testing.assert_allclose(rates, rates[::-1])

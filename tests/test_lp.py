@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.baselines import greedy_by_profit
 from repro.core.exact import brute_force_optimum
 from repro.core.ilp import solve_dcmp_ilp
-from repro.core.instance import DataCollectionInstance, SensorSlotData
+from repro.core.instance import DataCollectionInstance
 from repro.core.lp import dcmp_lp_upper_bound, slot_run_model
 from repro.core.matching import max_weight_b_matching
 from repro.core.offline_appro import offline_appro
@@ -153,12 +153,17 @@ def run_heavy_instances(draw, fixed_power=st.sampled_from([None, 0.3])):
         fixed_power=draw(fixed_power),
         budget_scale=draw(st.sampled_from([1.0, 0.0, 0.25, 0.5, 2.0, 4.0])),
     )
-    sensors = list(instance.sensors)
+    starts, ends = instance.window_bounds()
+    budgets = instance.budgets_array()
     if draw(st.booleans()):
-        empty = np.empty(0)
-        unreachable = SensorSlotData(None, empty, empty, 1.0)
-        sensors.insert(draw(st.integers(0, len(sensors))), unreachable)
-    return DataCollectionInstance(instance.num_slots, instance.slot_duration, sensors)
+        # An unreachable sensor has no pair, so the flat arrays stay.
+        at = draw(st.integers(0, instance.num_sensors))
+        starts, ends = np.insert(starts, at, 0), np.insert(ends, at, -1)
+        budgets = np.insert(budgets, at, 1.0)
+    flat = instance.flat_pairs()
+    return DataCollectionInstance(
+        instance.num_slots, instance.slot_duration, starts, ends, flat.rates, flat.powers, budgets
+    )
 
 
 @given(run_heavy_instances())

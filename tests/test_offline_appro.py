@@ -9,6 +9,7 @@ from repro.core.exact import brute_force_optimum
 from repro.core.gap import local_ratio_gap
 from repro.core.offline_appro import dcmp_to_gap, offline_appro
 from tests.conftest import make_instance, random_instance
+from tests.oracles import gap_bins, sensor_records
 
 
 class TestReduction:
@@ -16,17 +17,11 @@ class TestReduction:
         inst = random_instance(rng, num_slots=8, num_sensors=3)
         gap = dcmp_to_gap(inst)
         assert gap.num_bins == inst.num_sensors
-        for i in range(inst.num_sensors):
-            data = inst.sensors[i]
-            assert gap.bins[i].capacity == data.budget
-            if data.window is not None:
-                np.testing.assert_array_equal(gap.bins[i].items, data.slot_indices())
-                np.testing.assert_allclose(
-                    gap.bins[i].profits, data.rates * inst.slot_duration
-                )
-                np.testing.assert_allclose(
-                    gap.bins[i].weights, data.powers * inst.slot_duration
-                )
+        for b, data in zip(gap_bins(gap), sensor_records(inst)):
+            assert b.capacity == data.budget
+            np.testing.assert_array_equal(b.items, data.slot_indices())
+            np.testing.assert_allclose(b.profits, data.rates * inst.slot_duration)
+            np.testing.assert_allclose(b.weights, data.powers * inst.slot_duration)
 
     def test_gap_solution_equals_algorithm(self, rng):
         inst = random_instance(rng, num_slots=8, num_sensors=3)

@@ -43,12 +43,16 @@ def _alloc(n):
 class TestDeepProfiler:
     def test_phase_capture_and_attribution(self):
         profiler = DeepProfiler(top=10)
-        with profiler.phase("solve"):
-            _burn(20_000)
-        with profiler.phase("solve"):
-            _burn(20_000)
-        with profiler.phase("verify"):
-            _alloc(10)
+        try:
+            with profiler.phase("solve"):
+                _burn(20_000)
+            with profiler.phase("solve"):
+                _burn(20_000)
+            with profiler.phase("verify"):
+                _alloc(10)
+        finally:
+            # Left running, tracemalloc slows every later test.
+            profiler.close()
         att = profiler.attribution()
         assert att["top"] == 10
         assert set(att["phases"]) == {"solve", "verify"}
@@ -61,9 +65,12 @@ class TestDeepProfiler:
 
     def test_hot_function_rows_shape_and_order(self):
         profiler = DeepProfiler(top=5)
-        with profiler.phase("solve"):
-            _burn(10_000)
-            _alloc(100)
+        try:
+            with profiler.phase("solve"):
+                _burn(10_000)
+                _alloc(100)
+        finally:
+            profiler.close()
         rows = profiler.attribution()["phases"]["solve"]["hot_functions"]
         assert len(rows) <= 5
         for row in rows:

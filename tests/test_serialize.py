@@ -23,11 +23,11 @@ def assert_instances_equal(a, b):
     assert a.num_slots == b.num_slots
     assert a.slot_duration == b.slot_duration
     assert a.num_sensors == b.num_sensors
-    for sa, sb in zip(a.sensors, b.sensors):
-        assert sa.window == sb.window
-        np.testing.assert_array_equal(sa.rates, sb.rates)
-        np.testing.assert_array_equal(sa.powers, sb.powers)
-        assert sa.budget == sb.budget
+    for got, want in zip(a.window_bounds(), b.window_bounds()):
+        np.testing.assert_array_equal(got, want)
+    for name in ("rates", "powers", "offsets"):
+        np.testing.assert_array_equal(getattr(a.flat_pairs(), name), getattr(b.flat_pairs(), name))
+    np.testing.assert_array_equal(a.budgets_array(), b.budgets_array())
 
 
 def test_instance_dict_roundtrip(rng):
@@ -68,6 +68,67 @@ def test_unreachable_sensor_roundtrip():
     )
     back = instance_from_dict(instance_to_dict(inst))
     assert back.window_of(0) is None
+
+
+def _two_sensor_doc():
+    """Sensor 0 sees slots 0..1, sensor 1 slots 2..4, over 6 slots."""
+    return {
+        "format": "repro.dcmp_instance",
+        "version": 1,
+        "num_slots": 6,
+        "slot_duration": 1.0,
+        "sensors": [
+            {"window": [0, 1], "rates": [10.0, 20.0], "powers": [0.3, 0.3], "budget": 1.0},
+            {"window": [2, 4], "rates": [5.0, 5.0, 5.0], "powers": [0.2, 0.2, 0.2], "budget": 2.0},
+        ],
+    }
+
+
+def _mismatched_lengths(doc):
+    # Three rates for sensor 0's two slots, two for sensor 1's three:
+    # the totals still match the windows' five slots.
+    doc["sensors"][0]["rates"] = [10.0, 20.0, 30.0]
+    doc["sensors"][0]["powers"] = [0.3, 0.3, 0.3]
+    doc["sensors"][1]["rates"] = [5.0, 5.0]
+    doc["sensors"][1]["powers"] = [0.2, 0.2]
+
+
+def _nan_rate(doc):
+    doc["sensors"][1]["rates"][1] = float("nan")
+
+
+def _negative_power(doc):
+    doc["sensors"][0]["powers"][0] = -0.1
+
+
+def _window_past_horizon(doc):
+    doc["sensors"][1]["window"] = [4, 6]
+
+
+def _start_after_end(doc):
+    doc["sensors"][1]["window"] = [4, 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_mismatched_lengths, _nan_rate, _negative_power, _window_past_horizon, _start_after_end],
+)
+def test_malformed_document_rejected(corrupt):
+    doc = _two_sensor_doc()
+    instance_from_dict(doc)  # the uncorrupted document loads
+    corrupt(doc)
+    with pytest.raises(ValueError):
+        instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("budget", [float("inf"), float("nan")])
+def test_non_finite_budget_rejected_naming_the_sensor(budget):
+    """Caught when the document loads, not as an overflow in the
+    knapsack or a linprog error in the certificate."""
+    doc = _two_sensor_doc()
+    doc["sensors"][1]["budget"] = budget
+    with pytest.raises(ValueError, match="sensor 1 budget"):
+        instance_from_json(json.dumps(doc))
 
 
 def test_wrong_format_rejected():

@@ -6,6 +6,7 @@ into the fuzzer and must come out the other end as a shrunk minimal
 reproducer persisted to a replayable corpus file.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,7 +15,10 @@ import pytest
 from repro.core.allocation import Allocation
 from repro.core.offline_appro import offline_appro
 from repro.core.offline_maxmatch import offline_maxmatch
+from repro.core.serialize import instance_to_json
 from repro.obs import MetricsRegistry, use_registry
+from repro.planning import PlannerConfig
+from repro.sim import ScenarioConfig
 from repro.verify import (
     Certificate,
     certify,
@@ -193,6 +197,13 @@ class TestEmptyNetwork:
         )
         assert "budgets" in render_certificate(cert)
 
+    def test_sensor_ids_detail_names_no_id(self):
+        inst = make_instance(4, 1.0, [])
+        ids = certify(inst, Allocation.empty(4), algorithm="Offline_Appro").check("sensor_ids")
+        assert ids.passed
+        assert ids.detail == "no sensors, so no sensor id is valid; no slot is assigned"
+        assert "[0, -1]" not in ids.detail
+
     def test_unknown_sensor_fails_as_data(self):
         inst = make_instance(4, 1.0, [])
         cert = certify(inst, Allocation(np.array([0, -1, 1, -1])))
@@ -229,10 +240,10 @@ class TestShrink:
         to a single-sensor, single-slot instance."""
         rng = np.random.default_rng(7)
         inst = random_instance(rng, num_slots=10, num_sensors=5, budget_scale=50.0)
-        assert any(d.budget > 5 for d in inst.sensors)
+        assert np.any(inst.budgets_array() > 5)
 
         def predicate(candidate):
-            return any(d.budget > 5 for d in candidate.sensors)
+            return bool(np.any(candidate.budgets_array() > 5))
 
         shrunk = shrink_instance(inst, predicate)
         assert predicate(shrunk)
@@ -364,6 +375,69 @@ class TestFuzz:
         assert any(f.key() == failure.finding.key() for f in surviving)
         assert replay_file(path) == []
 
+    def test_shrunk_reproducers_are_pinned(self):
+        """The shrinker's passes pick the same candidates in the same
+        order: each shrunk reproducer's JSON text is pinned by hash."""
+        got = []
+        for seed in (0, 1, 2):
+            report = run_fuzz(
+                runs=12,
+                seed=seed,
+                algorithms={"Offline_Appro": _OverspendingSolver()},
+                max_failures=2,
+            )
+            for failure in report.failures:
+                text = instance_to_json(failure.instance)
+                digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+                got.append((failure.original_shape, failure.shape, digest))
+        assert got == [
+            ((3, 11), (1, 5), "0b3bd4418e68ac22"),
+            ((5, 9), (1, 1), "0b42a345af0ddfd4"),
+            ((3, 9), (1, 1), "b556cea0a598d0c7"),
+            ((1, 9), (1, 2), "6a8fd3c68a0e97f2"),
+            ((1, 11), (1, 3), "ab96ea7a8c614f7b"),
+            ((5, 8), (1, 4), "0a9dd84a1b145b4f"),
+        ]
+
+
+def _planned(kind):
+    # The bench's quick planner shape, at n = 100 and one power.
+    return ScenarioConfig(
+        num_sensors=100,
+        path_length=1500.0,
+        max_offset=300.0,
+        sink_speed=10.0,
+        fixed_power=0.3,
+        planner=PlannerConfig(kind=kind),
+    )
+
+
+def _road(num_sensors, fixed_power=None):
+    return ScenarioConfig(
+        num_sensors=num_sensors, path_length=10_000.0, fixed_power=fixed_power
+    )
+
+
+class TestScenarioRelations:
+    """The metamorphic relations and every applicable algorithm's
+    certificate hold on scenario-built instances, far beyond the
+    fuzzer's n <= 5."""
+
+    @pytest.mark.parametrize(
+        "config,seed",
+        [
+            (_road(100), 1),
+            (_road(100, fixed_power=0.3), 1),
+            (_road(300, fixed_power=0.3), 1),
+            (_planned("plane_sweep"), 7),
+            (_planned("multi_sink"), 7),
+        ],
+        ids=["road-n100", "road-n100-0.3W", "road-n300-0.3W", "plane-sweep", "multi-sink"],
+    )
+    def test_check_instance_is_clean(self, config, seed):
+        scenario = config.build(seed=seed)
+        assert check_instance(scenario.instance(), scenario.gamma) == []
+
 
 # ----------------------------------------------------------------------
 # Corpus
@@ -403,11 +477,11 @@ class TestCorpus:
         restored = corpus_instance(doc)
         assert restored.num_sensors == inst.num_sensors
         assert restored.num_slots == inst.num_slots
-        for a, b in zip(restored.sensors, inst.sensors):
-            assert a.window == b.window
-            np.testing.assert_allclose(a.rates, b.rates)
-            np.testing.assert_allclose(a.powers, b.powers)
-            assert a.budget == pytest.approx(b.budget)
+        for a, b in zip(restored.window_bounds(), inst.window_bounds()):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(restored.flat_pairs().rates, inst.flat_pairs().rates)
+        np.testing.assert_allclose(restored.flat_pairs().powers, inst.flat_pairs().powers)
+        np.testing.assert_allclose(restored.budgets_array(), inst.budgets_array())
 
     def test_envelope_validation(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -434,14 +508,13 @@ class TestGen:
     def test_deterministic_under_seed(self):
         a = random_instance(np.random.default_rng(99), num_slots=9, num_sensors=4)
         b = random_instance(np.random.default_rng(99), num_slots=9, num_sensors=4)
-        for da, db in zip(a.sensors, b.sensors):
-            assert da.window == db.window
-            np.testing.assert_array_equal(da.rates, db.rates)
-            np.testing.assert_array_equal(da.powers, db.powers)
-            assert da.budget == db.budget
+        for da, db in zip(a.window_bounds(), b.window_bounds()):
+            np.testing.assert_array_equal(da, db)
+        for da, db in zip(a.flat_pairs(), b.flat_pairs()):
+            np.testing.assert_array_equal(da, db)
+        np.testing.assert_array_equal(a.budgets_array(), b.budgets_array())
 
     def test_fixed_power_instances_use_one_power(self):
         inst = random_instance(np.random.default_rng(5), fixed_power=0.3)
-        for d in inst.sensors:
-            if d.window is not None and d.powers.size:
-                assert np.allclose(d.powers, 0.3)
+        assert inst.flat_pairs().powers.size
+        assert np.allclose(inst.flat_pairs().powers, 0.3)
