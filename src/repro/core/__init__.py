@@ -1,12 +1,12 @@
 """Core combinatorial layer: the data collection maximization problem.
 
 Contains the paper's primary contribution — the DCMP formulation
-(Section II.D), the GAP reduction (Section III), the offline
-approximation algorithm ``Offline_Appro`` (Section IV), and the
+(Section II.D), the offline approximation algorithm ``Offline_Appro``
+(Sections III–IV: the GAP view and its local-ratio pass), and the
 special-case exact algorithm ``Offline_MaxMatch`` (Section VI) — along
-with all combinatorial substrates they need (knapsack solvers, the
-local-ratio GAP machinery, bipartite b-matching, LP bounds,
-baselines, and a brute-force exact solver for validation).
+with all combinatorial substrates they need (knapsack solvers,
+bipartite b-matching, LP bounds, baselines, and a brute-force exact
+solver for validation).
 """
 
 from repro.core.instance import DataCollectionInstance
@@ -18,7 +18,6 @@ from repro.core.knapsack import (
     knapsack_greedy,
     solve_knapsack,
 )
-from repro.core.gap import GapInstance, local_ratio_gap
 from repro.core.matching import max_weight_b_matching
 from repro.core.lp import dcmp_lp_upper_bound
 from repro.core.ilp import IlpSolution, solve_dcmp_ilp
@@ -40,8 +39,6 @@ __all__ = [
     "knapsack_few_weights",
     "knapsack_fptas",
     "solve_knapsack",
-    "GapInstance",
-    "local_ratio_gap",
     "max_weight_b_matching",
     "dcmp_lp_upper_bound",
     "IlpSolution",

@@ -12,7 +12,7 @@ pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List
 
 import numpy as np
 
@@ -127,28 +127,6 @@ class Allocation:
     def empty(cls, num_slots: int) -> "Allocation":
         """All slots unassigned."""
         return cls(np.full(num_slots, UNASSIGNED, dtype=np.int64))
-
-    @classmethod
-    def from_sensor_slots(
-        cls, num_slots: int, sensor_slots: Mapping[int, Iterable[int]]
-    ) -> "Allocation":
-        """Build from ``{sensor: [slots...]}``; raises on double
-        assignment of a slot."""
-        owner = np.full(num_slots, UNASSIGNED, dtype=np.int64)
-        for sensor, slots in sensor_slots.items():
-            for j in slots:
-                if not 0 <= j < num_slots:
-                    raise ValueError(
-                        f"sensor {sensor}: slot {j} outside [0, {num_slots - 1}] "
-                        f"(allocation horizon T={num_slots})"
-                    )
-                if owner[j] != UNASSIGNED:
-                    raise ValueError(
-                        f"slot {j} assigned to both sensor {owner[j]} and {sensor} "
-                        f"(constraint (3) allows one sensor per slot; T={num_slots})"
-                    )
-                owner[j] = sensor
-        return cls(owner)
 
     # ------------------------------------------------------------------
     # Views

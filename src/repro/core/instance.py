@@ -123,6 +123,23 @@ class DataCollectionInstance:
         powers: np.ndarray,
         budgets: np.ndarray,
     ):
+        self._checked(num_slots, slot_duration, starts, ends, rates, powers, budgets)
+
+    def _checked(
+        self,
+        num_slots: int,
+        slot_duration: float,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        rates: np.ndarray,
+        powers: np.ndarray,
+        budgets: np.ndarray,
+        layout: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    ) -> "DataCollectionInstance":
+        """The constructor: check everything, then store it.  A caller
+        that has built :func:`_pair_layout` of these windows already
+        hands it in as ``layout``; it is used only after the windows
+        pass their check."""
         if num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {num_slots}")
         check_positive(slot_duration, "slot_duration")
@@ -147,7 +164,8 @@ class DataCollectionInstance:
                 if reachable[i]
                 else f"sensor {i} window {window} is empty but not (0, -1)"
             )
-        layout = _pair_layout(starts, ends)
+        if layout is None:
+            layout = _pair_layout(starts, ends)
         size = layout[1].size
         if rates.shape != (size,) or powers.shape != (size,):
             raise ValueError(
@@ -168,7 +186,9 @@ class DataCollectionInstance:
             raise ValueError(
                 f"sensor {i} budget is {float(budgets[i])!r}; it must be finite and >= 0"
             )
-        self._set_arrays(num_slots, slot_duration, starts, ends, layout, rates, powers, budgets)
+        return self._set_arrays(
+            num_slots, slot_duration, starts, ends, layout, rates, powers, budgets
+        )
 
     def _set_arrays(
         self,
@@ -202,12 +222,9 @@ class DataCollectionInstance:
         )
         self._budgets = _freeze(budgets)
         # Lazily built caches (see the corresponding accessors).
-        self._competitors: Optional[List[np.ndarray]] = None
         self._order: Optional[List[int]] = None
         self._slot_sort: Optional[np.ndarray] = None
         self._slot_groups: Optional[Tuple[np.ndarray, ...]] = None
-        # Memoised DCMP→GAP reduction (owned by repro.core.offline_appro).
-        self._dcmp_gap = None
         # Memoised DCMP LP bound in bits (owned by repro.core.lp).
         self._lp_bound: Optional[float] = None
         return self
@@ -233,8 +250,9 @@ class DataCollectionInstance:
         The whole derivation is one vectorised pass over the flat
         (sensor, slot) pair set: anchor arcs, anchor points, distances
         and the rate/power lookups each happen in a single array op.  The
-        arrays then go through the checked constructor, budgets clipped
-        at 0 first.
+        arrays then go through the constructor's checks, budgets clipped
+        at 0 first; the pair layout built for the distances is handed
+        through rather than built again.
 
         Notes
         -----
@@ -248,13 +266,14 @@ class DataCollectionInstance:
         """
         positions = np.atleast_2d(np.asarray(network.positions, dtype=np.float64))
         starts, ends = trajectory.availability(positions, rate_table.max_range)
-        _, sensor, slot = _pair_layout(starts, ends)
+        layout = _pair_layout(starts, ends)
+        _, sensor, slot = layout
         pts = np.atleast_2d(trajectory.path.point_at(trajectory.arc_at_slot(slot)))
         dists = np.hypot(
             positions[sensor, 0] - pts[:, 0],
             positions[sensor, 1] - pts[:, 1],
         )
-        return cls(
+        return cls.__new__(cls)._checked(
             trajectory.num_slots,
             trajectory.slot_duration,
             starts,
@@ -262,6 +281,7 @@ class DataCollectionInstance:
             rate_table.rate_at(dists),
             rate_table.power_at(dists),
             np.maximum(np.asarray(budgets, dtype=np.float64), 0.0),
+            layout,
         )
 
     # ------------------------------------------------------------------
@@ -366,10 +386,11 @@ class DataCollectionInstance:
     # ------------------------------------------------------------------
     def slot_competitors(self, slot: int) -> np.ndarray:
         """Sensor ids whose window contains ``slot`` (ascending)."""
-        return self._competitor_table()[slot]
+        starts, ends = self._window_bounds
+        return np.flatnonzero((starts <= slot) & (ends >= slot))
 
     def _slot_order(self) -> np.ndarray:
-        """Stable ``argsort`` of the pair slots, cached (``dcmp_to_gap`` shares it)."""
+        """Stable ``argsort`` of the pair slots, cached."""
         if self._slot_sort is None:
             self._slot_sort = _freeze(np.argsort(self._flat.slot, kind="stable"))
         return self._slot_sort
@@ -392,15 +413,6 @@ class DataCollectionInstance:
                 _freeze(flat.costs[order]),
             )
         return self._slot_groups
-
-    def _competitor_table(self) -> List[np.ndarray]:
-        if self._competitors is None:
-            bounds, sensors, _, _ = self._slot_grouped()
-            edges = bounds.tolist()
-            self._competitors = [
-                sensors[edges[j] : edges[j + 1]] for j in range(self.num_slots)
-            ]
-        return self._competitors
 
     def sensor_order(self) -> List[int]:
         """The paper's processing order: ascending start slot, then end

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "knapsack_few_weights",
     "knapsack_fptas",
     "solve_knapsack",
+    "list_solver",
 ]
 
 #: Enumerations at most this large run as a plain-float odometer loop
@@ -157,7 +158,8 @@ def knapsack_few_weights(
     the maximum affordable count of a single-weight class is always
     optimal since profits are positive).
 
-    Raises ``ValueError`` if the enumeration would exceed
+    Raises ``ValueError`` on a negative weight, even one whose item would
+    have been filtered, and if the enumeration would exceed
     ``_MAX_COMBINATIONS`` (2,000,000).  No caller falls back to an
     inexact solver then: Theorem 2's ½ assumes an exact knapsack.
     """
@@ -167,31 +169,38 @@ def knapsack_few_weights(
         raise ValueError(
             f"profits and weights must be equal-length 1-D, got {profits.shape}/{weights.shape}"
         )
-    # The item sets here are tiny (the GAP bins hand us a few dozen
-    # items in ≤ 4 weight classes), so the filter and the whole solve
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    return _result_from_lists(*_few_weights(profits.tolist(), weights.tolist(), capacity))
+
+
+def _few_weights(
+    p_all: List[float], w_all: List[float], capacity: float
+) -> Tuple[List[int], List[float], List[float], List[int]]:
+    """The body of :func:`knapsack_few_weights` on plain-float lists whose
+    weights the caller has checked: ``(indices, profits, weights,
+    chosen)`` over the items that survive the filter, ``chosen`` being
+    local positions into them (any order)."""
+    # The item sets here are tiny (a sensor's window is a few dozen
+    # slots in ≤ 4 weight classes), so the filter and the whole solve
     # run on plain-float lists — the same IEEE double arithmetic as the
-    # array form, without per-call array-allocation overhead.  The scan
-    # covers every item, so a negative weight raises even when the item
-    # would have been filtered; NaNs fail both keep-tests, exactly like
-    # the array comparisons they replace.  An item fits alone within the
-    # same 1e-12 slack the count enumeration grants a whole packing, so a
-    # weight a rounding error above the capacity is not dropped here.
-    p_all = profits.tolist()
-    w_all = weights.tolist()
+    # array form, without per-call array-allocation overhead.  NaNs fail
+    # both keep-tests, exactly like the array comparisons they replace.
+    # An item fits alone within the same 1e-12 slack the count
+    # enumeration grants a whole packing, so a weight a rounding error
+    # above the capacity is not dropped here.
     cap_slack = capacity + 1e-12
     idx_list: List[int] = []
     p_list: List[float] = []
     w_list: List[float] = []
     for k, w in enumerate(w_all):
-        if w < 0.0:
-            raise ValueError("weights must be non-negative")
         if p_all[k] > 0.0 and w <= cap_slack:
             idx_list.append(k)
             p_list.append(p_all[k])
             w_list.append(w)
     n = len(idx_list)
     if n == 0:
-        return KnapsackResult.empty()
+        return idx_list, p_list, w_list, []
 
     # Fast path: one distinct positive weight (the common shape once the
     # local-ratio residuals thin a bin out).  The optimum is simply the
@@ -203,7 +212,7 @@ def knapsack_few_weights(
         g_count = min(n, int(capacity / w0 + 1e-12))
         if g_count < 0:
             g_count = 0
-        return _result_from_lists(idx_list, p_list, w_list, members[:g_count])
+        return idx_list, p_list, w_list, members[:g_count]
 
     # Group by weight (classes weight-ascending; members profit-desc
     # with ascending-index ties — identical ordering to a stable
@@ -229,7 +238,7 @@ def knapsack_few_weights(
             classes_nz.append((weight_value, members, prefix))
 
     if not classes_nz:
-        return _result_from_lists(idx_list, p_list, w_list, base_chosen)
+        return idx_list, p_list, w_list, base_chosen
 
     # Enumerate every class except the one with the most members (the
     # greedy-filled class), keeping the search space minimal.
@@ -344,7 +353,7 @@ def knapsack_few_weights(
     for ct, (_, members, _) in zip(best_counts, enum_classes):
         chosen.extend(members[:ct])
     chosen.extend(g_members[:best_g])
-    return _result_from_lists(idx_list, p_list, w_list, chosen)
+    return idx_list, p_list, w_list, chosen
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +434,11 @@ def knapsack_fptas(
 # ----------------------------------------------------------------------
 # Dispatcher
 # ----------------------------------------------------------------------
+def _check_method(method: str) -> None:
+    if method not in ("few_weights", "greedy", "fptas"):
+        raise ValueError(f"unknown knapsack method {method!r}")
+
+
 def solve_knapsack(
     profits: np.ndarray,
     weights: np.ndarray,
@@ -442,8 +456,7 @@ def solve_knapsack(
     and ``knapsack.items`` counters, a ``knapsack.solve`` timer, and a
     ``knapsack.method[<solver>]`` counter for the solver that answered.
     """
-    if method not in ("few_weights", "greedy", "fptas"):
-        raise ValueError(f"unknown knapsack method {method!r}")
+    _check_method(method)
     registry = get_registry()
     registry.inc("knapsack.calls")
     registry.inc("knapsack.items", float(np.asarray(profits).size))
@@ -456,3 +469,28 @@ def solve_knapsack(
             result = knapsack_fptas(profits, weights, capacity, epsilon=epsilon)
     registry.inc(f"knapsack.method[{method}]")
     return result
+
+
+def list_solver(
+    method: str = "few_weights", epsilon: float = 0.1
+) -> Callable[[List[float], List[float], float], Sequence[int]]:
+    """``method``'s solver for a caller that checks its weights once and
+    records the counters itself, as ``Offline_Appro``'s local-ratio pass
+    does: ``(profits, weights, capacity) -> selected`` on plain-float
+    lists, ``selected`` being the indices :func:`solve_knapsack` selects,
+    ascending.  It records nothing and times nothing."""
+    _check_method(method)
+    if method == "few_weights":
+
+        def few_weights(profits, weights, capacity):
+            idx, _, _, chosen = _few_weights(profits, weights, capacity)
+            return [idx[k] for k in sorted(chosen)]
+
+        return few_weights
+    if method == "greedy":
+        return lambda profits, weights, capacity: knapsack_greedy(
+            profits, weights, capacity
+        ).selected
+    return lambda profits, weights, capacity: knapsack_fptas(
+        profits, weights, capacity, epsilon=epsilon
+    ).selected

@@ -155,7 +155,7 @@ def run_online(
         # --- Probe: heard by sensors in range at the interval start,
         # minus any injected control-channel losses.
         probe_slot = interval.start
-        in_range = [int(i) for i in instance.slot_competitors(probe_slot)]
+        in_range = instance.slot_competitors(probe_slot).tolist()
         if loss_rate > 0.0 and in_range:
             heard = loss_rng.random(len(in_range)) >= loss_rate
             registered = [s for s, ok in zip(in_range, heard) if ok]
@@ -167,8 +167,7 @@ def run_online(
             records.append(IntervalRecord(j, interval, [], 0, 0.0))
             continue  # paper: tour would end if deployment were sparse here
         # --- Acks (registration).
-        for sensor in registered:
-            log.record_ack(sensor)
+        log.record_acks(registered)
         registry.inc("online.registrations", float(len(registered)))
         _log.debug(
             "interval %d: slots [%d, %d], %d registered",

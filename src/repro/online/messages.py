@@ -52,14 +52,13 @@ class MessageLog:
         """A sink broadcast of ``kind`` heard by the given sensors."""
         self.broadcasts[kind] += 1
         self.receptions[kind] += len(heard_by)
-        for sensor in heard_by:
-            self.sensor_receptions[sensor] += 1
+        self.sensor_receptions.update(heard_by)
 
-    def record_ack(self, sensor: int) -> None:
-        """An Ack (registration) sent by ``sensor`` to the sink."""
+    def record_acks(self, senders: List[int]) -> None:
+        """One Ack (registration) sent to the sink by each of ``senders``."""
         self.broadcasts[MessageType.ACK] += 0  # acks are unicast, not broadcast
-        self.receptions[MessageType.ACK] += 1
-        self.sensor_transmissions[sensor] += 1
+        self.receptions[MessageType.ACK] += len(senders)
+        self.sensor_transmissions.update(senders)
 
     # ------------------------------------------------------------------
     @property

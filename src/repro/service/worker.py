@@ -14,7 +14,7 @@ runs under a **local recording registry** whose :meth:`~repro.obs.registry.Metri
 travels back in the result under :data:`WORKER_METRICS_KEY`; the
 executor folds it into the parent's service registry (real timer
 observations, not summaries), which is how ``GET /metrics`` sees
-solver-phase costs (``knapsack.solve``, ``matching.lp``, ``gap.*`` …)
+solver-phase costs (``offline_appro.local_ratio``, ``matching.lp`` …)
 under load.  When the payload carries ``"trace": true`` the solve also
 runs under a recording :class:`~repro.obs.tracing.Tracer` (span events
 come back under :data:`TRACE_EVENTS_KEY`) and a

@@ -58,9 +58,19 @@ the shrinker's four passes (:data:`SHRINK_PASS_REFERENCES`) edit those
 records one sensor at a time.
 
 :func:`run_online_reference` is the online framework with its
-per-slot merge loop: scalar ``cost``/``profit`` lookups, one debit and
-one ``+=`` per assigned slot, and :func:`restrict_reference` for each
-interval's sub-instance.
+per-slot merge loop: the sensors hearing a probe found one window at a
+time, one message count per sensor, scalar ``cost``/``profit`` lookups,
+one debit and one ``+=`` per assigned slot, and
+:func:`restrict_reference` for each interval's sub-instance.
+
+:func:`offline_appro_reference` is the GAP path ``Offline_Appro``'s
+residual band replaced: the memoised reduction :func:`dcmp_to_gap` to a
+flat :class:`GapInstance` with its occupancy index, the vectorised
+rounds of :func:`local_ratio_gap` with one ``solve_knapsack`` call per
+bin and its backward pass, and :func:`from_sensor_slots` over the
+assignment (:class:`GapIntervalReference` runs it per probe interval).
+:func:`local_ratio_gap_oracle` is in turn the scalar loop those rounds
+replaced.
 
 Keep these boring: single code path, plain Python floats, nested loops.
 Any cleverness added here defeats their purpose as references.
@@ -73,21 +83,24 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import LinearConstraint, linprog, milp
 from scipy.sparse import coo_matrix
 
 from repro.core.allocation import BUDGET_EPS, UNASSIGNED, Allocation
-from repro.core.gap import GapInstance, KnapsackSolver
 from repro.core.instance import DataCollectionInstance, FlatPairs
+from repro.core.knapsack import KnapsackResult, solve_knapsack
 from repro.core.matching import MatchingResult
 from repro.core.offline_maxmatch import _POWER_RTOL, fixed_power_of
 from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
 from repro.online.framework import IntervalRecord, IntervalScheduler, OnlineResult
+from repro.obs import get_registry, phase
 from repro.online.messages import MessageLog, MessageType
 from repro.sim.scenario import ScenarioConfig
+from repro.utils.arrays import ordered_sum
 from repro.utils.intervals import SlotInterval
 from repro.utils.rng import RngStream
 
@@ -100,6 +113,13 @@ __all__ = [
     "gap_from_bins",
     "gap_bins",
     "knapsack_few_weights_oracle",
+    "GapInstance",
+    "GapSolution",
+    "local_ratio_gap",
+    "dcmp_to_gap",
+    "from_sensor_slots",
+    "offline_appro_reference",
+    "GapIntervalReference",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
     "dcmp_lp_reference_bound",
@@ -383,6 +403,344 @@ def knapsack_few_weights_oracle(
 
 
 # ----------------------------------------------------------------------
+# GAP: the flat instance and its vectorised local-ratio pass, the path
+# Offline_Appro's residual band replaced
+# ----------------------------------------------------------------------
+KnapsackSolver = Callable[[np.ndarray, np.ndarray, float], KnapsackResult]
+
+
+class GapInstance:
+    """A GAP instance, stored flat.
+
+    Items are identified by arbitrary non-negative integers; an item may
+    be a candidate of any subset of bins (in the DCMP reduction, item =
+    time slot, candidates = sensors whose window covers it).
+
+    Bin ``l``'s candidates occupy ``[offsets[l], offsets[l+1])`` of the
+    aligned ``items``, ``profits`` and ``weights`` arrays; its capacity
+    is ``capacities[l]``.  The constructor checks that the arrays align,
+    that items are non-negative and distinct within a bin, and that
+    capacities are ``>= 0``, and copies them;
+    :func:`dcmp_to_gap` hands a DCMP instance's
+    flat pair arrays to the array initialiser without copying.
+    """
+
+    def __init__(
+        self,
+        offsets: np.ndarray,
+        items: np.ndarray,
+        profits: np.ndarray,
+        weights: np.ndarray,
+        capacities: np.ndarray,
+    ):
+        offsets = np.array(offsets, dtype=np.int64)
+        items = np.array(items, dtype=np.int64)
+        profits = np.array(profits, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        capacities = np.array(capacities, dtype=np.float64)
+        if not (items.shape == profits.shape == weights.shape) or items.ndim != 1:
+            raise ValueError("items, profits, weights must be equal-length 1-D")
+        sizes = np.diff(offsets)
+        if (
+            capacities.ndim != 1
+            or offsets.shape != (capacities.size + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != items.size
+            or np.any(sizes < 0)
+        ):
+            raise ValueError("offsets must rise from 0 to len(items), one step per capacity")
+        if np.any(items < 0):
+            raise ValueError("items must be non-negative")
+        # Sorted by (bin, item), a repeat within a bin sits next to its twin.
+        bin_of = np.repeat(np.arange(capacities.size, dtype=np.int64), sizes)
+        order = np.lexsort((items, bin_of))
+        twin = (np.diff(items[order]) == 0) & (np.diff(bin_of[order]) == 0)
+        if twin.any():
+            raise ValueError(
+                f"bin {bin_of[order][np.argmax(twin)]} candidate items must be distinct"
+            )
+        negative = capacities < 0
+        if negative.any():
+            l = int(np.argmax(negative))
+            raise ValueError(f"bin {l} capacity must be >= 0, got {float(capacities[l])}")
+        self._set_arrays(offsets, items, profits, weights, capacities)
+
+    def _set_arrays(
+        self,
+        offsets: np.ndarray,
+        items: np.ndarray,
+        profits: np.ndarray,
+        weights: np.ndarray,
+        capacities: np.ndarray,
+        item_order: Optional[np.ndarray] = None,
+    ) -> "GapInstance":
+        """The one initialiser: store the flat form as given.  The caller
+        guarantees what the constructor checks (int64 items, non-negative
+        and distinct within a bin, aligned float64 arrays, capacities
+        ≥ 0) and that ``item_order`` is ``np.argsort(items,
+        kind="stable")`` if given."""
+        self.offsets = offsets
+        self.items = items
+        self.profits = profits
+        self.weights = weights
+        self.capacities = capacities
+        self.num_items = int(items.max()) + 1 if items.size else 0
+        self._occ_keys: Optional[np.ndarray] = None
+        # Reverse index, flat: occupancy entry k is the flat position
+        # _occ_flat[k] of an item's candidate entry in bin _occ_bin[k];
+        # item j's entries span [_occ_bounds[j], _occ_bounds[j+1]).  The
+        # stable sort keeps them bin-ascending within an item.
+        self._occ_flat = np.argsort(items, kind="stable") if item_order is None else item_order
+        bin_of = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+        self._occ_bin = bin_of[self._occ_flat]
+        self._occ_bounds = np.searchsorted(
+            items[self._occ_flat], np.arange(self.num_items + 1, dtype=np.int64)
+        )
+        self._occ_counts = np.diff(self._occ_bounds)
+        return self
+
+    @property
+    def num_bins(self) -> int:
+        """Number of bins."""
+        return self.capacities.size
+
+    def bins_containing(self, item: int) -> List[Tuple[int, int]]:
+        """``[(bin, position)]`` pairs whose candidate set includes
+        ``item``."""
+        lo, hi = self._occ_bounds[item], self._occ_bounds[item + 1]
+        bins = self._occ_bin[lo:hi]
+        positions = self._occ_flat[lo:hi] - self.offsets[bins]
+        return list(zip(bins.tolist(), positions.tolist()))
+
+    def profit_of_assignment(self, assignment: Dict[int, Sequence[int]]) -> float:
+        """Total profit of ``{bin: [items...]}`` (raises on non-candidate
+        pairs)."""
+        bins = np.fromiter(
+            (bi for bi, items in assignment.items() for _ in items), np.int64
+        )
+        wanted = np.fromiter(
+            (item for items in assignment.values() for item in items),
+            np.int64,
+            count=bins.size,
+        )
+        if not bins.size:
+            return 0.0
+        outside = (bins < 0) | (bins >= self.num_bins)
+        if np.any(outside):
+            raise IndexError(f"bin {int(bins[np.argmax(outside)])} out of range")
+        if self._occ_keys is None:
+            # One (item, bin) key per occupancy entry, ascending.
+            self._occ_keys = self.items[self._occ_flat] * self.num_bins + self._occ_bin
+        keys = wanted * self.num_bins + bins
+        pos = np.searchsorted(self._occ_keys, keys)
+        # An item outside [0, num_items) has no entry (and its key may
+        # have wrapped around).
+        found = (wanted >= 0) & (wanted < self.num_items) & (pos < self._occ_keys.size)
+        found[found] = self._occ_keys[pos[found]] == keys[found]
+        if not found.all():
+            raise KeyError(int(wanted[int(np.argmin(found))]))
+        # In request order, bit-identical to the scalar reference.
+        return ordered_sum(self.profits[self._occ_flat[pos]])
+
+
+@dataclass
+class GapSolution:
+    """Result of :func:`local_ratio_gap`.
+
+    Attributes
+    ----------
+    assignment:
+        ``{bin: sorted list of items}`` — disjoint across bins.
+    tentative:
+        The pre-conflict-resolution sets ``S̄_l`` (diagnostics; these may
+        overlap across bins).
+    profit:
+        Total profit of ``assignment`` under the *original* profits.
+    """
+
+    assignment: Dict[int, List[int]]
+    tentative: Dict[int, List[int]]
+    profit: float
+
+
+def local_ratio_gap(
+    instance: GapInstance,
+    knapsack_solver: Optional[KnapsackSolver] = None,
+    bin_order: Optional[Sequence[int]] = None,
+) -> GapSolution:
+    """Cohen–Katzir–Raz local-ratio approximation for GAP.
+
+    Parameters
+    ----------
+    instance:
+        The GAP instance.
+    knapsack_solver:
+        ``(profits, weights, capacity) -> KnapsackResult``; defaults to
+        :func:`repro.core.knapsack.solve_knapsack`'s exact default
+        (``method='few_weights'``), hence an overall 1/2-approximation.
+    bin_order:
+        Processing order of bins; defaults to 0..n-1.  ``Offline_Appro``
+        passes the paper's start-slot order.
+
+    Returns
+    -------
+    GapSolution
+        Feasible (disjoint, capacity-respecting) assignment.
+
+    Notes
+    -----
+    Records ``gap.local_ratio_rounds`` (one per bin) and
+    ``gap.residual_updates`` counters plus a ``gap.local_ratio`` timer
+    to the :mod:`repro.obs` registry.
+    """
+    if knapsack_solver is None:
+        knapsack_solver = solve_knapsack
+    order = list(range(instance.num_bins)) if bin_order is None else list(bin_order)
+    if sorted(order) != list(range(instance.num_bins)):
+        raise ValueError("bin_order must be a permutation of all bins")
+
+    registry = get_registry()
+    with phase("gap.local_ratio"):
+        # Residual profit over all (bin, position) entries, flat; bin l
+        # occupies [offsets[l], offsets[l+1]).
+        residual = instance.profits.astype(np.float64)
+        items = instance.items
+        weights = instance.weights
+        capacities = instance.capacities.tolist()
+        occ_bin = instance._occ_bin
+        occ_bounds = instance._occ_bounds
+        occ_counts_all = instance._occ_counts
+        occ_flat = instance._occ_flat
+        offsets_list = instance.offsets.tolist()
+
+        tentative: Dict[int, List[int]] = {}
+        residual_updates = 0
+
+        for l in order:
+            lo, hi = offsets_list[l], offsets_list[l + 1]
+            result = knapsack_solver(residual[lo:hi], weights[lo:hi], capacities[l])
+            chosen = result.selected
+            # Decompose: subtract bin l's residual profit of each chosen
+            # item from every other bin containing that item (equation
+            # (5)).  Each (item, other-bin) entry is touched exactly
+            # once per round, so one fancy-indexed subtraction is
+            # arithmetically identical to the scalar loop.
+            if chosen:
+                chosen_flat = lo + np.fromiter(chosen, np.int64, count=len(chosen))
+                tentative[l] = items[chosen_flat].tolist()
+                deltas = residual[chosen_flat]
+                positive = deltas > 0.0
+                if positive.all():
+                    # The default solver only selects positive-residual
+                    # items, so this is the near-universal path.
+                    items_chosen = items[chosen_flat]
+                elif positive.any():
+                    items_chosen = items[chosen_flat[positive]]
+                    deltas = deltas[positive]
+                else:
+                    items_chosen = None
+                if items_chosen is not None:
+                    occ_counts = occ_counts_all[items_chosen]
+                    # repeat(occ_lo, c) + ragged_arange(c), fused: shift
+                    # each range start by its exclusive prefix offset.
+                    bounds = np.cumsum(occ_counts)
+                    starts = bounds - occ_counts
+                    occ_idx = np.repeat(
+                        occ_bounds[items_chosen] - starts, occ_counts
+                    ) + np.arange(int(bounds[-1]), dtype=np.int64)
+                    keep = occ_bin[occ_idx] != l
+                    targets = occ_flat[occ_idx[keep]]
+                    residual[targets] -= np.repeat(deltas, occ_counts)[keep]
+                    residual_updates += int(targets.size)
+            else:
+                tentative[l] = []
+            # Bin l leaves the game.
+            residual[lo:hi] = -np.inf
+
+        # Backward conflict resolution: S_l = S̄_l \ U_{later} S.
+        taken: set = set()
+        assignment: Dict[int, List[int]] = {}
+        for l in reversed(order):
+            mine = [item for item in tentative[l] if item not in taken]
+            assignment[l] = sorted(mine)
+            taken.update(mine)
+
+        profit = instance.profit_of_assignment(assignment)
+    registry.inc("gap.local_ratio_rounds", float(len(order)))
+    registry.inc("gap.residual_updates", float(residual_updates))
+    return GapSolution(assignment=assignment, tentative={k: sorted(v) for k, v in tentative.items()}, profit=profit)
+
+
+def dcmp_to_gap(instance: DataCollectionInstance) -> GapInstance:
+    """The Section-III reduction: DCMP → GAP.
+
+    Bin ``i`` = sensor ``v_i`` with capacity ``P(v_i)``; its candidate
+    items are the slots of ``A(v_i)`` with profit ``r_{i,j}·τ`` and
+    weight ``P_{i,j}·τ``.
+
+    The reduction is memoised on the (immutable) instance: repeated
+    solves over the same instance reuse its occupancy index.
+    """
+    cached = getattr(instance, "_dcmp_gap", None)
+    if cached is not None:
+        return cached
+    flat = instance.flat_pairs()
+    # The instance's own immutable arrays, shared: bins are its sensors
+    # and each bin's items are its window's slots, distinct by
+    # construction, so nothing is validated, copied or sorted again.
+    gap = GapInstance.__new__(GapInstance)._set_arrays(
+        flat.offsets, flat.slot, flat.profits, flat.costs, instance.budgets_array(),
+        instance._slot_order(),
+    )
+    instance._dcmp_gap = gap
+    return gap
+
+
+def from_sensor_slots(num_slots: int, sensor_slots: Mapping[int, Iterable[int]]) -> Allocation:
+    """An allocation from ``{sensor: [slots...]}``; raises on double
+    assignment of a slot."""
+    owner = np.full(num_slots, UNASSIGNED, dtype=np.int64)
+    for sensor, slots in sensor_slots.items():
+        for j in slots:
+            if not 0 <= j < num_slots:
+                raise ValueError(
+                    f"sensor {sensor}: slot {j} outside [0, {num_slots - 1}] "
+                    f"(allocation horizon T={num_slots})"
+                )
+            if owner[j] != UNASSIGNED:
+                raise ValueError(
+                    f"slot {j} assigned to both sensor {owner[j]} and {sensor} "
+                    f"(constraint (3) allows one sensor per slot; T={num_slots})"
+                )
+            owner[j] = sensor
+    return Allocation(owner)
+
+
+def offline_appro_reference(
+    instance: DataCollectionInstance,
+    knapsack_method: str = "few_weights",
+    epsilon: float = 0.1,
+) -> Allocation:
+    """Reference for :func:`repro.core.offline_appro.offline_appro`: the
+    memoised reduction, :func:`local_ratio_gap` in the paper's sensor
+    order with one :func:`~repro.core.knapsack.solve_knapsack` call per
+    bin, and :func:`from_sensor_slots` over its assignment.  It records
+    the same counters as the residual band, one knapsack at a time."""
+    solver = partial(solve_knapsack, method=knapsack_method, epsilon=epsilon)
+    solution = local_ratio_gap(
+        dcmp_to_gap(instance), knapsack_solver=solver, bin_order=instance.sensor_order()
+    )
+    return from_sensor_slots(instance.num_slots, solution.assignment)
+
+
+class GapIntervalReference:
+    """``Online_Appro``'s interval scheduler on the reference path."""
+
+    def schedule(self, sub_instance: DataCollectionInstance) -> Allocation:
+        return offline_appro_reference(sub_instance)
+
+
+# ----------------------------------------------------------------------
 # GAP: scalar local-ratio residual loop
 # ----------------------------------------------------------------------
 def local_ratio_gap_oracle(
@@ -390,7 +748,7 @@ def local_ratio_gap_oracle(
     knapsack_solver: KnapsackSolver,
     bin_order: Optional[Sequence[int]] = None,
 ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]], float, int]:
-    """Reference for :func:`repro.core.gap.local_ratio_gap`.
+    """Reference for :func:`local_ratio_gap`.
 
     Returns ``(assignment, tentative, profit, residual_updates)``.
     Residuals live in per-bin Python lists; each round subtracts the
@@ -1329,7 +1687,7 @@ class GapReference:
 
 
 def gap_reference(instance) -> GapReference:
-    """Reference for :func:`repro.core.offline_appro.dcmp_to_gap` on an
+    """Reference for :func:`dcmp_to_gap` on an
     instance or an :class:`InstanceReference` (through
     :func:`sensor_records`): bin ``i`` holds sensor ``i``'s window slots, profits ``r·τ``,
     weights ``P·τ`` and capacity ``P(v_i)``; the occupancy index is
@@ -1369,6 +1727,15 @@ def gap_reference(instance) -> GapReference:
 # ----------------------------------------------------------------------
 # Online framework: the per-slot interval merge
 # ----------------------------------------------------------------------
+def _broadcast_reference(log: MessageLog, kind: MessageType, heard_by: List[int]) -> None:
+    """Reference for :meth:`~repro.online.messages.MessageLog.record_broadcast`:
+    one sink broadcast, one reception per hearing sensor."""
+    log.broadcasts[kind] += 1
+    log.receptions[kind] += len(heard_by)
+    for sensor in heard_by:
+        log.sensor_receptions[sensor] += 1
+
+
 def run_online_reference(
     instance: DataCollectionInstance,
     gamma: int,
@@ -1377,8 +1744,9 @@ def run_online_reference(
     loss_seed: int = 0,
 ) -> OnlineResult:
     """Reference for :func:`repro.online.framework.run_online` (without
-    its registry, phases and logging): each interval's schedule is
-    merged slot by slot."""
+    its registry, phases and logging): the sensors hearing each probe
+    found one window at a time, every message counted one sensor at a
+    time, and each interval's schedule merged slot by slot."""
     loss_rng = np.random.default_rng(loss_seed)
     t = instance.num_slots
     n = instance.num_sensors
@@ -1386,26 +1754,30 @@ def run_online_reference(
     tour_owner = np.full(t, -1, dtype=np.int64)
     log = MessageLog()
     records: List[IntervalRecord] = []
+    windows = [instance.window_of(i) for i in range(n)]
     for j in range(int(np.ceil(t / gamma))):
         interval = SlotInterval(j * gamma, min((j + 1) * gamma, t) - 1)
-        in_range = [int(i) for i in instance.slot_competitors(interval.start)]
+        in_range = [i for i, w in enumerate(windows) if w is not None and interval.start in w]
         if loss_rate > 0.0 and in_range:
             heard = loss_rng.random(len(in_range)) >= loss_rate
             registered = [s for s, ok in zip(in_range, heard) if ok]
         else:
             registered = in_range
-        log.record_broadcast(MessageType.PROBE, registered)
+        _broadcast_reference(log, MessageType.PROBE, registered)
         if not registered:
             records.append(IntervalRecord(j, interval, [], 0, 0.0))
             continue
         for sensor in registered:
-            log.record_ack(sensor)
+            # An Ack is unicast: no sink broadcast, one reception at the sink.
+            log.broadcasts[MessageType.ACK] += 0
+            log.receptions[MessageType.ACK] += 1
+            log.sensor_transmissions[sensor] += 1
         sub_instance, parents = restrict_reference(
             instance, interval, budgets=residual, sensor_ids=registered
         )
         sub_allocation = scheduler.schedule(sub_instance)
         sub_allocation.check_feasible(sub_instance)
-        log.record_broadcast(MessageType.SCHEDULE, registered)
+        _broadcast_reference(log, MessageType.SCHEDULE, registered)
         bits = 0.0
         assigned = 0
         for local_slot, local_sensor in enumerate(sub_allocation.slot_owner):
@@ -1419,7 +1791,7 @@ def run_online_reference(
             if tour_owner[global_slot] != -1:
                 raise AssertionError(f"slot {global_slot} scheduled twice")
             tour_owner[global_slot] = parent
-        log.record_broadcast(MessageType.FINISH, registered)
+        _broadcast_reference(log, MessageType.FINISH, registered)
         records.append(IntervalRecord(j, interval, registered, assigned, bits))
     allocation = Allocation(tour_owner)
     return OnlineResult(

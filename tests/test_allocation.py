@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.allocation import Allocation
 from tests.conftest import make_instance
+from tests.oracles import from_sensor_slots
 
 
 @pytest.fixture
@@ -26,28 +27,28 @@ class TestConstruction:
         assert alloc.num_assigned() == 0
 
     def test_from_sensor_slots(self):
-        alloc = Allocation.from_sensor_slots(5, {0: [1, 2], 1: [4]})
+        alloc = from_sensor_slots(5, {0: [1, 2], 1: [4]})
         np.testing.assert_array_equal(alloc.slot_owner, [-1, 0, 0, -1, 1])
 
     def test_double_assignment_rejected(self):
         with pytest.raises(ValueError):
-            Allocation.from_sensor_slots(5, {0: [1], 1: [1]})
+            from_sensor_slots(5, {0: [1], 1: [1]})
 
     def test_double_assignment_message_names_both_sensors_and_horizon(self):
         with pytest.raises(ValueError, match=r"slot 1 assigned to both sensor 0 and 1"):
-            Allocation.from_sensor_slots(5, {0: [1], 1: [1]})
+            from_sensor_slots(5, {0: [1], 1: [1]})
         with pytest.raises(ValueError, match=r"T=5"):
-            Allocation.from_sensor_slots(5, {0: [1], 1: [1]})
+            from_sensor_slots(5, {0: [1], 1: [1]})
 
     def test_out_of_range_slot_rejected(self):
         with pytest.raises(ValueError):
-            Allocation.from_sensor_slots(5, {0: [5]})
+            from_sensor_slots(5, {0: [5]})
 
     def test_out_of_range_message_names_sensor_and_bounds(self):
         with pytest.raises(
             ValueError, match=r"sensor 0: slot 5 outside \[0, 4\] \(allocation horizon T=5\)"
         ):
-            Allocation.from_sensor_slots(5, {0: [5]})
+            from_sensor_slots(5, {0: [5]})
 
     def test_owner_array_immutable(self):
         alloc = Allocation.empty(3)
@@ -57,32 +58,32 @@ class TestConstruction:
 
 class TestViews:
     def test_slots_of(self):
-        alloc = Allocation.from_sensor_slots(6, {0: [0, 3], 1: [2]})
+        alloc = from_sensor_slots(6, {0: [0, 3], 1: [2]})
         np.testing.assert_array_equal(alloc.slots_of(0), [0, 3])
         np.testing.assert_array_equal(alloc.slots_of(1), [2])
         assert alloc.slots_of(2).size == 0
 
     def test_sensor_slots_roundtrip(self):
         mapping = {0: [0, 3], 1: [2]}
-        alloc = Allocation.from_sensor_slots(6, mapping)
+        alloc = from_sensor_slots(6, mapping)
         assert alloc.sensor_slots() == mapping
 
     def test_num_assigned(self):
-        alloc = Allocation.from_sensor_slots(6, {0: [0, 3], 1: [2]})
+        alloc = from_sensor_slots(6, {0: [0, 3], 1: [2]})
         assert alloc.num_assigned() == 3
 
 
 class TestScoring:
     def test_collected_bits(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [1, 3], 1: [4]})
+        alloc = from_sensor_slots(6, {0: [1, 3], 1: [4]})
         assert alloc.collected_bits(inst) == pytest.approx(20 + 40 + 5)
 
     def test_energy_spent(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [1, 3], 1: [4, 5]})
+        alloc = from_sensor_slots(6, {0: [1, 3], 1: [4, 5]})
         np.testing.assert_allclose(alloc.energy_spent(inst), [2.0, 4.0])
 
     def test_per_sensor_bits(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [0], 1: [2]})
+        alloc = from_sensor_slots(6, {0: [0], 1: [2]})
         np.testing.assert_allclose(alloc.per_sensor_bits(inst), [10.0, 5.0])
 
     def test_empty_allocation_scores_zero(self, inst):
@@ -91,38 +92,38 @@ class TestScoring:
 
 class TestFeasibility:
     def test_feasible(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [1, 3], 1: [4]})
+        alloc = from_sensor_slots(6, {0: [1, 3], 1: [4]})
         assert alloc.violations(inst) == []
         alloc.check_feasible(inst)  # must not raise
 
     def test_slot_outside_window(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [5]})
+        alloc = from_sensor_slots(6, {0: [5]})
         problems = alloc.violations(inst)
         assert any("outside" in p for p in problems)
 
     def test_budget_violation(self, inst):
         # Sensor 0 budget 2.0 at 1 J/slot: three slots overdraw.
-        alloc = Allocation.from_sensor_slots(6, {0: [0, 1, 2]})
+        alloc = from_sensor_slots(6, {0: [0, 1, 2]})
         problems = alloc.violations(inst)
         assert any("budget" in p for p in problems)
         with pytest.raises(ValueError):
             alloc.check_feasible(inst)
 
     def test_budget_violation_reports_overdraw_amount(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [0, 1, 2]})
+        alloc = from_sensor_slots(6, {0: [0, 1, 2]})
         (problem,) = alloc.violations(inst)
         # Spend 3 J against a 2 J budget: the message quantifies the excess.
         assert "by 1.000e+00 J" in problem
 
     def test_check_feasible_message_names_instance_shape(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [0, 1, 2]})
+        alloc = from_sensor_slots(6, {0: [0, 1, 2]})
         with pytest.raises(
             ValueError, match=r"infeasible allocation \(n=2 sensors, T=6 slots\)"
         ):
             alloc.check_feasible(inst)
 
     def test_budget_exact_is_feasible(self, inst):
-        alloc = Allocation.from_sensor_slots(6, {0: [2, 3]})
+        alloc = from_sensor_slots(6, {0: [2, 3]})
         assert alloc.violations(inst) == []
         alloc.check_feasible(inst)
 

@@ -2,8 +2,9 @@
 
 A :class:`~repro.core.instance.DataCollectionInstance` stores its window
 bounds, flat (sensor, slot) pairs and budgets only; ``restrict`` gathers
-a probe interval's pairs from its parent's arrays; and ``dcmp_to_gap``
-hands those arrays to :class:`~repro.core.gap.GapInstance` as they are.
+a probe interval's pairs from its parent's arrays; and the reference
+reduction :func:`~tests.oracles.dcmp_to_gap` hands those arrays to
+:class:`~tests.oracles.GapInstance` as they are.
 Each must equal, with exact ``==``, what the per-object forms in
 :mod:`tests.oracles` build: one ``SlotInterval`` and one
 ``SensorSlotData`` per sensor (:func:`~tests.oracles.instance_reference`),
@@ -33,7 +34,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import DataCollectionInstance, _SensorReading
-from repro.core.offline_appro import dcmp_to_gap
 from repro.network.network import SensorNetwork
 from repro.network.path import SinkTrajectory
 from repro.network.radio import CC2420_LIKE_TABLE
@@ -46,6 +46,7 @@ from repro.verify.fuzz import relabel_sensors, reverse_slots, scale_energy, scal
 from tests.conftest import random_instance, straight_road
 from tests.oracles import (
     SHRINK_PASS_REFERENCES,
+    dcmp_to_gap,
     gap_reference,
     instance_reference,
     relabel_sensors_reference,

@@ -11,6 +11,7 @@ from repro.sim.metrics import (
     throughput_megabits,
 )
 from tests.conftest import make_instance
+from tests.oracles import from_sensor_slots
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def inst():
 
 
 def test_throughput_megabits(inst):
-    alloc = Allocation.from_sensor_slots(4, {0: [0], 1: [1]})
+    alloc = from_sensor_slots(4, {0: [0], 1: [1]})
     assert throughput_megabits(alloc, inst) == pytest.approx(3.0)
 
 
@@ -55,7 +56,7 @@ class TestJain:
 
 class TestUtilisation:
     def test_energy_utilisation(self, inst):
-        alloc = Allocation.from_sensor_slots(4, {0: [0, 1], 1: [2]})
+        alloc = from_sensor_slots(4, {0: [0, 1], 1: [2]})
         # spent = 2 + 1 of total budget 4.
         assert energy_utilisation(alloc, inst) == pytest.approx(0.75)
 
@@ -66,7 +67,7 @@ class TestUtilisation:
         assert energy_utilisation(Allocation.empty(2), inst) == 0.0
 
     def test_slot_utilisation(self):
-        alloc = Allocation.from_sensor_slots(4, {0: [0, 2]})
+        alloc = from_sensor_slots(4, {0: [0, 2]})
         assert slot_utilisation(alloc) == pytest.approx(0.5)
 
     def test_slot_utilisation_empty(self):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exact import brute_force_optimum
-from repro.core.gap import local_ratio_gap
-from repro.core.offline_appro import dcmp_to_gap, offline_appro
+from repro.core.offline_appro import offline_appro
 from tests.conftest import make_instance, random_instance
-from tests.oracles import gap_bins, sensor_records
+from tests.oracles import dcmp_to_gap, gap_bins, local_ratio_gap, sensor_records
 
 
 class TestReduction:

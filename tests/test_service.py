@@ -717,10 +717,10 @@ class TestTelemetry:
         assert status == 200
         assert headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
         text = body.decode("utf-8")
-        assert "repro_knapsack_solve_seconds" in text
+        assert "repro_offline_appro_local_ratio_seconds" in text
         assert "repro_service_http_requests_total" in text
         assert "repro_service_queue_depth" in text
-        assert "# TYPE repro_knapsack_solve_seconds summary" in text
+        assert "# TYPE repro_offline_appro_local_ratio_seconds summary" in text
         # Internal merge bookkeeping must not leak odd sample lines.
         for line in text.splitlines():
             assert line.startswith(("#", "repro_")), line
@@ -748,7 +748,7 @@ class TestTelemetry:
         status, doc = _request(port, "/metrics")
         assert status == 200
         assert doc["counters"]["knapsack.calls"] > 0
-        assert doc["timers"]["knapsack.solve"]["count"] > 0
+        assert doc["timers"]["offline_appro.local_ratio"]["count"] > 0
         assert service.registry.timer_stats("tour.total").count > 0
 
     def test_per_endpoint_timers_and_status_counters(self, served):
