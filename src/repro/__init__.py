@@ -10,10 +10,10 @@ The package provides:
 * the full physical substrate — path geometry, sink trajectory, sensor
   deployment, multi-rate radio, solar harvesting, batteries
   (:mod:`repro.network`, :mod:`repro.energy`);
-* the combinatorial core — the DCMP instance, its GAP reduction, the
-  ``Offline_Appro`` local-ratio approximation, the exact
-  ``Offline_MaxMatch`` special case, knapsack/flow/matching/LP
-  substrates, baselines and a brute-force oracle (:mod:`repro.core`);
+* the combinatorial core — the DCMP instance, the ``Offline_Appro``
+  local-ratio approximation over its GAP view, the exact
+  ``Offline_MaxMatch`` special case, knapsack/matching/LP substrates,
+  baselines and a brute-force oracle (:mod:`repro.core`);
 * the online distributed protocol and the ``Online_Appro`` /
   ``Online_MaxMatch`` algorithms (:mod:`repro.online`);
 * simulation and experiment harnesses reproducing every figure of the
@@ -45,13 +45,13 @@ from repro.core import (
     dcmp_lp_upper_bound,
     greedy_by_density,
     greedy_by_profit,
+    knapsack_solver,
     max_weight_b_matching,
     offline_appro,
     offline_maxmatch,
     random_allocation,
     round_robin_allocation,
     solve_dcmp_ilp,
-    solve_knapsack,
 )
 from repro.online import online_appro, online_maxmatch, run_online
 from repro.planning import PlannerConfig, PlanningError, SinkPlan, plan_scenario
@@ -79,7 +79,7 @@ __all__ = [
     "brute_force_optimum",
     "dcmp_lp_upper_bound",
     "solve_dcmp_ilp",
-    "solve_knapsack",
+    "knapsack_solver",
     "max_weight_b_matching",
     "greedy_by_profit",
     "greedy_by_density",

@@ -12,11 +12,10 @@ solver for validation).
 from repro.core.instance import DataCollectionInstance
 from repro.core.allocation import Allocation
 from repro.core.knapsack import (
-    KnapsackResult,
     knapsack_fptas,
     knapsack_few_weights,
     knapsack_greedy,
-    solve_knapsack,
+    knapsack_solver,
 )
 from repro.core.matching import max_weight_b_matching
 from repro.core.lp import dcmp_lp_upper_bound
@@ -34,11 +33,10 @@ from repro.core.baselines import (
 __all__ = [
     "DataCollectionInstance",
     "Allocation",
-    "KnapsackResult",
     "knapsack_greedy",
     "knapsack_few_weights",
     "knapsack_fptas",
-    "solve_knapsack",
+    "knapsack_solver",
     "max_weight_b_matching",
     "dcmp_lp_upper_bound",
     "IlpSolution",

@@ -337,8 +337,8 @@ class DataCollectionInstance:
         """The instance's flat (sensor, slot) pair arrays.
 
         Sensor-major, slots ascending within each sensor — the layout
-        every vectorised consumer (GAP reduction, baselines, copies
-        graph, allocation accounting) indexes into.
+        every vectorised consumer (``Offline_Appro``'s residual band,
+        baselines, the b-matchings, allocation accounting) indexes into.
         """
         return self._flat
 
@@ -354,32 +354,6 @@ class DataCollectionInstance:
         vacuously false.
         """
         return self._window_bounds
-    def pair_profits(self, sensors: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Vectorised ``profit(sensor, slot)`` lookup over pair arrays.
-
-        Raises ``KeyError`` (matching the scalar accessor) if any pair
-        falls outside its sensor's window.
-        """
-        return self._pair_lookup(sensors, slots, self.flat_pairs().profits)
-
-    def pair_costs(self, sensors: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Vectorised ``cost(sensor, slot)`` lookup over pair arrays."""
-        return self._pair_lookup(sensors, slots, self.flat_pairs().costs)
-
-    def _pair_lookup(
-        self, sensors: np.ndarray, slots: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        sensors = np.asarray(sensors, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int64)
-        starts, ends = self.window_bounds()
-        flat = self.flat_pairs()
-        bad = (slots < starts[sensors]) | (slots > ends[sensors])
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise KeyError(
-                f"slot {int(slots[k])} not in window {self.window_of(int(sensors[k]))}"
-            )
-        return values[flat.offsets[sensors] + (slots - starts[sensors])]
 
     # ------------------------------------------------------------------
     # Structure queries

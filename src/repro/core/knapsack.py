@@ -14,28 +14,29 @@ the whole problem, so the solver choice is a first-class knob:
 * :func:`knapsack_fptas` — Lawler-style profit scaling, β = 1 + ε,
   matching the paper's ``1/(2+ε)`` overall guarantee.
 
-All solvers accept float profits/weights, ignore items with
-non-positive profit (the local-ratio residuals can go negative), and
-return a :class:`KnapsackResult`.
+Every solver takes plain-float sequences ``(profits, weights,
+capacity)``, checks them (equal lengths, no negative weight), ignores
+items with non-positive profit (the local-ratio residuals can go
+negative) and returns the selected indices, ascending.  The item sets
+are tiny (a sensor's window is a few dozen slots), so the solvers run on
+plain floats, all but the FPTAS's DP rows — the same IEEE double
+arithmetic as array code, without per-call array overhead.
+:func:`knapsack_solver` picks one by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import get_registry, phase
-
 __all__ = [
-    "KnapsackResult",
     "knapsack_greedy",
     "knapsack_few_weights",
     "knapsack_fptas",
-    "solve_knapsack",
-    "list_solver",
+    "knapsack_solver",
 ]
 
 #: Enumerations at most this large run as a plain-float odometer loop
@@ -47,108 +48,65 @@ _SCALAR_ENUM_CUTOFF = 32
 _MAX_COMBINATIONS = 2_000_000
 
 
-@dataclass(frozen=True)
-class KnapsackResult:
-    """Outcome of a knapsack solve.
-
-    Attributes
-    ----------
-    selected:
-        Indices of chosen items (into the caller's arrays), ascending.
-    profit / weight:
-        Totals of the selection.
-    """
-
-    selected: Tuple[int, ...]
-    profit: float
-    weight: float
-
-    @classmethod
-    def empty(cls) -> "KnapsackResult":
-        return cls((), 0.0, 0.0)
-
-
-def _clean(
-    profits: np.ndarray, weights: np.ndarray, capacity: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Filter to items worth considering: positive profit, fits alone.
-
-    Returns (indices, profits, weights) over the surviving items.
-    """
-    profits = np.asarray(profits, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if profits.shape != weights.shape or profits.ndim != 1:
+def _check(profits: Sequence[float], weights: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless the lengths agree and no weight is
+    negative (even one whose item the solver would filter out)."""
+    if len(profits) != len(weights):
         raise ValueError(
-            f"profits and weights must be equal-length 1-D, got {profits.shape}/{weights.shape}"
+            f"profits and weights must be equal-length 1-D, got "
+            f"({len(profits)},)/({len(weights)},)"
         )
-    if np.any(weights < 0):
+    lowest = min(weights, default=0.0)
+    # min() returns a leading NaN whatever follows it; only then scan.
+    if lowest < 0.0 or (lowest != lowest and any(w < 0.0 for w in weights)):
         raise ValueError("weights must be non-negative")
-    keep = (profits > 0) & (weights <= capacity)
-    idx = np.flatnonzero(keep)
-    return idx, profits[idx], weights[idx]
 
 
-def _result_from_lists(
-    indices: List[int], profits: List[float], weights: List[float],
-    chosen: List[int],
-) -> KnapsackResult:
-    """Assemble a result from *local* chosen positions.
-
-    The totals are a plain loop in index order, which matches the scalar
-    reference oracle bit for bit: ``np.sum`` accumulates pairwise, and
-    ``sum()`` compensates on Python >= 3.12.
-    """
-    chosen = sorted(chosen)
-    profit = 0.0
-    weight = 0.0
-    for k in chosen:
-        profit += profits[k]
-        weight += weights[k]
-    return KnapsackResult(tuple(indices[k] for k in chosen), profit, weight)
+def _by_density(profits: List[float], weights: List[float]) -> List[int]:
+    """Positions in decreasing profit/weight density, ties by position;
+    a zero-weight item has infinite density."""
+    density = [p / w if w > 0.0 else math.inf for p, w in zip(profits, weights)]
+    return sorted(range(len(density)), key=lambda k: -density[k])
 
 
 # ----------------------------------------------------------------------
 # Greedy (beta = 2)
 # ----------------------------------------------------------------------
 def knapsack_greedy(
-    profits: np.ndarray, weights: np.ndarray, capacity: float
-) -> KnapsackResult:
+    profits: Sequence[float], weights: Sequence[float], capacity: float
+) -> List[int]:
     """Density greedy with the best-single-item fallback.
 
     Items are scanned in decreasing profit/weight density, packing every
     item that still fits; the result is the better of that packing and
     the single most profitable item.  Guarantees profit ≥ OPT/2.
     """
-    idx, p, w = _clean(profits, weights, capacity)
-    if idx.size == 0:
-        return KnapsackResult.empty()
-    with np.errstate(divide="ignore"):
-        density = np.where(w > 0, p / np.where(w > 0, w, 1.0), np.inf)
-    order = np.argsort(-density, kind="stable")
-    # The pack loop is inherently sequential (each decision depends on
-    # the running remainder); plain-float lists keep it cheap.
-    w_list = w.tolist()
-    p_list = p.tolist()
+    _check(profits, weights)
+    idx = [k for k, (p, w) in enumerate(zip(profits, weights)) if p > 0.0 and w <= capacity]
+    if not idx:
+        return []
+    p = [profits[k] for k in idx]
+    w = [weights[k] for k in idx]
     chosen: List[int] = []
     remaining = float(capacity)
     total = 0.0
-    for k in order.tolist():
-        if w_list[k] <= remaining:
+    for k in _by_density(p, w):
+        if w[k] <= remaining:
             chosen.append(k)
-            remaining -= w_list[k]
-            total += p_list[k]
-    best_single = int(np.argmax(p))
+            remaining -= w[k]
+            total += p[k]
+    best_single = max(range(len(p)), key=p.__getitem__)
     if p[best_single] > total:
         chosen = [best_single]
-    return _result_from_lists(idx.tolist(), p_list, w_list, chosen)
+    return [idx[k] for k in sorted(chosen)]
 
 
 # ----------------------------------------------------------------------
 # Exact for few distinct weights (beta = 1)
 # ----------------------------------------------------------------------
 def knapsack_few_weights(
-    profits: np.ndarray, weights: np.ndarray, capacity: float
-) -> KnapsackResult:
+    profits: Sequence[float], weights: Sequence[float], capacity: float
+) -> List[int]:
     """Exact solver exploiting few distinct weight values.
 
     With ``m`` distinct weights, an optimal solution takes the top-``c_k``
@@ -158,49 +116,26 @@ def knapsack_few_weights(
     the maximum affordable count of a single-weight class is always
     optimal since profits are positive).
 
-    Raises ``ValueError`` on a negative weight, even one whose item would
-    have been filtered, and if the enumeration would exceed
+    Raises ``ValueError`` if the enumeration would exceed
     ``_MAX_COMBINATIONS`` (2,000,000).  No caller falls back to an
     inexact solver then: Theorem 2's ½ assumes an exact knapsack.
     """
-    profits = np.asarray(profits, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if profits.shape != weights.shape or profits.ndim != 1:
-        raise ValueError(
-            f"profits and weights must be equal-length 1-D, got {profits.shape}/{weights.shape}"
-        )
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    return _result_from_lists(*_few_weights(profits.tolist(), weights.tolist(), capacity))
-
-
-def _few_weights(
-    p_all: List[float], w_all: List[float], capacity: float
-) -> Tuple[List[int], List[float], List[float], List[int]]:
-    """The body of :func:`knapsack_few_weights` on plain-float lists whose
-    weights the caller has checked: ``(indices, profits, weights,
-    chosen)`` over the items that survive the filter, ``chosen`` being
-    local positions into them (any order)."""
-    # The item sets here are tiny (a sensor's window is a few dozen
-    # slots in ≤ 4 weight classes), so the filter and the whole solve
-    # run on plain-float lists — the same IEEE double arithmetic as the
-    # array form, without per-call array-allocation overhead.  NaNs fail
-    # both keep-tests, exactly like the array comparisons they replace.
-    # An item fits alone within the same 1e-12 slack the count
-    # enumeration grants a whole packing, so a weight a rounding error
-    # above the capacity is not dropped here.
+    _check(profits, weights)
+    # NaNs fail both keep-tests.  An item fits alone within the same
+    # 1e-12 slack the count enumeration grants a whole packing, so a
+    # weight a rounding error above the capacity is not dropped here.
     cap_slack = capacity + 1e-12
     idx_list: List[int] = []
     p_list: List[float] = []
     w_list: List[float] = []
-    for k, w in enumerate(w_all):
-        if p_all[k] > 0.0 and w <= cap_slack:
+    for k, w in enumerate(weights):
+        if profits[k] > 0.0 and w <= cap_slack:
             idx_list.append(k)
-            p_list.append(p_all[k])
+            p_list.append(profits[k])
             w_list.append(w)
     n = len(idx_list)
     if n == 0:
-        return idx_list, p_list, w_list, []
+        return []
 
     # Fast path: one distinct positive weight (the common shape once the
     # local-ratio residuals thin a bin out).  The optimum is simply the
@@ -212,7 +147,7 @@ def _few_weights(
         g_count = min(n, int(capacity / w0 + 1e-12))
         if g_count < 0:
             g_count = 0
-        return idx_list, p_list, w_list, members[:g_count]
+        return [idx_list[k] for k in sorted(members[:g_count])]
 
     # Group by weight (classes weight-ascending; members profit-desc
     # with ascending-index ties — identical ordering to a stable
@@ -238,7 +173,7 @@ def _few_weights(
             classes_nz.append((weight_value, members, prefix))
 
     if not classes_nz:
-        return idx_list, p_list, w_list, base_chosen
+        return [idx_list[k] for k in sorted(base_chosen)]
 
     # Enumerate every class except the one with the most members (the
     # greedy-filled class), keeping the search space minimal.
@@ -353,18 +288,18 @@ def _few_weights(
     for ct, (_, members, _) in zip(best_counts, enum_classes):
         chosen.extend(members[:ct])
     chosen.extend(g_members[:best_g])
-    return idx_list, p_list, w_list, chosen
+    return [idx_list[k] for k in sorted(chosen)]
 
 
 # ----------------------------------------------------------------------
 # FPTAS (beta = 1 + eps)
 # ----------------------------------------------------------------------
 def knapsack_fptas(
-    profits: np.ndarray,
-    weights: np.ndarray,
+    profits: Sequence[float],
+    weights: Sequence[float],
     capacity: float,
     epsilon: float = 0.1,
-) -> KnapsackResult:
+) -> List[int]:
     """Profit-scaling FPTAS (Lawler [13] style), ``profit ≥ OPT/(1+ε)``.
 
     Profits are scaled by ``K = ε · p_max / n`` and a min-weight-per-
@@ -374,14 +309,16 @@ def knapsack_fptas(
     """
     if not 0 < epsilon:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    idx, p, w = _clean(profits, weights, capacity)
-    n = idx.size
+    _check(profits, weights)
+    idx = [k for k, (p, w) in enumerate(zip(profits, weights)) if p > 0.0 and w <= capacity]
+    n = len(idx)
     if n == 0:
-        return KnapsackResult.empty()
-    p_max = float(p.max())
-    scale = epsilon * p_max / n
-    q = np.floor(p / scale).astype(np.int64)
-    q_total = int(q.sum())
+        return []
+    p_list = [profits[k] for k in idx]
+    w_list = [weights[k] for k in idx]
+    scale = epsilon * max(p_list) / n
+    q = np.floor(np.array(p_list) / scale).astype(np.int64).tolist()
+    q_total = sum(q)
 
     # min_weight[v] = minimal weight achieving scaled profit exactly v.
     inf = np.inf
@@ -389,20 +326,18 @@ def knapsack_fptas(
     min_weight[0] = 0.0
     take = np.zeros((n, q_total + 1), dtype=bool)
     for k in range(n):
-        qk = int(q[k])
+        qk = q[k]
         if qk == 0:
             # A scaled-to-zero item can still be profitable; handled by a
             # greedy sweep afterwards.  Skipping keeps the DP exactness.
             continue
         shifted = np.full(q_total + 1, inf)
-        shifted[qk:] = min_weight[:-qk] if qk > 0 else min_weight
-        cand = shifted + w[k]
-        better = cand < min_weight
-        take[k] = better
+        shifted[qk:] = min_weight[:-qk]
+        cand = shifted + w_list[k]
+        take[k] = cand < min_weight
         np.minimum(min_weight, cand, out=min_weight)
 
-    feasible = np.flatnonzero(min_weight <= capacity + 1e-12)
-    best_v = int(feasible.max())
+    best_v = int(np.flatnonzero(min_weight <= capacity + 1e-12).max())
 
     # Reconstruct by replaying decisions backwards.
     chosen: List[int] = []
@@ -410,87 +345,46 @@ def knapsack_fptas(
     for k in range(n - 1, -1, -1):
         if v > 0 and take[k, v]:
             chosen.append(k)
-            v -= int(q[k])
+            v -= q[k]
     # v may be nonzero only if reconstruction failed — guard hard.
     if v != 0:
         raise AssertionError("FPTAS reconstruction mismatch")
 
     # Opportunistic improvement: pack scaled-to-zero items (and any other
     # leftovers) greedily into the remaining capacity.  Never hurts the
-    # guarantee.
+    # guarantee.  The packed weight sums in reconstruction order.
+    packed = 0.0
+    for k in chosen:
+        packed += w_list[k]
+    remaining = float(capacity) - packed
     used = set(chosen)
-    remaining = float(capacity) - float(sum(w[k] for k in chosen))
-    with np.errstate(divide="ignore"):
-        density = np.where(w > 0, p / np.where(w > 0, w, 1.0), np.inf)
-    for k in np.argsort(-density, kind="stable"):
-        k = int(k)
-        if k not in used and w[k] <= remaining:
+    for k in _by_density(p_list, w_list):
+        if k not in used and w_list[k] <= remaining:
             chosen.append(k)
             used.add(k)
-            remaining -= float(w[k])
-    return _result_from_lists(idx.tolist(), p.tolist(), w.tolist(), chosen)
+            remaining -= w_list[k]
+    return [idx[k] for k in sorted(chosen)]
 
 
 # ----------------------------------------------------------------------
 # Dispatcher
 # ----------------------------------------------------------------------
-def _check_method(method: str) -> None:
+def knapsack_solver(
+    method: str = "few_weights", epsilon: float = 0.1
+) -> Callable[[Sequence[float], Sequence[float], float], List[int]]:
+    """``method``'s solver, ``(profits, weights, capacity) -> selected``.
+
+    ``method`` ∈ {"few_weights", "greedy", "fptas"}; the default is the
+    exact few-weights solver, which the paper's 4-level radio always
+    allows.  ``epsilon`` is the FPTAS accuracy.  An unknown method or
+    ``epsilon <= 0`` raises ``ValueError`` here, before any solve.  The
+    solver records nothing: ``Offline_Appro`` counts its knapsacks once
+    per pass.
+    """
     if method not in ("few_weights", "greedy", "fptas"):
         raise ValueError(f"unknown knapsack method {method!r}")
-
-
-def solve_knapsack(
-    profits: np.ndarray,
-    weights: np.ndarray,
-    capacity: float,
-    method: str = "few_weights",
-    epsilon: float = 0.1,
-) -> KnapsackResult:
-    """Solve a knapsack with the requested ``method``.
-
-    ``method`` ∈ {"few_weights", "greedy", "fptas"}.  The default is the
-    exact few-weights solver, which the paper's 4-level radio always
-    allows; past its enumeration cap it raises ``ValueError``.
-
-    Every call records to the :mod:`repro.obs` registry: ``knapsack.calls``
-    and ``knapsack.items`` counters, a ``knapsack.solve`` timer, and a
-    ``knapsack.method[<solver>]`` counter for the solver that answered.
-    """
-    _check_method(method)
-    registry = get_registry()
-    registry.inc("knapsack.calls")
-    registry.inc("knapsack.items", float(np.asarray(profits).size))
-    with phase("knapsack.solve"):
-        if method == "few_weights":
-            result = knapsack_few_weights(profits, weights, capacity)
-        elif method == "greedy":
-            result = knapsack_greedy(profits, weights, capacity)
-        else:
-            result = knapsack_fptas(profits, weights, capacity, epsilon=epsilon)
-    registry.inc(f"knapsack.method[{method}]")
-    return result
-
-
-def list_solver(
-    method: str = "few_weights", epsilon: float = 0.1
-) -> Callable[[List[float], List[float], float], Sequence[int]]:
-    """``method``'s solver for a caller that checks its weights once and
-    records the counters itself, as ``Offline_Appro``'s local-ratio pass
-    does: ``(profits, weights, capacity) -> selected`` on plain-float
-    lists, ``selected`` being the indices :func:`solve_knapsack` selects,
-    ascending.  It records nothing and times nothing."""
-    _check_method(method)
-    if method == "few_weights":
-
-        def few_weights(profits, weights, capacity):
-            idx, _, _, chosen = _few_weights(profits, weights, capacity)
-            return [idx[k] for k in sorted(chosen)]
-
-        return few_weights
-    if method == "greedy":
-        return lambda profits, weights, capacity: knapsack_greedy(
-            profits, weights, capacity
-        ).selected
-    return lambda profits, weights, capacity: knapsack_fptas(
-        profits, weights, capacity, epsilon=epsilon
-    ).selected
+    if not 0 < epsilon:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if method == "fptas":
+        return partial(knapsack_fptas, epsilon=epsilon)
+    return knapsack_few_weights if method == "few_weights" else knapsack_greedy

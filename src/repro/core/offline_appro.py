@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.core.knapsack import list_solver
+from repro.core.knapsack import knapsack_solver
 from repro.obs import get_registry, phase
 
 __all__ = ["offline_appro"]
@@ -57,11 +57,11 @@ def offline_appro(
         The problem instance.
     knapsack_method:
         Which single-bin solver to use (see
-        :func:`repro.core.knapsack.solve_knapsack`): ``"few_weights"``
+        :func:`repro.core.knapsack.knapsack_solver`): ``"few_weights"``
         (exact — ratio 1/2), ``"fptas"`` (ratio ``1/(2+ε)``, the paper's
         stated guarantee) or ``"greedy"`` (ratio 1/3, fastest).
     epsilon:
-        FPTAS accuracy knob (ignored by other methods).
+        FPTAS accuracy knob, ``> 0`` (other methods ignore its value).
 
     Returns
     -------
@@ -80,10 +80,8 @@ def offline_appro(
     positive residual and other sensor whose window holds it, the
     sensors already packed included) are recorded once per pass.
     """
-    solve = list_solver(knapsack_method, epsilon)
+    solve = knapsack_solver(knapsack_method, epsilon)
     flat = instance.flat_pairs()
-    if np.any(flat.costs < 0.0):
-        raise ValueError("weights must be non-negative")
     n = instance.num_sensors
     with phase("offline_appro", n=n, method=knapsack_method):
         with phase("offline_appro.reduce"):

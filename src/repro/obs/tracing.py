@@ -7,7 +7,7 @@ from :class:`repro.obs.phase`, which hands each finished interval to
 
     with use_tracer(Tracer()) as tracer:
         with phase("tour.solve", algorithm="Offline_Appro"):
-            with phase("knapsack.solve"):
+            with phase("offline_appro.local_ratio"):
                 ...
 
 and exports the event stream two ways:
@@ -55,7 +55,7 @@ class SpanEvent:
     Attributes
     ----------
     name:
-        Dotted phase name (``"tour.solve"``, ``"knapsack.solve"``).
+        Dotted phase name (``"tour.solve"``, ``"offline_appro.reduce"``).
     start_s / duration_s:
         Start offset from the tracer's epoch and duration, in seconds.
     depth:

@@ -180,8 +180,9 @@ def run_online(
             )
         with phase("online.interval_schedule", interval=j, registered=len(registered)):
             sub_allocation = scheduler.schedule(sub_instance)
-        # The sub-instance's profits equal the parent's element for
-        # element, so its audit also scores the interval.
+        # The sub-instance's profits and costs equal the parent's
+        # element for element, so its audit also scores the interval
+        # and prices its debits.
         audit = sub_allocation.audit(sub_instance)
         audit.check()
         log.record_broadcast(MessageType.SCHEDULE, registered)
@@ -193,7 +194,7 @@ def run_online(
             raise AssertionError(f"slot {int(slots[np.argmax(taken)])} scheduled twice")
         tour_owner[slots] = sensors
         # Unbuffered, so a sensor's debits apply in slot order.
-        np.subtract.at(residual, sensors, instance.pair_costs(sensors, slots))
+        np.subtract.at(residual, sensors, sub_instance.flat_pairs().costs[audit.pairs])
         # --- Finish.
         log.record_broadcast(MessageType.FINISH, registered)
         records.append(IntervalRecord(j, interval, registered, int(slots.size), audit.objective))

@@ -247,9 +247,8 @@ class PlanningService:
             with phase("service.solve", registry=self.registry):
                 result = self.executor.wait(job, timeout=self.request_timeout)
             self._persist_trace(result, time.perf_counter() - started)
-            clean = _client_result(result)
-            self.cache.put(key, clean)
-            return {**clean, "cached": False}
+            # The job's on_result callback stored it in the cache already.
+            return {**_client_result(result), "cached": False}
 
     def solve_batch(self, doc: object) -> dict:
         """Synchronous batch solve of a decoded JSON body.

@@ -4,8 +4,8 @@ A :class:`TourSpec` names one solve — a scenario config, a seed and an
 algorithm.  :func:`solve_by_deployment` is the one place solves are
 grouped by ``(config, seed)``: each distinct deployment is built
 **once**, so the topology, the DCMP instance and everything memoised on
-it (coverage windows, rate/profit/energy tables, the DCMP→GAP reduction,
-the LP bound) are shared across every solve of that deployment.
+it (the sensor order, the slot-major pair grouping, the LP bound) are
+shared across every solve of that deployment.
 
 :func:`run_tours` runs :func:`~repro.sim.simulator.run_tour` with
 ``mutate=False`` for each spec, so solves are pure and order-independent

@@ -24,7 +24,7 @@ from repro.obs import get_logger, get_registry, phase
 from repro.sim.algorithms import TourAlgorithm
 from repro.sim.results import SimulationResult, TourResult
 from repro.sim.scenario import Scenario
-from repro.verify.certificate import certify as _certify
+from repro.verify.certificate import certify_audit
 
 __all__ = ["run_tour", "simulate_tours"]
 
@@ -69,13 +69,14 @@ def run_tour(
         ``TourResult.certificate``; adds a ``certify_s`` profile phase
         and a ``tour.certify`` timer.  The plain feasibility check
         (:meth:`~repro.core.allocation.Allocation.audit`, which also
-        scores the tour) always runs regardless.
+        scores the tour) always runs regardless, and the certificate
+        reads its audit (:func:`~repro.verify.certificate.certify_audit`).
     instance:
         A pre-built DCMP instance to solve instead of deriving one from
         the scenario's battery state.  Batch runs
         (:func:`repro.sim.batch.run_tours`) pass the same instance to
-        several algorithms so its derived arrays — coverage windows,
-        rate/profit tables, the GAP reduction — are built once and
+        several algorithms so its pair arrays and what is memoised on
+        them (the sensor order, the LP bound) are built once and
         shared; the caller is responsible for it matching the scenario.
 
     Returns
@@ -116,7 +117,7 @@ def run_tour(
 
         if certify:
             with phase("tour.certify", profile, deep=True, algorithm=algorithm.name):
-                certificate = _certify(instance, allocation, algorithm=algorithm.name)
+                certificate = certify_audit(audit, algorithm=algorithm.name)
 
         with phase("tour.energy_update", profile):
             if mutate:

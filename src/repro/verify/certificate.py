@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allocation import Allocation
+from repro.core.allocation import Allocation, AllocationAudit
 from repro.core.exact import brute_force_optimum
 from repro.core.instance import DataCollectionInstance
 from repro.core.lp import dcmp_lp_upper_bound
@@ -38,6 +38,7 @@ __all__ = [
     "CheckResult",
     "Certificate",
     "certify",
+    "certify_audit",
     "render_certificate",
     "RATIO_GUARANTEES",
 ]
@@ -259,9 +260,7 @@ def _check(
     return CheckResult(name, False, slack, if_failed, violations)
 
 
-def _constraint_checks(
-    instance: DataCollectionInstance, allocation: Allocation
-) -> Tuple[List[CheckResult], float]:
+def _constraint_checks(audit: AllocationAudit) -> Tuple[List[CheckResult], float]:
     """Constraints (1)-(4) as named checks; returns ``(checks, objective)``.
 
     Both read the allocation's one
@@ -270,15 +269,15 @@ def _constraint_checks(
     (known sensor, slot in window), so a certificate of a corrupt
     allocation still reports a meaningful number instead of raising.
     """
-    audit = allocation.audit(instance)
+    instance = audit.instance
     t, n = instance.num_slots, instance.num_sensors
     if not audit.horizon_ok:
         horizon = CheckResult(
             "horizon",
             False,
-            float(allocation.num_slots - t),
-            f"allocation horizon {allocation.num_slots} != instance horizon {t}",
-            ({"allocation_slots": allocation.num_slots, "instance_slots": t},),
+            float(audit.num_slots - t),
+            f"allocation horizon {audit.num_slots} != instance horizon {t}",
+            ({"allocation_slots": audit.num_slots, "instance_slots": t},),
         )
         return [horizon] + [
             CheckResult(name, False, detail="not evaluated: horizon mismatch")
@@ -392,13 +391,36 @@ def certify(
     Records ``verify.certificates`` / ``verify.certificate_failures``
     counters and a ``verify.certify`` timer on the metrics registry.
     """
+    return certify_audit(
+        allocation.audit(instance),
+        algorithm,
+        lp_bound_bits,
+        exact_cell_limit,
+        exact_max_nodes,
+        guarantee,
+    )
+
+
+def certify_audit(
+    audit: AllocationAudit,
+    algorithm: Optional[str] = None,
+    lp_bound_bits: Optional[float] = None,
+    exact_cell_limit: int = DEFAULT_EXACT_CELL_LIMIT,
+    exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES,
+    guarantee: Optional[float] = None,
+) -> Certificate:
+    """:func:`certify` for the allocation ``audit`` was made of, reading
+    that audit instead of auditing the allocation again: a tour hands
+    over the audit its ``tour.verify`` phase made.  The other parameters
+    are :func:`certify`'s."""
+    instance = audit.instance
     registry = get_registry()
     # Priced before the phase opens, so the first certificate of an
     # instance does not nest its ``lp.dcmp_bound`` solve and the two
     # timers add up without double counting.
     bound = float(dcmp_lp_upper_bound(instance) if lp_bound_bits is None else lp_bound_bits)
     with phase("verify.certify"):
-        checks, objective = _constraint_checks(instance, allocation)
+        checks, objective = _constraint_checks(audit)
         horizon_ok = checks[0].passed
 
         tol = _ATOL + 1e-9 * max(1.0, abs(bound))

@@ -63,12 +63,18 @@ time, one message count per sensor, scalar ``cost``/``profit`` lookups,
 one debit and one ``+=`` per assigned slot, and
 :func:`restrict_reference` for each interval's sub-instance.
 
+:func:`knapsack_greedy_oracle` and :func:`knapsack_fptas_oracle` are
+the array forms of the greedy and FPTAS knapsacks that the plain-float
+solvers replaced; :func:`knapsack_few_weights_oracle` is the
+few-weights enumeration on one code path.
+
 :func:`offline_appro_reference` is the GAP path ``Offline_Appro``'s
 residual band replaced: the memoised reduction :func:`dcmp_to_gap` to a
 flat :class:`GapInstance` with its occupancy index, the vectorised
-rounds of :func:`local_ratio_gap` with one ``solve_knapsack`` call per
-bin and its backward pass, and :func:`from_sensor_slots` over the
-assignment (:class:`GapIntervalReference` runs it per probe interval).
+rounds of :func:`local_ratio_gap` with one knapsack per bin, recording
+its counters (:func:`recorded_knapsack_solver`), and its backward
+pass, and :func:`from_sensor_slots` over the assignment
+(:class:`GapIntervalReference` runs it per probe interval).
 :func:`local_ratio_gap_oracle` is in turn the scalar loop those rounds
 replaced.
 
@@ -83,7 +89,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,7 +97,7 @@ from scipy.sparse import coo_matrix
 
 from repro.core.allocation import BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.instance import DataCollectionInstance, FlatPairs
-from repro.core.knapsack import KnapsackResult, solve_knapsack
+from repro.core.knapsack import knapsack_solver
 from repro.core.matching import MatchingResult
 from repro.core.offline_maxmatch import _POWER_RTOL, fixed_power_of
 from repro.energy.solar import SolarDayProfile, cloudy_profile, sunny_profile
@@ -113,6 +118,9 @@ __all__ = [
     "gap_from_bins",
     "gap_bins",
     "knapsack_few_weights_oracle",
+    "knapsack_greedy_oracle",
+    "knapsack_fptas_oracle",
+    "recorded_knapsack_solver",
     "GapInstance",
     "GapSolution",
     "local_ratio_gap",
@@ -403,10 +411,165 @@ def knapsack_few_weights_oracle(
 
 
 # ----------------------------------------------------------------------
+# Knapsack: the array forms of greedy and the FPTAS
+# ----------------------------------------------------------------------
+def _clean(
+    profits: np.ndarray, weights: np.ndarray, capacity: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Filter to items worth considering: positive profit, fits alone.
+
+    Returns (indices, profits, weights) over the surviving items.
+    """
+    profits = np.asarray(profits, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if profits.shape != weights.shape or profits.ndim != 1:
+        raise ValueError(
+            f"profits and weights must be equal-length 1-D, got {profits.shape}/{weights.shape}"
+        )
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    keep = (profits > 0) & (weights <= capacity)
+    idx = np.flatnonzero(keep)
+    return idx, profits[idx], weights[idx]
+
+
+def _result_from_lists(
+    indices: List[int], profits: List[float], weights: List[float],
+    chosen: List[int],
+) -> Tuple[Tuple[int, ...], float, float]:
+    """``(selected, profit, weight)`` from *local* chosen positions, the
+    totals a plain loop in index order."""
+    chosen = sorted(chosen)
+    profit = 0.0
+    weight = 0.0
+    for k in chosen:
+        profit += profits[k]
+        weight += weights[k]
+    return tuple(indices[k] for k in chosen), profit, weight
+
+
+def knapsack_greedy_oracle(
+    profits: np.ndarray, weights: np.ndarray, capacity: float
+) -> Tuple[Tuple[int, ...], float, float]:
+    """Reference for :func:`repro.core.knapsack.knapsack_greedy`: density
+    greedy with the best-single-item fallback over arrays, returning
+    ``(selected, profit, weight)``."""
+    idx, p, w = _clean(profits, weights, capacity)
+    if idx.size == 0:
+        return (), 0.0, 0.0
+    with np.errstate(divide="ignore"):
+        density = np.where(w > 0, p / np.where(w > 0, w, 1.0), np.inf)
+    order = np.argsort(-density, kind="stable")
+    # The pack loop is inherently sequential (each decision depends on
+    # the running remainder); plain-float lists keep it cheap.
+    w_list = w.tolist()
+    p_list = p.tolist()
+    chosen: List[int] = []
+    remaining = float(capacity)
+    total = 0.0
+    for k in order.tolist():
+        if w_list[k] <= remaining:
+            chosen.append(k)
+            remaining -= w_list[k]
+            total += p_list[k]
+    best_single = int(np.argmax(p))
+    if p[best_single] > total:
+        chosen = [best_single]
+    return _result_from_lists(idx.tolist(), p_list, w_list, chosen)
+
+
+def knapsack_fptas_oracle(
+    profits: np.ndarray,
+    weights: np.ndarray,
+    capacity: float,
+    epsilon: float = 0.1,
+) -> Tuple[Tuple[int, ...], float, float]:
+    """Reference for :func:`repro.core.knapsack.knapsack_fptas`: the
+    profit-scaling DP over arrays, returning ``(selected, profit,
+    weight)``."""
+    if not 0 < epsilon:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    idx, p, w = _clean(profits, weights, capacity)
+    n = idx.size
+    if n == 0:
+        return (), 0.0, 0.0
+    p_max = float(p.max())
+    scale = epsilon * p_max / n
+    q = np.floor(p / scale).astype(np.int64)
+    q_total = int(q.sum())
+
+    # min_weight[v] = minimal weight achieving scaled profit exactly v.
+    inf = np.inf
+    min_weight = np.full(q_total + 1, inf)
+    min_weight[0] = 0.0
+    take = np.zeros((n, q_total + 1), dtype=bool)
+    for k in range(n):
+        qk = int(q[k])
+        if qk == 0:
+            # A scaled-to-zero item can still be profitable; handled by a
+            # greedy sweep afterwards.  Skipping keeps the DP exactness.
+            continue
+        shifted = np.full(q_total + 1, inf)
+        shifted[qk:] = min_weight[:-qk] if qk > 0 else min_weight
+        cand = shifted + w[k]
+        better = cand < min_weight
+        take[k] = better
+        np.minimum(min_weight, cand, out=min_weight)
+
+    feasible = np.flatnonzero(min_weight <= capacity + 1e-12)
+    best_v = int(feasible.max())
+
+    # Reconstruct by replaying decisions backwards.
+    chosen: List[int] = []
+    v = best_v
+    for k in range(n - 1, -1, -1):
+        if v > 0 and take[k, v]:
+            chosen.append(k)
+            v -= int(q[k])
+    # v may be nonzero only if reconstruction failed — guard hard.
+    if v != 0:
+        raise AssertionError("FPTAS reconstruction mismatch")
+
+    # Opportunistic improvement: pack scaled-to-zero items (and any other
+    # leftovers) greedily into the remaining capacity.  Never hurts the
+    # guarantee.
+    used = set(chosen)
+    remaining = float(capacity) - float(sum(w[k] for k in chosen))
+    with np.errstate(divide="ignore"):
+        density = np.where(w > 0, p / np.where(w > 0, w, 1.0), np.inf)
+    for k in np.argsort(-density, kind="stable"):
+        k = int(k)
+        if k not in used and w[k] <= remaining:
+            chosen.append(k)
+            used.add(k)
+            remaining -= float(w[k])
+    return _result_from_lists(idx.tolist(), p.tolist(), w.tolist(), chosen)
+
+
+# ----------------------------------------------------------------------
 # GAP: the flat instance and its vectorised local-ratio pass, the path
 # Offline_Appro's residual band replaced
 # ----------------------------------------------------------------------
-KnapsackSolver = Callable[[np.ndarray, np.ndarray, float], KnapsackResult]
+KnapsackSolver = Callable[[List[float], List[float], float], Sequence[int]]
+
+
+def recorded_knapsack_solver(method: str = "few_weights", epsilon: float = 0.1) -> KnapsackSolver:
+    """:func:`~repro.core.knapsack.knapsack_solver`'s solver for
+    ``method``, recording ``knapsack.calls``, ``knapsack.items`` and
+    ``knapsack.method[<method>]`` at every call, in that order: the
+    counters the residual band records once per pass, one knapsack at a
+    time."""
+    solve = knapsack_solver(method, epsilon)
+
+    def solver(profits: List[float], weights: List[float], capacity: float) -> Sequence[int]:
+        registry = get_registry()
+        registry.inc("knapsack.calls")
+        registry.inc("knapsack.items", float(len(profits)))
+        selected = solve(profits, weights, capacity)
+        registry.inc(f"knapsack.method[{method}]")
+        return selected
+
+    return solver
 
 
 class GapInstance:
@@ -575,9 +738,10 @@ def local_ratio_gap(
     instance:
         The GAP instance.
     knapsack_solver:
-        ``(profits, weights, capacity) -> KnapsackResult``; defaults to
-        :func:`repro.core.knapsack.solve_knapsack`'s exact default
-        (``method='few_weights'``), hence an overall 1/2-approximation.
+        ``(profits, weights, capacity) -> selected`` on plain-float
+        lists; defaults to the exact few-weights solver, recording the
+        ``knapsack.*`` counters (:func:`recorded_knapsack_solver`),
+        hence an overall 1/2-approximation.
     bin_order:
         Processing order of bins; defaults to 0..n-1.  ``Offline_Appro``
         passes the paper's start-slot order.
@@ -594,7 +758,7 @@ def local_ratio_gap(
     to the :mod:`repro.obs` registry.
     """
     if knapsack_solver is None:
-        knapsack_solver = solve_knapsack
+        knapsack_solver = recorded_knapsack_solver()
     order = list(range(instance.num_bins)) if bin_order is None else list(bin_order)
     if sorted(order) != list(range(instance.num_bins)):
         raise ValueError("bin_order must be a permutation of all bins")
@@ -618,8 +782,9 @@ def local_ratio_gap(
 
         for l in order:
             lo, hi = offsets_list[l], offsets_list[l + 1]
-            result = knapsack_solver(residual[lo:hi], weights[lo:hi], capacities[l])
-            chosen = result.selected
+            chosen = knapsack_solver(
+                residual[lo:hi].tolist(), weights[lo:hi].tolist(), capacities[l]
+            )
             # Decompose: subtract bin l's residual profit of each chosen
             # item from every other bin containing that item (equation
             # (5)).  Each (item, other-bin) entry is touched exactly
@@ -723,12 +888,13 @@ def offline_appro_reference(
 ) -> Allocation:
     """Reference for :func:`repro.core.offline_appro.offline_appro`: the
     memoised reduction, :func:`local_ratio_gap` in the paper's sensor
-    order with one :func:`~repro.core.knapsack.solve_knapsack` call per
-    bin, and :func:`from_sensor_slots` over its assignment.  It records
-    the same counters as the residual band, one knapsack at a time."""
-    solver = partial(solve_knapsack, method=knapsack_method, epsilon=epsilon)
+    order with one knapsack per bin, and :func:`from_sensor_slots` over
+    its assignment.  It records the same counters as the residual band,
+    one knapsack at a time (:func:`recorded_knapsack_solver`)."""
     solution = local_ratio_gap(
-        dcmp_to_gap(instance), knapsack_solver=solver, bin_order=instance.sensor_order()
+        dcmp_to_gap(instance),
+        knapsack_solver=recorded_knapsack_solver(knapsack_method, epsilon),
+        bin_order=instance.sensor_order(),
     )
     return from_sensor_slots(instance.num_slots, solution.assignment)
 
@@ -772,10 +938,7 @@ def local_ratio_gap_oracle(
     updates = 0
     for l in order:
         b = bins[l]
-        result = knapsack_solver(
-            np.asarray(residual[l], dtype=np.float64), b.weights, b.capacity
-        )
-        chosen = result.selected
+        chosen = knapsack_solver(residual[l], b.weights.tolist(), b.capacity)
         if chosen:
             items_l = b.items.tolist()
             tentative[l] = [items_l[k] for k in chosen]

@@ -16,6 +16,8 @@ not tolerance noise.
 from __future__ import annotations
 
 import math
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +25,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.allocation import UNASSIGNED, Allocation
-from repro.core.knapsack import knapsack_few_weights, solve_knapsack
+from repro.core.knapsack import knapsack_few_weights, knapsack_solver
 from repro.core.offline_appro import offline_appro
 from repro.core.offline_maxmatch import fixed_power_of
+from repro.experiments.fig2 import build_points
 from repro.obs import MetricsRegistry, use_registry
 from repro.online.framework import run_online
 from repro.online.online_appro import GapIntervalScheduler, online_appro
@@ -41,10 +44,13 @@ from tests.oracles import (
     dcmp_to_gap,
     gap_from_bins,
     knapsack_few_weights_oracle,
+    knapsack_fptas_oracle,
+    knapsack_greedy_oracle,
     local_ratio_gap,
     local_ratio_gap_oracle,
     run_online_reference,
 )
+from tests.test_knapsack import CAPACITY_BOUNDARY
 
 SEEDS = st.integers(0, 100_000)
 
@@ -72,13 +78,9 @@ class TestKnapsackEquivalence:
         rng = np.random.default_rng(1000 * seed + n)
         for _ in range(10):
             profits, weights, capacity = _random_knapsack(rng, n)
-            got = knapsack_few_weights(profits, weights, capacity)
-            selected, profit, weight = knapsack_few_weights_oracle(
-                profits, weights, capacity
-            )
-            assert got.selected == selected
-            assert got.profit == profit
-            assert got.weight == weight
+            got = knapsack_few_weights(profits.tolist(), weights.tolist(), capacity)
+            selected, _, _ = knapsack_few_weights_oracle(profits, weights, capacity)
+            assert tuple(got) == selected
 
     def test_oracle_is_optimal_on_small_instances(self):
         # Validates the oracle itself against subset brute force, so the
@@ -104,23 +106,111 @@ class TestKnapsackEquivalence:
         profits = np.array([1.0, 2.0])
         weights = np.array([0.5, -0.1])
         with pytest.raises(ValueError, match="non-negative"):
-            knapsack_few_weights(profits, weights, 1.0)
+            knapsack_few_weights(profits.tolist(), weights.tolist(), 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             knapsack_few_weights_oracle(profits, weights, 1.0)
 
     def test_zero_weight_items_and_empty_filter(self):
         profits = np.array([3.0, 1.0, -2.0, 0.0])
         weights = np.array([0.0, 0.0, 0.2, 0.3])
-        got = knapsack_few_weights(profits, weights, 0.1)
-        selected, profit, weight = knapsack_few_weights_oracle(
-            profits, weights, 0.1
-        )
-        assert got.selected == selected == (0, 1)
-        assert got.profit == profit
+        got = knapsack_few_weights(profits.tolist(), weights.tolist(), 0.1)
+        selected, _, _ = knapsack_few_weights_oracle(profits, weights, 0.1)
+        assert tuple(got) == selected == (0, 1)
         # Nothing survives the filter: both report the empty solution.
-        got = knapsack_few_weights(-profits, weights, 0.1)
-        assert got.selected == ()
+        assert knapsack_few_weights((-profits).tolist(), weights.tolist(), 0.1) == []
         assert knapsack_few_weights_oracle(-profits, weights, 0.1)[0] == ()
+
+
+# Each method's solver against its reference; the FPTAS at two accuracies.
+SOLVER_REFERENCES = {
+    "few_weights": (knapsack_solver("few_weights"), knapsack_few_weights_oracle),
+    "greedy": (knapsack_solver("greedy"), knapsack_greedy_oracle),
+    "fptas-0.1": (knapsack_solver("fptas", 0.1), partial(knapsack_fptas_oracle, epsilon=0.1)),
+    "fptas-0.5": (knapsack_solver("fptas", 0.5), partial(knapsack_fptas_oracle, epsilon=0.5)),
+}
+
+# The paper's radio table at tau = 1 s: bits and joules per slot.
+PAPER_PROFITS = (250_000.0, 19_200.0, 9_600.0, 4_800.0)
+PAPER_COSTS = (0.17, 0.22, 0.30, 0.33)
+
+
+def _paper_rows(seed, count):
+    """Knapsack rows shaped like the local-ratio pass's: paper weight
+    classes with a few zero weights, residual profits of which about a
+    third are non-positive, and in half the rows a capacity that one
+    packing meets exactly (summed in order), with one weight equal to
+    the capacity and one just inside the 1e-12 slack."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(0, 40))
+        weights = rng.choice((0.0, *PAPER_COSTS), size=n, p=(0.05, 0.35, 0.2, 0.2, 0.2)).tolist()
+        profits = (
+            rng.choice(PAPER_PROFITS, size=n)
+            - rng.choice((0.0, 0.0, *PAPER_PROFITS), size=n)
+        ).tolist()
+        if n and rng.random() < 0.5:
+            capacity = 0.0
+            for k in np.flatnonzero(rng.random(n) < 0.3).tolist():
+                capacity += weights[k]
+            weights[int(rng.integers(n))] = capacity
+            weights[int(rng.integers(n))] = capacity + 5e-13
+        else:
+            capacity = float(rng.uniform(0.0, 0.4 * n))
+        yield profits, weights, capacity
+
+
+@pytest.fixture(scope="module")
+def fig2_rows():
+    """Every knapsack row the default solver sees on the Figure 2 tours
+    at n = 100 and 300 (both panels, seed 1): ``Offline_Appro``'s pass
+    and every ``Online_Appro`` interval's."""
+    rows = []
+
+    def capturing(method, epsilon):
+        solve = knapsack_solver(method, epsilon)
+
+        def solver(profits, weights, capacity):
+            rows.append((profits, weights, capacity))
+            return solve(profits, weights, capacity)
+
+        return solver
+
+    with mock.patch("repro.core.offline_appro.knapsack_solver", capturing):
+        for point in build_points(sizes=(100, 300)):
+            scenario = point.config.build(seed=1)
+            instance = scenario.instance()
+            offline_appro(instance)
+            online_appro(instance, scenario.gamma)
+    return rows
+
+
+@pytest.mark.parametrize("method", list(SOLVER_REFERENCES))
+class TestSolversMatchReferences:
+    """Each solver selects what its reference selects, row for row."""
+
+    @staticmethod
+    def assert_same_selections(method, rows):
+        solve, reference = SOLVER_REFERENCES[method]
+        for profits, weights, capacity in rows:
+            want = reference(profits, weights, capacity)[0]
+            assert tuple(solve(profits, weights, capacity)) == want, (profits, weights, capacity)
+
+    def test_paper_shaped_rows(self, method):
+        self.assert_same_selections(method, _paper_rows(seed=5, count=400))
+
+    def test_random_rows(self, method):
+        # The few-weights equivalence rows: fractional profits, other classes.
+        rows = (_random_knapsack(np.random.default_rng(seed), n) for seed in range(50) for n in (1, 8, 45))
+        self.assert_same_selections(method, ((p.tolist(), w.tolist(), c) for p, w, c in rows))
+
+    def test_figure2_rows(self, method, fig2_rows):
+        # Both enumeration paths of few-weights serve these rows.
+        assert len(fig2_rows) > 1000
+        self.assert_same_selections(method, fig2_rows)
+
+    def test_capacity_boundary(self, method):
+        rows = [([1.0] * 10, [weight] * 10, 1.0) for weight, _ in CAPACITY_BOUNDARY]
+        self.assert_same_selections(method, rows)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +244,7 @@ class TestGapEquivalence:
         with use_registry(registry):
             got = local_ratio_gap(instance)
         assignment, tentative, profit, updates = local_ratio_gap_oracle(
-            instance, solve_knapsack
+            instance, knapsack_few_weights
         )
         assert got.assignment == assignment
         assert got.tentative == tentative
@@ -168,7 +258,7 @@ class TestGapEquivalence:
         order = [3, 0, 5, 1, 4, 2]
         got = local_ratio_gap(instance, bin_order=order)
         assignment, _, profit, _ = local_ratio_gap_oracle(
-            instance, solve_knapsack, bin_order=order
+            instance, knapsack_few_weights, bin_order=order
         )
         assert got.assignment == assignment
         assert got.profit == profit
@@ -182,7 +272,7 @@ class TestGapEquivalence:
             with use_registry(registry):
                 got = local_ratio_gap(gap)
             assignment, tentative, profit, updates = local_ratio_gap_oracle(
-                gap, solve_knapsack
+                gap, knapsack_few_weights
             )
             assert got.assignment == assignment
             assert got.tentative == tentative
@@ -293,7 +383,7 @@ def test_pipeline_matches_scalar_oracles(seed):
     registry = MetricsRegistry()
     with use_registry(registry):
         got = local_ratio_gap(gap)
-    assignment, _, profit, updates = local_ratio_gap_oracle(gap, solve_knapsack)
+    assignment, _, profit, updates = local_ratio_gap_oracle(gap, knapsack_few_weights)
     assert got.assignment == assignment
     assert got.profit == profit
     assert registry.dump()["counters"]["gap.residual_updates"] == updates
@@ -311,13 +401,9 @@ def test_knapsack_property_random_streams(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 60))
     profits, weights, capacity = _random_knapsack(rng, n)
-    got = knapsack_few_weights(profits, weights, capacity)
-    selected, profit, weight = knapsack_few_weights_oracle(
-        profits, weights, capacity
-    )
-    assert got.selected == selected
-    assert got.profit == profit
-    assert got.weight == weight
+    got = knapsack_few_weights(profits.tolist(), weights.tolist(), capacity)
+    selected, _, weight = knapsack_few_weights_oracle(profits, weights, capacity)
+    assert tuple(got) == selected
     assert weight <= capacity + 1e-12 or not selected
 
 

@@ -276,6 +276,23 @@ class TestSolve:
         assert metrics["counters"]["service.cache.hit"] >= 1
         assert service.registry.counter("service.cache.hit") >= 1
 
+    def test_fresh_solve_stores_its_result_once(self, served, monkeypatch):
+        """The job's ``on_result`` callback caches the result before the
+        wait returns, so the request does not store it again."""
+        _, service = served
+        puts = []
+        put = service.cache.put
+
+        def counted(key, value):
+            puts.append(key)
+            put(key, value)
+
+        monkeypatch.setattr(service.cache, "put", counted)
+        body = _solve_body(seed=22)
+        assert service.solve(body)["cached"] is False
+        assert len(puts) == 1
+        assert service.solve(body)["cached"] is True
+
     def test_concurrent_identical_requests_share_one_job(self, served):
         port, service = served
         before = service.registry.counter("service.jobs.submitted")

@@ -175,6 +175,28 @@ class TestCertificate:
             assert not inside, (span, bound)
         assert all(r.certificate.verdict == "pass" for r in results)
 
+    def test_certified_tour_audits_its_allocation_once(self, monkeypatch):
+        """The certificate reads the audit of ``run_tour``'s
+        ``tour.verify`` phase instead of auditing again."""
+        from repro.sim import get_algorithm, run_tour
+
+        audits = []
+        audit = Allocation.audit
+
+        def counted(allocation, instance):
+            audits.append(instance)
+            return audit(allocation, instance)
+
+        monkeypatch.setattr(Allocation, "audit", counted)
+        scenario = ScenarioConfig(num_sensors=30, path_length=1500.0).build(seed=3)
+        result = run_tour(scenario, get_algorithm("Offline_Appro"), mutate=False, certify=True)
+        assert len(audits) == 1
+        assert result.certificate.verdict == "pass"
+        assert result.certificate.objective_bits == result.collected_bits
+        monkeypatch.undo()
+        plain = certify(scenario.instance(), result.allocation, algorithm="Offline_Appro")
+        assert plain.to_dict() == result.certificate.to_dict()
+
     def test_render_mentions_verdict_and_checks(self, inst):
         cert = certify(inst, offline_appro(inst), algorithm="Offline_Appro")
         text = render_certificate(cert)
